@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,13 +74,6 @@ def _parse_supports(text: str) -> list:
     return out
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MASSEY_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _outcome_json(outcome) -> dict:
     data = {
         "status": outcome.status,
@@ -137,7 +129,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_betti(args) -> int:
     K = SimplicialComplex.from_json(_read_input(args.infile))
-    table = _hochster_parallel(K, args.field)
+    table = hochster_table(K, args.field)
     if K.m <= 7:
         rk_table, _cls = rk_cohomology(K, args.field)
         if rk_table.entries != table.entries:
@@ -151,37 +143,6 @@ def cmd_betti(args) -> int:
                                             sorted(table.total().items())}})
         _emit(payload, args.out)
     return 0
-
-
-def _hochster_parallel(K, field):
-    threads = _threads()
-    if threads <= 1 or K.m < 8:
-        return hochster_table(K, field)
-    import itertools
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .simplicial import BettiTable
-    subsets = [I for r in range(K.m + 1)
-               for I in itertools.combinations(range(1, K.m + 1), r)]
-    table = BettiTable(field.tag)
-    jobs = [(K.m, K.minimal_nonfaces, I, field.tag) for I in subsets]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for entries in pool.map(_hochster_worker, jobs, chunksize=16):
-            table.entries.update({(i, tuple(I)): d for i, I, d in entries})
-    return table
-
-
-def _hochster_worker(job):
-    m, nonfaces, I, field_tag = job
-    from .simplicial import ReducedCohomology
-    K = SimplicialComplex(m, nonfaces)
-    rc = ReducedCohomology(K, I, Field.from_tag(field_tag))
-    out = []
-    for q in range(-1, len(I)):
-        d = rc.dim(q)
-        if d:
-            out.append((len(I) - q - 1, list(I), d))
-    return out
 
 
 def cmd_massey(args) -> int:

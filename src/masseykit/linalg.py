@@ -9,26 +9,10 @@ nonzero column as pivot, so repeated runs produce identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import gcd, lcm
 
 from .errors import InconsistentSystem, InvalidInput
-from .fields import Field
-
-
-def vec_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for i, c in v.items():
-        s = out.get(i, 0) + c
-        if s == 0:
-            out.pop(i, None)
-        else:
-            out[i] = s
-    return out
-
-
-def vec_scale(c, v: dict) -> dict:
-    if c == 0:
-        return {}
-    return {i: c * x for i, x in v.items()}
+from .fields import Field, Fp
 
 
 def vec_axpy(out: dict, c, v: dict) -> None:
@@ -71,12 +55,6 @@ class SparseMatrix:
         out = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
-        return out
-
-    def col_dicts(self) -> list[dict]:
-        out = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            out[c][r] = v
         return out
 
     def mul_vec(self, x: dict) -> dict:
@@ -220,8 +198,50 @@ def solve_affine(matrix: SparseMatrix, b: dict, field: Field) -> AffineSolutionS
     return AffineSolutionSet(solver.particular(b), solver.kernel_basis(), matrix.cols)
 
 
-def rank(matrix: SparseMatrix, field: Field) -> int:
-    return EchelonSolver(field, matrix.cols, matrix.row_dicts()).rank
+def rank(matrix, field: Field) -> int:
+    """Exact rank of a ``SparseMatrix`` or of a list of sparse row dicts.
+
+    Plain ints, no transform rows: each row is cleared of denominators
+    (over GF(p): taken to residues), then reduced fraction-free against the
+    pivot rows as c*row - a*pivot, with a and c the leading entries over
+    their gcd (Bareiss 1968).  A scaled row is divided by the gcd of its
+    entries over Q and reduced mod p over GF(p)."""
+    rows = matrix.row_dicts() if isinstance(matrix, SparseMatrix) else matrix
+    p = field.p
+    pivots: dict = {}  # lead column -> stored row
+    for row in rows:
+        if p is None:
+            den = lcm(*(x.denominator for x in row.values()))
+            cur = {k: x.numerator * (den // x.denominator)
+                   for k, x in row.items() if x}
+        else:
+            cur = {k: r for k, x in row.items() if (r := (
+                x.v if isinstance(x, Fp)
+                else x.numerator * pow(x.denominator, -1, p) % p))}
+        while cur:
+            lead = min(cur)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = cur
+                break
+            g = gcd(cur[lead], piv[lead])
+            a, c = cur[lead] // g, piv[lead] // g
+            if c != 1:
+                cur = {k: c * x for k, x in cur.items()}
+            for k, x in piv.items():
+                s = cur.get(k, 0) - a * x
+                if p is not None:
+                    s %= p
+                if s:
+                    cur[k] = s
+                else:
+                    del cur[k]
+            if c != 1 and p is None:
+                g = gcd(*cur.values())
+                cur = {k: x // g for k, x in cur.items()}
+            elif c != 1:
+                cur = {k: r for k, x in cur.items() if (r := x % p)}
+    return len(pivots)
 
 
 class _SpanTracker:

@@ -5,6 +5,11 @@ A complex is stored by its minimal non-faces (an antichain of subsets of
 size >= 2, so every element of [m] is a vertex); a subset is a face exactly
 when it contains no minimal non-face.  Vertices are 1-based; bitmask
 arithmetic keeps the face tests cheap.
+
+The faces are enumerated once per complex, on first use, as bitmasks
+grouped by size; the faces of an induced subcomplex K_I are the masks
+contained in I.  Dimensions of reduced cohomology are rank-only (see
+``ReducedCohomology.dim``): no kernel or quotient basis is built for them.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, InvalidInput
 from .fields import QQ, Field
-from .linalg import QuotientBasis
+from .linalg import EchelonSolver, QuotientBasis, rank
 
 HOCHSTER_CAP = 14
 
@@ -57,6 +62,7 @@ class SimplicialComplex:
                     raise InvalidInput("minimal non-faces must form an antichain")
         self.minimal_nonfaces = nfs
         self._nf_masks = masks
+        self._faces = None
 
     # ---- basic structure -------------------------------------------------
     def is_face_mask(self, mask: int) -> bool:
@@ -65,40 +71,41 @@ class SimplicialComplex:
     def is_face(self, vertices) -> bool:
         return self.is_face_mask(_mask(vertices))
 
-    def faces(self, within=None) -> list:
-        """All faces (as sorted vertex tuples), optionally inside a subset."""
-        verts = sorted(within) if within is not None else range(1, self.m + 1)
-        out = []
-        verts = list(verts)
-        for r in range(len(verts) + 1):
-            for combo in itertools.combinations(verts, r):
-                if self.is_face_mask(_mask(combo)):
-                    out.append(combo)
-        return out
+    def face_table(self) -> list:
+        """Entry k: the (vertex tuple, mask) pairs of the k-vertex faces in
+        lexicographic order, enumerated once.  A face f grows only by a
+        vertex v above its top one, and f + v is a face unless it contains a
+        minimal non-face topped by v."""
+        if self._faces is None:
+            below: list = [[] for _ in range(self.m + 1)]
+            for nf, nm in zip(self.minimal_nonfaces, self._nf_masks):
+                below[nf[-1]].append(nm ^ 1 << (nf[-1] - 1))
+            levels = [[0]]
+            while levels[-1]:
+                levels.append([f | 1 << (v - 1) for f in levels[-1]
+                               for v in range(f.bit_length() + 1, self.m + 1)
+                               if all(r & f != r for r in below[v])])
+            self._faces = [sorted((_unmask(f), f) for f in level)
+                           for level in levels[:-1]]
+        return self._faces
 
     def faces_of_dim(self, q: int, within=None) -> list:
         """Faces with q + 1 vertices (q = -1 gives the empty face)."""
-        verts = sorted(within) if within is not None else list(range(1, self.m + 1))
-        if q + 1 < 0 or q + 1 > len(verts):
+        if not 0 <= q + 1 < len(self.face_table()):
             return []
-        return [c for c in itertools.combinations(verts, q + 1)
-                if self.is_face_mask(_mask(c))]
+        I = -1 if within is None else _mask(within)
+        return [t for t, f in self._faces[q + 1] if f & I == f]
+
+    def face_masks(self, size: int, within: int) -> list:
+        """Masks of the ``size``-vertex faces inside the mask ``within``."""
+        if not 0 <= size < len(self.face_table()):
+            return []
+        return [f for _t, f in self._faces[size] if f & within == f]
 
     def facets(self) -> list:
-        faces = self.faces()
-        face_set = {f for f in faces}
-        out = []
-        for f in faces:
-            mask = _mask(f)
-            maximal = True
-            for v in range(1, self.m + 1):
-                if not (mask >> (v - 1)) & 1 and \
-                        self.is_face_mask(mask | (1 << (v - 1))):
-                    maximal = False
-                    break
-            if maximal:
-                out.append(f)
-        return out
+        return [t for level in self.face_table() for t, f in level
+                if not any(self.is_face_mask(f | 1 << v)
+                           for v in range(self.m) if not f >> v & 1)]
 
     def dim(self) -> int:
         return max((len(f) for f in self.facets()), default=0) - 1
@@ -167,10 +174,9 @@ def is_flag(K: SimplicialComplex) -> bool:
 def skeleton1(K: SimplicialComplex) -> dict:
     """1-skeleton as an adjacency dict {vertex: set of neighbours}."""
     adj = {v: set() for v in range(1, K.m + 1)}
-    for u, v in itertools.combinations(range(1, K.m + 1), 2):
-        if K.is_face((u, v)):
-            adj[u].add(v)
-            adj[v].add(u)
+    for u, v in K.faces_of_dim(1):
+        adj[u].add(v)
+        adj[v].add(u)
     return adj
 
 
@@ -213,23 +219,19 @@ def graph_complex(m: int, edges) -> SimplicialComplex:
 
 # ---- reduced simplicial cohomology ----------------------------------------
 
-def _coboundary_rows(K: SimplicialComplex, q: int, within, field: Field):
-    """Matrix of the reduced coboundary C^q(K_I) -> C^{q+1}(K_I) as rows
-    indexed by (q+1)-faces; columns by q-faces."""
-    src = K.faces_of_dim(q, within)
-    tgt = K.faces_of_dim(q + 1, within)
-    src_idx = {f: i for i, f in enumerate(src)}
-    one = field.one()
+def _coboundary_rows(K: SimplicialComplex, q: int, within: int) -> list:
+    """Rows of the reduced coboundary C^q(K_I) -> C^{q+1}(K_I), I = within:
+    one per (q+1)-face f in lexicographic order, keyed by facet masks, with
+    (-1)^t at f - v, t the number of vertices of f below v."""
     rows = []
-    for f in tgt:
-        row = {}
-        for t in range(len(f)):
-            sub = f[:t] + f[t + 1:]
-            j = src_idx.get(sub)
-            if j is not None:
-                row[j] = one if t % 2 == 0 else -one
+    for f in K.face_masks(q + 2, within):
+        row, rest, sign = {}, f, 1
+        while rest:
+            bit = rest & -rest
+            row[f ^ bit] = sign
+            rest, sign = rest ^ bit, -sign
         rows.append(row)
-    return src, tgt, rows
+    return rows
 
 
 class ReducedCohomology:
@@ -240,34 +242,45 @@ class ReducedCohomology:
         self.within = tuple(sorted(within)) if within is not None \
             else tuple(range(1, K.m + 1))
         self.field = field
+        self._mask = _mask(self.within)
         self._qb: dict = {}
+        self._ranks: dict = {}
 
     def quotient(self, q: int) -> QuotientBasis:
         got = self._qb.get(q)
         if got is not None:
             return got
-        from .linalg import EchelonSolver
-        src, _tgt, rows = _coboundary_rows(self.K, q, self.within, self.field)
-        solver = EchelonSolver(self.field, len(src), rows)
-        cycles = solver.kernel_basis()
-        prev, cur, prows = _coboundary_rows(self.K, q - 1, self.within,
-                                            self.field)
-        cur_idx = {f: i for i, f in enumerate(cur)}
-        boundaries = []
-        for j, f in enumerate(prev):
-            img = {}
-            for i, row in enumerate(prows):
-                c = row.get(j)
-                if c is not None:
-                    img[i] = c
-            if img:
-                boundaries.append(img)
+        one = self.field.one()
+        src = {f: i for i, f in
+               enumerate(self.K.face_masks(q + 1, self._mask))}
+        rows = [{src[g]: one * c for g, c in row.items()}
+                for row in _coboundary_rows(self.K, q, self._mask)]
+        cycles = EchelonSolver(self.field, len(src), rows).kernel_basis()
+        images: dict = {f: {} for f in self.K.face_masks(q, self._mask)}
+        for i, row in enumerate(_coboundary_rows(self.K, q - 1, self._mask)):
+            for g, c in row.items():
+                images[g][i] = one * c
+        boundaries = [img for img in images.values() if img]
         got = QuotientBasis(self.field, len(src), cycles, boundaries)
         self._qb[q] = got
         return got
 
     def dim(self, q: int) -> int:
-        return self.quotient(q).dim
+        """dim H~^q(K_I) = n_q - rank d_q - rank d_{q-1}: n_q counts the
+        q-faces of K_I, d_q: C^q -> C^{q+1} is the reduced coboundary, and
+        each rank is computed once and cached.  No kernel, transform or
+        quotient basis is built; ``quotient`` stays for the callers that
+        reduce cochains to classes (``facerings``)."""
+        n_q, rank_prev = self._coboundary(q - 1)
+        return n_q - self._coboundary(q)[1] - rank_prev
+
+    def _coboundary(self, q: int) -> tuple:
+        """(number of rows, rank) of d_q on K_I."""
+        got = self._ranks.get(q)
+        if got is None:
+            rows = _coboundary_rows(self.K, q, self._mask)
+            got = self._ranks[q] = (len(rows), rank(rows, self.field))
+        return got
 
     def basis_faces(self, q: int) -> list:
         return self.K.faces_of_dim(q, self.within)
@@ -294,11 +307,6 @@ def reduced_cache(K: SimplicialComplex, within, field: Field = QQ) -> ReducedCoh
         got = ReducedCohomology(K, within, field)
         cache[key] = got
     return got
-
-
-def reduced_cohomology_dim(K: SimplicialComplex, q: int, field: Field = QQ,
-                           within=None) -> int:
-    return ReducedCohomology(K, within, field).dim(q)
 
 
 @dataclass

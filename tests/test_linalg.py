@@ -89,6 +89,37 @@ def test_rank_f7_matches_dense_oracle():
         assert rank(m, field) == dense_rank(rows, q=p)
 
 
+def test_rank_q_rational_entries_match_dense_oracle():
+    # non-integer entries: the Q kernel clears each row's denominators
+    rng = random.Random(4242)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 9))
+
+    deficient = 0
+    for _ in range(40):
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+        base = [[entry() for _ in range(n_cols)]
+                for _ in range(rng.randint(1, 3))]
+        rows = []
+        for _ in range(n_rows):
+            if rng.random() < 0.6:
+                # rational combinations of a few base rows lower the rank
+                coef = [entry() for _ in base]
+                rows.append([sum(c * b[j] for c, b in zip(coef, base))
+                             for j in range(n_cols)])
+            else:
+                rows.append([entry() if rng.random() < 0.6 else Fraction(0)
+                             for _ in range(n_cols)])
+        m = SparseMatrix.from_rows(n_rows, n_cols, [
+            {c: v for c, v in enumerate(row) if v} for row in rows])
+        want = dense_rank(rows)
+        deficient += want < min(n_rows, n_cols)
+        assert rank(m, QQ) == want
+        assert rank(m.row_dicts(), QQ) == want
+    assert deficient >= 10
+
+
 def test_quotient_basic():
     one = Fraction(1)
     cycles = [{0: one}, {1: one}]

@@ -1,14 +1,18 @@
+import itertools
+import random
+
 import pytest
 
 from masseykit.errors import InvalidInput
-from masseykit.fields import QQ
-from masseykit.generators import cube, polygon
+from masseykit.fields import GF, QQ
+from masseykit.generators import cube, polygon, qn
 from masseykit.simplicial import (SimplicialComplex, ReducedCohomology,
                                   from_facets, hochster_table, induced,
                                   is_chordal, is_flag, join, skeleton1,
                                   flag_complex, graph_complex)
 
 from oracles import dense_rank
+from sweeps import all_complexes, random_complex
 
 
 def simplex(m):
@@ -133,6 +137,65 @@ def test_cube_hochster_product_of_spheres():
         from math import comb
         want = {3 * k: comb(n, k) for k in range(n + 1)}
         assert total == want
+
+
+FIELDS = (QQ, GF(2), GF(3))
+
+# the 6-vertex triangulation of the real projective plane
+RP2_FACETS = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+
+
+def assert_rank_dim_matches_quotient(K):
+    """The rank-only dim against the quotient-basis dimension, for every
+    subset, degree and field."""
+    for r in range(K.m + 1):
+        for I in itertools.combinations(range(1, K.m + 1), r):
+            for field in FIELDS:
+                rc = ReducedCohomology(K, I, field)
+                ref = ReducedCohomology(K, I, field)
+                for q in range(-1, r + 1):
+                    assert rc.dim(q) == ref.quotient(q).dim, \
+                        (K.minimal_nonfaces, I, field, q)
+
+
+def test_rank_dim_matches_quotient_all_small_complexes():
+    for m in (1, 2, 3, 4):
+        for nfs in all_complexes(m):
+            assert_rank_dim_matches_quotient(SimplicialComplex(m, list(nfs)))
+
+
+def test_rank_dim_matches_quotient_random_6_vertex():
+    rng = random.Random(909)
+    for _ in range(40):
+        assert_rank_dim_matches_quotient(
+            SimplicialComplex(6, random_complex(6, rng)))
+
+
+def test_rp2_torsion_seen_over_gf2_only():
+    # a "Q" kernel that secretly worked modulo a prime would miss this
+    K = from_facets(6, RP2_FACETS)
+    assert_rank_dim_matches_quotient(K)
+    for field, h12 in ((QQ, (0, 0)), (GF(2), (1, 1)), (GF(3), (0, 0))):
+        rc = ReducedCohomology(K, None, field)
+        assert (rc.dim(1), rc.dim(2)) == h12
+    tq, t2 = hochster_table(K, QQ).total(), hochster_table(K, GF(2)).total()
+    gained = {p: t2.get(p, 0) - tq.get(p, 0) for p in set(tq) | set(t2)
+              if t2.get(p, 0) != tq.get(p, 0)}
+    # H~^1 and H~^2 of K itself, at p = |I| + q + 1 = 6 + q + 1
+    assert gained == {8: 1, 9: 1}
+
+
+def test_q4_hochster_fields_agree_and_duality():
+    K = qn(4)
+    table = hochster_table(K, QQ)
+    assert hochster_table(K, GF(2)).entries == table.entries
+    total = table.total()
+    # K is a 3-sphere on 13 vertices, so Z_K is a closed 17-manifold
+    assert total[0] == total[17] == 1
+    assert all(total.get(17 - p, 0) == v for p, v in total.items())
+    assert total == {0: 1, 3: 28, 4: 96, 5: 123, 6: 95, 7: 193, 8: 394,
+                     9: 394, 10: 193, 11: 95, 12: 123, 13: 96, 14: 28, 17: 1}
 
 
 def test_graph_complex_vs_flag_complex():
