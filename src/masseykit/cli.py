@@ -11,32 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InvalidInput, MasseyKitError
 from .fields import Field, QQ
-from .facerings import (generator_class, golod_test, mainlemma_check,
-                        rk_cohomology, triple_massey_scan, zk_massey)
+from .facerings import (generator_class, golod_test, iter_triple_massey_scan,
+                        mainlemma_check, rk_cohomology, zk_massey)
 from .generators import anr, cube, dodecahedron_nerve, multiwedge, polygon, qn
 from .lie import GradedLie, ce_window, goncharova_table
 from .massey import MasseyEngine
-from .monomial import (MonomialQuotient, golod_series_check,
-                       minimal_resolution_betti, serre_bound, koszul_homology)
+from .monomial import (MonomialQuotient, koszul_homology,
+                       minimal_resolution_betti, serre_bound, serre_equality)
 from .simplicial import SimplicialComplex, hochster_table
 
 SCHEMA = 1
-
-
-@dataclass
-class RunConfig:
-    field: Field = QQ
-    w_max: int = 12
-    q_max: int = 3
-    order_cap: int = 5
-    budget: int = 8
-    seed: int = 0
-    fmt: str = "json"
 
 
 def _scalar_str(x) -> str:
@@ -221,12 +209,13 @@ def cmd_triple_scan(args) -> int:
     stream = sys.stdout if args.out in (None, "-") else \
         open(args.out, "w", encoding="utf-8")
     try:
-        for (e1, e2, e3, outcome) in triple_massey_scan(
+        for (e1, e2, e3, outcome) in iter_triple_massey_scan(
                 K, args.field, budget=args.budget):
             line = _outcome_json(outcome)
             line.update({"schema": SCHEMA, "supports":
                          [list(e1), list(e2), list(e3)]})
             stream.write(json.dumps(line, sort_keys=True) + "\n")
+            stream.flush()
     finally:
         if stream is not sys.stdout:
             stream.close()
@@ -258,7 +247,7 @@ def cmd_poincare(args) -> int:
         "koszul_betti": {str(i): b for i, b in sorted(betti.items())},
         "tor_dims": tor,
         "serre_bound": [_scalar_str(c) for c in bound.coeffs],
-        "golod_equality": golod_series_check(ring, args.order, args.field),
+        "golod_equality": serre_equality(tor, bound),
     }
     _emit(payload, args.out)
     return 0

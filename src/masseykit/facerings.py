@@ -25,37 +25,25 @@ RK_CAP = 14
 
 
 class RKAlgebra(DGAlgebra):
-    """Window of R(K), optionally restricted to supports inside a vertex set."""
+    """Window of R(K) over every squarefree multidegree of K."""
 
-    def __init__(self, K: SimplicialComplex, field: Field = QQ,
-                 vertices=None, cap: int = RK_CAP):
+    def __init__(self, K: SimplicialComplex, field: Field = QQ):
         self.K = K
         self.field = field
-        self.vertices = tuple(sorted(vertices)) if vertices is not None \
-            else tuple(range(1, K.m + 1))
-        if len(self.vertices) > cap:
-            raise CapExceeded(
-                f"{len(self.vertices)} vertices exceed the cap {cap}")
         self.aux_len = K.m
-        self._vset = set(self.vertices)
         self._bases: dict = {}
 
     # ---- degrees ----------------------------------------------------------
-    def _support_ok(self, aux) -> bool:
-        return all(v == 0 or (i + 1) in self._vset
-                   for i, v in enumerate(aux) if v)
-
     def in_window(self, deg: MultiDegree) -> bool:
-        if any(v < 0 for v in deg.aux):
-            return False
-        if any(v >= 2 for v in deg.aux):
-            return True  # materialized as the zero space
-        return self._support_ok(deg.aux)
+        # an aux entry >= 2 is materialized as the zero space
+        return all(v >= 0 for v in deg.aux)
 
     def window_degrees(self) -> list:
+        if self.K.m > RK_CAP:
+            raise CapExceeded(f"m = {self.K.m} exceeds the cap {RK_CAP}")
         out = []
-        for r in range(len(self.vertices) + 1):
-            for S in itertools.combinations(self.vertices, r):
+        for r in range(self.K.m + 1):
+            for S in itertools.combinations(range(1, self.K.m + 1), r):
                 aux = self._aux_of(S)
                 for q in range(len(S), 2 * len(S) + 1):
                     out.append(MultiDegree(q, aux))
@@ -150,6 +138,18 @@ class RKAlgebra(DGAlgebra):
         return out
 
 
+def rk_window(K: SimplicialComplex, field: Field = QQ) -> RKAlgebra:
+    """The R(K) window of K over the field, built once and cached on K.
+
+    Bases, d-solvers and quotient bases depend only on (K, field, degree),
+    so every product over K shares one window."""
+    cache = K.__dict__.setdefault("_rk_cache", {})
+    got = cache.get(field)
+    if got is None:
+        got = cache[field] = RKAlgebra(K, field)
+    return got
+
+
 @dataclass
 class ZkClass:
     """Cohomology class of the moment-angle complex in one multidegree,
@@ -170,7 +170,7 @@ def rk_cohomology(K: SimplicialComplex, field: Field = QQ,
     with the Hochster route per multidegree."""
     if K.m > cap:
         raise CapExceeded(f"m = {K.m} exceeds the cap {cap}")
-    alg = RKAlgebra(K, field, cap=cap)
+    alg = RKAlgebra(K, field)
     table = BettiTable(field.tag)
     classes = []
     for r in range(0, K.m + 1):
@@ -300,14 +300,12 @@ def cup_length(K: SimplicialComplex, field: Field = QQ,
 
 # ---- multidegree-restricted Massey products --------------------------------
 
-def _degree_profile(classes) -> list:
-    return [len(c.I) + c.q + 1 for c in classes]
-
-
 def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
               budget: int = 8, cap: int = RK_CAP) -> MasseyOutcome:
     """Massey product of moment-angle classes on pairwise disjoint supports,
-    computed in R(K) restricted to the union of the supports.
+    computed in the shared R(K) window of K (``rk_window``).  The search is
+    homogeneous in the vertex support, so every degree it touches lies over
+    the union of the supports.
 
     For n = 3 the outcome is upgraded to strict when the indeterminacy
     vanishes; for higher orders strictness comes from the vanishing-entry
@@ -318,8 +316,10 @@ def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
     for a, b in itertools.combinations(range(len(supports)), 2):
         if set(supports[a]) & set(supports[b]):
             raise OverlappingSupports("class supports must be disjoint")
-    V = tuple(sorted(v for I in supports for v in I))
-    alg = RKAlgebra(K, field, vertices=V, cap=cap)
+    V = [v for I in supports for v in I]
+    if len(V) > cap:
+        raise CapExceeded(f"{len(V)} vertices exceed the cap {cap}")
+    alg = rk_window(K, field)
     engine = MasseyEngine(alg, budget=budget, homogeneous_aux=True)
     chain_classes = []
     for c in classes:
@@ -387,12 +387,12 @@ def generator_class(K: SimplicialComplex, I, field: Field = QQ,
     return ZkClass(I, qq, {faces[i]: c for i, c in rep.items()})
 
 
-def triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
-                       cap: int = RK_CAP, budget: int = 8,
-                       support_mode: str = "edges",
-                       max_support: int = 4,
-                       stop_on_nontrivial: bool = False) -> list:
-    """Ordered triples of classes on pairwise-disjoint supports with the
+def iter_triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
+                            cap: int = RK_CAP, budget: int = 8,
+                            support_mode: str = "edges",
+                            max_support: int = 4,
+                            stop_on_nontrivial: bool = False):
+    """Yield ordered triples of classes on pairwise-disjoint supports with the
     outcome of their triple product.
 
     ``support_mode``: "edges" scans the degree-zero generators of missing
@@ -407,11 +407,9 @@ def triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
     if support_mode == "edges":
         supports = [e for e in itertools.combinations(range(1, K.m + 1), 2)
                     if not K.is_face(e)]
-        sizes = {2}
     elif support_mode == "h0":
-        sizes = set(range(2, max_support + 1))
         supports = []
-        for r in sorted(sizes):
+        for r in range(2, max_support + 1):
             for I in itertools.combinations(range(1, K.m + 1), r):
                 if reduced_cache(K, I, field).dim(0):
                     supports.append(I)
@@ -424,7 +422,6 @@ def triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
         faces = rc.basis_faces(0)
         by_support[I] = [ZkClass(I, 0, {faces[i]: c for i, c in rep.items()})
                          for rep in qb.representatives]
-    out = []
     for I1, I2, I3 in itertools.permutations(supports, 3):
         if set(I1) & set(I2) or set(I1) & set(I3) or set(I2) & set(I3):
             continue
@@ -436,11 +433,20 @@ def triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
                 continue
             outcome = zk_massey(K, list(classes), field, budget=budget,
                                 cap=cap)
-            out.append((I1, I2, I3, outcome))
+            yield I1, I2, I3, outcome
             if stop_on_nontrivial and outcome.defined and \
                     outcome.triviality == "nontrivial":
-                return out
-    return out
+                return
+
+
+def triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
+                       cap: int = RK_CAP, budget: int = 8,
+                       support_mode: str = "edges",
+                       max_support: int = 4,
+                       stop_on_nontrivial: bool = False) -> list:
+    """``iter_triple_massey_scan`` collected into a list."""
+    return list(iter_triple_massey_scan(K, field, cap, budget, support_mode,
+                                        max_support, stop_on_nontrivial))
 
 
 # ---- Golod certification -----------------------------------------------------

@@ -382,11 +382,10 @@ class MasseyEngine:
     """
 
     def __init__(self, dga: DGAlgebra, budget: int = 8,
-                 homogeneous_aux: bool = True, seed: int = 0):
+                 homogeneous_aux: bool = True):
         self.dga = dga
         self.budget = budget
         self.homogeneous_aux = homogeneous_aux
-        self.seed = seed
 
     # -- degree bookkeeping ------------------------------------------------
     def _profile(self, classes) -> dict:

@@ -456,14 +456,19 @@ def _binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def golod_series_check(ring: MonomialQuotient, order: int = 6,
-                       field: Field = QQ) -> bool:
-    """Serre's coefficientwise bound holds always; equality up to the
-    truncation order is the series side of the Golod property."""
-    _alg, betti = koszul_homology(ring, field)
-    bound = serre_bound(ring.n_vars, betti, order)
-    tor = minimal_resolution_betti(ring, order, field)
-    actual = PowerSeries.from_poly(dict(enumerate(tor)), order)
+def serre_equality(tor: list, bound: PowerSeries) -> bool:
+    """Compare the Poincare series sum dim Tor_i t^i with Serre's bound up to
+    the bound's order: the bound holds always, equality is the series side
+    of the Golod property."""
+    actual = PowerSeries.from_poly(dict(enumerate(tor)), bound.order)
     if not actual <= bound:
         raise AssertionError("Serre bound violated: internal inconsistency")
     return actual == bound
+
+
+def golod_series_check(ring: MonomialQuotient, order: int = 6,
+                       field: Field = QQ) -> bool:
+    """``serre_equality`` of the ring's resolution and Serre bound."""
+    _alg, betti = koszul_homology(ring, field)
+    bound = serre_bound(ring.n_vars, betti, order)
+    return serre_equality(minimal_resolution_betti(ring, order, field), bound)

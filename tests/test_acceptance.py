@@ -413,8 +413,9 @@ def test_criterion_14_dodecahedron_scan():
     """The nerve of the dodecahedron carries a nontrivial triple product.
 
     The default scan over missing-edge supports finds nothing here: all
-    14,280 ordered missing-edge triples are defined and trivial.  So the scan
-    runs in its widened degree-zero support mode.
+    14,280 ordered missing-edge triples are defined and trivial
+    (``test_criterion_14_edge_triples_all_trivial``).  So the scan runs in
+    its widened degree-zero support mode.
     """
     K = dodecahedron_nerve()
     results = triple_massey_scan(K, QQ, support_mode="h0",
@@ -424,6 +425,15 @@ def test_criterion_14_dodecahedron_scan():
     assert len(hits) >= 1
     strict_hits = [r for r in hits if r[3].status == "strict"]
     assert strict_hits
+
+
+@pytest.mark.slow
+def test_criterion_14_edge_triples_all_trivial():
+    results = triple_massey_scan(dodecahedron_nerve(), QQ,
+                                 support_mode="edges")
+    assert len(results) == 14280
+    assert all(r[3].defined and r[3].triviality == "trivial"
+               for r in results)
 
 
 # 15 ------------------------------------------------------------------------

@@ -98,6 +98,29 @@ def test_poincare_cli():
     assert data["golod_equality"] is True
 
 
+def test_poincare_resolves_once(monkeypatch, tmp_path, capsys):
+    from masseykit import cli, monomial
+
+    calls = []
+    real = monomial.minimal_resolution_betti
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (cli, monomial):
+        monkeypatch.setattr(module, "minimal_resolution_betti", counting)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"n": 3, "gens": [[3, 0, 0], [0, 3, 0],
+                                                 [0, 0, 3], [1, 1, 1]]}))
+    assert cli.main(["poincare", "--order", "6", "--in", str(path)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    data = json.loads(capsys.readouterr().out)
+    ring = monomial.MonomialQuotient.from_json(path.read_text())
+    assert data["golod_equality"] == monomial.golod_series_check(ring, 6)
+
+
 def test_bad_input_exit_2():
     res = run_cli(["betti"], stdin="{not json")
     assert res.returncode == 2

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from masseykit.errors import OverlappingSupports
+from masseykit import facerings
+from masseykit.errors import CapExceeded, OverlappingSupports
 from masseykit.fields import GF, QQ
-from masseykit.facerings import (RKAlgebra, cup_length, generator_class,
-                                 golod_test, mainlemma_check, rk_cohomology,
-                                 triple_massey_scan, zk_classes, zk_class_is_zero,
-                                 zk_cup, zk_massey, ZkClass)
+from masseykit.facerings import (RK_CAP, RKAlgebra, cup_length,
+                                 generator_class, golod_test,
+                                 iter_triple_massey_scan, mainlemma_check,
+                                 rk_cohomology, triple_massey_scan, zk_classes,
+                                 zk_class_is_zero, zk_cup, zk_massey, ZkClass)
 from masseykit.generators import cube, polygon, qn
 from masseykit.simplicial import (SimplicialComplex, hochster_table,
                                   flag_complex)
@@ -212,3 +214,55 @@ def test_q3_strict_nontrivial_triple():
     out = zk_massey(K, classes, QQ)
     assert out.status == "strict"
     assert out.triviality == "nontrivial"
+
+
+def _outcome_key(out):
+    rep = out.representative.rep if out.representative is not None else None
+    return (out.status, out.triviality, out.defined, out.complete,
+            out.value_coords, rep)
+
+
+@pytest.mark.parametrize("make, mode", [(lambda: polygon(6), "edges"),
+                                        (lambda: polygon(7), "edges"),
+                                        (lambda: qn(3), "h0")])
+def test_scan_shares_one_window_and_matches_cold_windows(monkeypatch, make,
+                                                         mode):
+    K = make()
+    windows = []
+    init = RKAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        windows.append(self)
+        init(self, *args, **kwargs)
+
+    products = []
+    real_massey = facerings.zk_massey
+
+    def recording_massey(K, classes, *args, **kwargs):
+        out = real_massey(K, classes, *args, **kwargs)
+        products.append((classes, out))
+        return out
+
+    monkeypatch.setattr(RKAlgebra, "__init__", counting_init)
+    monkeypatch.setattr(facerings, "zk_massey", recording_massey)
+    scanned = list(itertools.islice(
+        iter_triple_massey_scan(K, QQ, support_mode=mode), 60))
+    monkeypatch.undo()
+    assert len(windows) == 1
+    assert len(products) == len(scanned) > 0
+    for (classes, shared), (*_supports, yielded) in zip(products, scanned):
+        assert yielded is shared
+        # a fresh copy of K gets a cold window of its own
+        cold = zk_massey(SimplicialComplex.from_json(K.to_json()), classes, QQ)
+        assert _outcome_key(cold) == _outcome_key(shared)
+
+
+def test_zk_massey_cap_counts_support_vertices():
+    K = polygon(RK_CAP + 2)
+    classes = [generator_class(K, (v, v + 2)) for v in (1, 5, 9)]
+    out = zk_massey(K, classes, QQ)
+    assert out.defined and out.triviality == "trivial"
+    with pytest.raises(CapExceeded):
+        zk_massey(K, classes, QQ, cap=5)
+    with pytest.raises(CapExceeded):
+        RKAlgebra(K, QQ).window_degrees()
