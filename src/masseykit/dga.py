@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import MixedDegree, WindowTooSmall
 from .fields import Field
-from .linalg import EchelonSolver, QuotientBasis
+from .linalg import EchelonSolver, QuotientBasis, axpy
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,7 @@ class MultiDegree:
 
 
 def c_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for m, c in v.items():
-        s = out.get(m, 0) + c
-        if s == 0:
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
+    return axpy(dict(u), 1, v.items())
 
 
 def c_scale(c, v: dict) -> dict:
@@ -56,7 +49,7 @@ def c_scale(c, v: dict) -> dict:
 
 
 def c_sub(u: dict, v: dict) -> dict:
-    return c_add(u, c_scale(-1, v))
+    return axpy(dict(u), -1, v.items())
 
 
 def merge_sorted(base: tuple, extra: tuple):
@@ -216,14 +209,7 @@ class DGAlgebra:
         idx = self.index(deg)
         out = []
         for mono in self.basis(prev):
-            img = {}
-            for m2, c in self.d_mono(mono):
-                i = idx[m2]
-                s = img.get(i, 0) + c
-                if s == 0:
-                    img.pop(i, None)
-                else:
-                    img[i] = s
+            img = axpy({}, 1, ((idx[m2], c) for m2, c in self.d_mono(mono)))
             if img:
                 out.append(img)
         return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .dga import CohomologyClass, DGAlgebra, MultiDegree
 from .errors import CapExceeded, InvalidInput, OverlappingSupports
 from .fields import QQ, Field
-from .linalg import _SpanTracker
+from .linalg import _SpanTracker, axpy
 from .massey import MasseyEngine, MasseyOutcome
 from .simplicial import BettiTable, SimplicialComplex, reduced_cache
 
@@ -236,12 +236,8 @@ def zk_cup(K: SimplicialComplex, x: ZkClass, y: ZkClass,
         for s2, c2 in y.cochain.items():
             tau = tuple(sorted(s1 + s2))
             if K.is_face(tau):
-                sgn = join_sign(s1, x.I, s2, y.I)
-                v = out.get(tau, field.zero()) + field.of(sgn) * c1 * c2
-                if v == 0:
-                    out.pop(tau, None)
-                else:
-                    out[tau] = v
+                sgn = field.of(join_sign(s1, x.I, s2, y.I))
+                axpy(out, sgn * c1, ((tau, c2),))
     return ZkClass(I, q, out)
 
 

@@ -14,10 +14,10 @@ import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .dga import (CohomologyClass, DGAlgebra, MultiDegree, c_add, c_scale,
-                  merge_sorted)
+from .dga import CohomologyClass, DGAlgebra, MultiDegree, merge_sorted
 from .errors import DomainError, InvalidInput, MixedDegree, WindowTooSmall
 from .fields import QQ, Field
+from .linalg import axpy
 
 
 @dataclass
@@ -58,12 +58,7 @@ class GradedLie:
         out: dict = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             for m, cm in self.bracket(a, b):
-                for r, cr in self.bracket(m, c):
-                    s = out.get(r, 0) + cm * cr
-                    if s == 0:
-                        out.pop(r, None)
-                    else:
-                        out[r] = s
+                axpy(out, cm, self.bracket(m, c))
         return out
 
     def jacobi_ok(self) -> bool:
@@ -194,14 +189,8 @@ class CEAlgebra(DGAlgebra):
             sign_t = 1 if t % 2 == 0 else -1
             for (a, b), c in self._dgen.get(g, ()):
                 merged = merge_sorted(rest, (a, b))
-                if merged is None:
-                    continue
-                m2, sgn = merged
-                val = out.get(m2, 0) + sign_t * sgn * c
-                if val == 0:
-                    out.pop(m2, None)
-                else:
-                    out[m2] = val
+                if merged is not None:
+                    axpy(out, sign_t * merged[1], ((merged[0], c),))
         return list(out.items())
 
     def mul_mono(self, m1, m2) -> list:
@@ -225,11 +214,8 @@ class CEAlgebra(DGAlgebra):
         """Cochain from (index, coeff) pairs or bare indices."""
         out: dict = {}
         for t in terms:
-            if isinstance(t, tuple):
-                g, c = t
-            else:
-                g, c = t, 1
-            out = c_add(out, {(g,): self.field.of(c)})
+            g, c = t if isinstance(t, tuple) else (t, 1)
+            axpy(out, 1, (((g,), self.field.of(c)),))
         return out
 
     def deg(self, q: int, w: int) -> MultiDegree:
@@ -266,17 +252,9 @@ def d1(x: dict) -> dict:
     out: dict = {}
     for mono, c in x.items():
         _check_domain(mono)
-        for t, g in enumerate(mono):
-            if g == 2:
-                continue
-            if g - 1 in mono:
-                continue
-            m2 = tuple(sorted(mono[:t] + (g - 1,) + mono[t + 1:]))
-            s = out.get(m2, 0) + c
-            if s == 0:
-                out.pop(m2, None)
-            else:
-                out[m2] = s
+        axpy(out, 1, ((tuple(sorted(mono[:t] + (g - 1,) + mono[t + 1:])), c)
+                      for t, g in enumerate(mono)
+                      if g != 2 and g - 1 not in mono))
     return out
 
 
@@ -299,15 +277,10 @@ def d_minus1(x: dict) -> dict:
         sign = 1
         l = 0
         while prefix:
-            for pm, pc in prefix.items():
-                if pm and pm[-1] >= top + 1 + l:
-                    raise DomainError("prefix indices must stay below the appended one")
-                m2 = pm + (top + 1 + l,)
-                s = out.get(m2, 0) + sign * pc
-                if s == 0:
-                    out.pop(m2, None)
-                else:
-                    out[m2] = s
+            new = top + 1 + l
+            if any(pm and pm[-1] >= new for pm in prefix):
+                raise DomainError("prefix indices must stay below the appended one")
+            axpy(out, sign, ((pm + (new,), pc) for pm, pc in prefix.items()))
             prefix = d1(prefix)
             sign = -sign
             l += 1
@@ -328,25 +301,13 @@ def omega_of(phi: dict, m: int) -> dict:
     psi: dict = {}
     for mono, c in phi.items():
         merged = merge_sorted(mono, (m,))
-        if merged is None:
-            continue
-        m2, sgn = merged
-        s = psi.get(m2, 0) + sgn * c
-        if s == 0:
-            psi.pop(m2, None)
-        else:
-            psi[m2] = s
+        if merged is not None:
+            axpy(psi, merged[1], ((merged[0], c),))
     out: dict = {}
     sign = 1
     l = 0
     while psi:
-        for pm, pc in psi.items():
-            m2 = pm + (m + 1 + l,)
-            s = out.get(m2, 0) + sign * pc
-            if s == 0:
-                out.pop(m2, None)
-            else:
-                out[m2] = s
+        axpy(out, sign, ((pm + (m + 1 + l,), pc) for pm, pc in psi.items()))
         psi = d1(psi)
         sign = -sign
         l += 1
@@ -634,7 +595,7 @@ def omega_expand(form: dict) -> dict:
             if c == 0:
                 continue
             out[mono[:-1]] = c
-            rest = c_add(rest, c_scale(-c, omega(mono[:-1]).form))
+            axpy(rest, -c, omega(mono[:-1]).form.items())
     return out
 
 
@@ -660,16 +621,9 @@ def m0_product(x, y: OmegaCocycle) -> dict:
     for m1, c1 in x.form.items():
         for m2, c2 in y.form.items():
             merged = merge_sorted(m1, m2)
-            if merged is None:
-                continue
-            mm, sgn = merged
-            s = wedge.get(mm, 0) + sgn * c1 * c2
-            if s == 0:
-                wedge.pop(mm, None)
-            else:
-                wedge[mm] = s
-    combo = omega_expand(wedge)
+            if merged is not None:
+                axpy(wedge, merged[1] * c1, ((merged[0], c2),))
     out: dict = {}
-    for idx, c in combo.items():
-        out = c_add(out, c_scale(c, omega(idx).form))
+    for idx, c in omega_expand(wedge).items():
+        axpy(out, c, omega(idx).form.items())
     return out

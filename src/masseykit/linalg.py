@@ -15,16 +15,19 @@ from .errors import InconsistentSystem, InvalidInput
 from .fields import Field, Fp
 
 
-def vec_axpy(out: dict, c, v: dict) -> None:
-    """In place: out += c * v."""
+def axpy(out: dict, c, pairs) -> dict:
+    """In place: out += c * v, v given by its (key, value) pairs; returns
+    out.  The one sparse accumulate: zero sums are dropped, and the values
+    may be field scalars or ``Poly``."""
     if c == 0:
-        return
-    for i, x in v.items():
-        s = out.get(i, 0) + c * x
+        return out
+    for k, x in pairs:
+        s = out.get(k, 0) + c * x
         if s == 0:
-            out.pop(i, None)
+            out.pop(k, None)
         else:
-            out[i] = s
+            out[k] = s
+    return out
 
 
 @dataclass
@@ -58,16 +61,8 @@ class SparseMatrix:
         return out
 
     def mul_vec(self, x: dict) -> dict:
-        out: dict = {}
-        for (r, c), v in self.entries.items():
-            xc = x.get(c)
-            if xc is not None:
-                s = out.get(r, 0) + v * xc
-                if s == 0:
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
+        return axpy({}, 1, ((r, v * x[c])
+                            for (r, c), v in self.entries.items() if c in x))
 
 
 class EchelonSolver:
@@ -98,8 +93,8 @@ class EchelonSolver:
                 if coef is None:
                     continue
                 hit = piv_by_col[c]
-                vec_axpy(cur, -coef, hit[1])
-                vec_axpy(t, -coef, hit[2])
+                axpy(cur, -coef, hit[1].items())
+                axpy(t, -coef, hit[2].items())
             if not cur:
                 self.null_ts.append(t)
                 continue
@@ -111,8 +106,8 @@ class EchelonSolver:
             for entry in self.piv:
                 coef = entry[1].get(lead)
                 if coef is not None:
-                    vec_axpy(entry[1], -coef, cur)
-                    vec_axpy(entry[2], -coef, t)
+                    axpy(entry[1], -coef, cur.items())
+                    axpy(entry[2], -coef, t.items())
             rec = (lead, cur, t)
             self.piv.append(rec)
             piv_by_col[lead] = rec
@@ -258,7 +253,7 @@ class _SpanTracker:
             row = self.rows.get(lead)
             if row is None:
                 return cur
-            vec_axpy(cur, -cur[lead], row)
+            axpy(cur, -cur[lead], row.items())
         return cur
 
     def contains(self, v: dict) -> bool:
@@ -362,7 +357,7 @@ class QuotientBasis:
         coords = self.reduce(v)
         out: dict = {}
         for j, c in coords.items():
-            vec_axpy(out, c, self.representatives[j])
+            axpy(out, c, self.representatives[j].items())
         return out
 
     def is_zero_class(self, v: dict) -> bool:

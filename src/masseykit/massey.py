@@ -14,7 +14,10 @@ the k-step product: the stage-k obstruction classes form its value tuple.
 The search solves the staged equations with the kernel of every stage carried
 as symbolic parameters, so the value class comes out as a vector of
 polynomials in those parameters; membership and triviality questions reduce
-to exact linear algebra whenever that dependence is affine.
+to exact linear algebra whenever that dependence is affine.  A family of
+connections is a connection whose cochains have ``Poly`` coefficients: the
+same ``d``, ``wedge``, ``bar`` and ``components`` of the window, and the same
+``mc_sum``, act on both.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .dga import CohomologyClass, DGAlgebra, MultiDegree, c_scale
+from .dga import CohomologyClass, DGAlgebra, MultiDegree
 from .errors import (InvalidInput, NotADefiningSystem, SingularMatrix,
                      WindowTooSmall)
-from .linalg import EchelonSolver, vec_axpy
+from .linalg import EchelonSolver, axpy
 from .params import Poly
 
 
@@ -46,41 +49,32 @@ class FormalConnection:
         return [self.entry(i, i) for i in range(1, self.n + 1)]
 
 
+def mc_sum(dga: DGAlgebra, entries: dict, i: int, j: int) -> dict:
+    """sum_{r=i}^{j-1} bar(a(i, r)) ^ a(r+1, j) over the entries present.
+
+    The one Maurer-Cartan sum: the defect, the related cocycle, the stage
+    right-hand sides and the k-step tuples all read it.  ``bar`` is its only
+    sign source, and the coefficients may be scalars or ``Poly``."""
+    acc: dict = {}
+    for r in range(i, j):
+        left = entries.get((i, r))
+        right = entries.get((r + 1, j))
+        if left and right:
+            axpy(acc, 1, dga.wedge(dga.bar(left), right).items())
+    return acc
+
+
 def mc_defect(conn: FormalConnection) -> dict:
     """All defect entries mu(i, j), including the corner."""
     dga = conn.dga
     out = {}
     for i in range(1, conn.n + 1):
         for j in range(i, conn.n + 1):
-            acc = dga.d(conn.entry(i, j))
-            for r in range(i, j):
-                left = conn.entry(i, r)
-                right = conn.entry(r + 1, j)
-                if left and right:
-                    prod = dga.wedge(dga.bar(left), right)
-                    acc = {m: c for m, c in
-                           _acc_sub(acc, prod).items() if c != 0}
-            if acc:
-                out[(i, j)] = acc
+            mu = axpy(dga.d(conn.entry(i, j)), -1,
+                      mc_sum(dga, conn.entries, i, j).items())
+            if mu:
+                out[(i, j)] = mu
     return out
-
-
-def _acc_sub(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for m, c in v.items():
-        s = out.get(m, 0) - c
-        if s == 0:
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
-
-
-def defect_band(mu: dict, n: int) -> int | None:
-    """Smallest j - i over the nonzero defect slots; None when mu = 0."""
-    if not mu:
-        return None
-    return min(j - i for (i, j) in mu)
 
 
 def in_corner_ideal(mu: dict, n: int) -> bool:
@@ -99,20 +93,7 @@ def is_defining_system(conn: FormalConnection) -> bool:
 def related_cocycle(conn: FormalConnection) -> dict:
     if not is_defining_system(conn):
         raise NotADefiningSystem("Maurer-Cartan defect escapes the corner")
-    dga = conn.dga
-    acc: dict = {}
-    for r in range(1, conn.n):
-        left = conn.entry(1, r)
-        right = conn.entry(r + 1, conn.n)
-        if left and right:
-            prod = dga.wedge(dga.bar(left), right)
-            for m, c in prod.items():
-                s = acc.get(m, 0) + c
-                if s == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-    return acc
+    return mc_sum(conn.dga, conn.entries, 1, conn.n)
 
 
 def conjugate(conn: FormalConnection, C: list) -> FormalConnection:
@@ -150,7 +131,7 @@ def conjugate(conn: FormalConnection, C: list) -> FormalConnection:
                     co = inv[i][r] * C[c][j]
                     if co == 0:
                         continue
-                    vec_axpy(acc, co, mat_entry(r, c))
+                    axpy(acc, co, mat_entry(r, c).items())
             if acc:
                 new_entries[(i + 1, j)] = acc
     return FormalConnection(conn.dga, n, new_entries)
@@ -169,13 +150,8 @@ def strong_mc_check(dga: DGAlgebra, assignment: dict, n: int) -> bool:
                     continue
                 if c <= r:
                     raise InvalidInput("assignment must be strictly upper triangular")
-                slot = (r + 1, c)
-                cur = entries.setdefault(slot, {})
-                s = cur.get((gen,), 0) + dga.field.of(v)
-                if s == 0:
-                    cur.pop((gen,), None)
-                else:
-                    cur[(gen,)] = s
+                axpy(entries.setdefault((r + 1, c), {}), 1,
+                     (((gen,), dga.field.of(v)),))
     conn = FormalConnection(dga, n, {k: v for k, v in entries.items() if v})
     return not mc_defect(conn)
 
@@ -212,63 +188,12 @@ def complete_lift(conn: FormalConnection) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# parametric cochains: dict monomial -> Poly
+# parametric cochains: dict monomial -> Poly.  d, wedge, bar and components
+# of DGAlgebra apply to them unchanged; only these three are Poly-specific.
 
 
 def pc_const(cochain: dict) -> dict:
     return {m: Poly.const(c) for m, c in cochain.items()}
-
-
-def pc_scale_sign(u: dict, sign: int) -> dict:
-    if sign == 1:
-        return u
-    return {m: -p for m, p in u.items()}
-
-
-def pc_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for m, p in v.items():
-        s = out.get(m, Poly()) + p
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
-
-
-def pc_wedge(dga: DGAlgebra, u: dict, v: dict) -> dict:
-    out: dict = {}
-    for m1, p1 in u.items():
-        for m2, p2 in v.items():
-            p = p1 * p2
-            if p.is_zero():
-                continue
-            for m, cm in dga.mul_mono(m1, m2):
-                s = out.get(m, Poly()) + p * cm
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-    return out
-
-
-def pc_d(dga: DGAlgebra, u: dict) -> dict:
-    out: dict = {}
-    for m, p in u.items():
-        for m2, c in dga.d_mono(m):
-            s = out.get(m2, Poly()) + p * c
-            if s.is_zero():
-                out.pop(m2, None)
-            else:
-                out[m2] = s
-    return out
-
-
-def pc_components(dga: DGAlgebra, u: dict) -> dict:
-    out: dict = {}
-    for m, p in u.items():
-        out.setdefault(dga.degree_of_mono(m), {})[m] = p
-    return out
 
 
 def pc_substitute(u: dict, subst: dict) -> dict:
@@ -310,7 +235,6 @@ class ConnectionFamily:
     params: list             # ParamInfo
     complete: bool
     max_stage: int           # stages solved: all slots with j - i <= max_stage
-    notes: list = dc_field(default_factory=list)
 
     def free_vars(self) -> list:
         seen = set()
@@ -441,7 +365,6 @@ class MasseyEngine:
             entries[(i, i)] = pc_const(cls.rep)
         params: list = []
         complete = True
-        notes: list = []
         subst: dict = {}
 
         def apply_subst(new_subst: dict):
@@ -458,18 +381,11 @@ class MasseyEngine:
                 j = i + stage
                 if (i, j) == (1, n):
                     continue
-                rhs: dict = {}
-                for r in range(i, j):
-                    left = entries.get((i, r))
-                    right = entries.get((r + 1, j))
-                    if left and right:
-                        sign = 1 if (prof[(i, r)].q + 1) % 2 == 0 else -1
-                        rhs = pc_add(rhs, pc_wedge(
-                            dga, pc_scale_sign(left, sign), right))
-                if pc_d(dga, rhs):
+                rhs = mc_sum(dga, entries, i, j)
+                if dga.d(rhs):
                     raise NotADefiningSystem(
                         f"stage right-hand side at {(i, j)} is not closed")
-                comps = pc_components(dga, rhs)
+                comps = dga.components(rhs)
                 # collect per-component obstructions, resolve, then solve
                 constraints = []
                 comp_data = []
@@ -494,12 +410,7 @@ class MasseyEngine:
                     if new_subst:
                         apply_subst(new_subst)
                         comp_data = [
-                            (deg, solver,
-                             {k: p.substitute(new_subst) for k, p in vec.items()})
-                            for deg, solver, vec in comp_data]
-                        comp_data = [
-                            (deg, solver,
-                             {k: p for k, p in vec.items() if not p.is_zero()})
+                            (deg, solver, pc_substitute(vec, new_subst))
                             for deg, solver, vec in comp_data]
                         for deg, solver, vec in comp_data:
                             for obs in solver.obstructions(vec, Poly()):
@@ -509,11 +420,9 @@ class MasseyEngine:
                                         inconclusive=True)
                 entry: dict = {}
                 for deg, solver, vec in comp_data:
-                    sol = solver.particular(vec, Poly())
                     bas = dga.basis(deg.d_source())
-                    for col, p in sol.items():
-                        if not p.is_zero():
-                            entry[bas[col]] = entry.get(bas[col], Poly()) + p
+                    axpy(entry, 1, ((bas[col], p) for col, p in
+                                    solver.particular(vec, Poly()).items()))
                 # kernel freedom, cohomology directions first
                 for deg in self._entry_aux_degrees(prof[(i, j)].q, prof[(i, j)]):
                     if not dga.in_window(deg) or not dga.in_window(deg.d_target()):
@@ -535,17 +444,14 @@ class MasseyEngine:
                             direction = {bas[c]: v for c, v in kvec.items()}
                             params.append(ParamInfo(var, (i, j), deg, kind,
                                                     direction))
-                            for m, c in direction.items():
-                                entry[m] = entry.get(m, Poly()) + \
-                                    Poly({(var,): c})
+                            axpy(entry, 1, ((m, Poly.var(var, c))
+                                            for m, c in direction.items()))
                         else:
                             continue
                         break
-                entry = {m: p for m, p in entry.items() if not p.is_zero()}
                 if entry:
                     entries[(i, j)] = entry
-        return ConnectionFamily(dga, n, entries, params, complete, max_stage,
-                                notes)
+        return ConnectionFamily(dga, n, entries, params, complete, max_stage)
 
     def _resolve_constraints(self, constraints):
         """Solve polynomial constraints = 0 for the parameters.
@@ -596,18 +502,7 @@ class MasseyEngine:
 
     # -- products ------------------------------------------------------------
     def related_cocycle_family(self, fam: ConnectionFamily) -> dict:
-        dga = self.dga
-        n = fam.n
-        acc: dict = {}
-        for r in range(1, n):
-            left = fam.entries.get((1, r))
-            right = fam.entries.get((r + 1, n))
-            if left and right:
-                q_left = {dga.degree_of_mono(m).q for m in left}
-                sign = 1 if (next(iter(q_left)) + 1) % 2 == 0 else -1
-                acc = pc_add(acc, pc_wedge(
-                    dga, pc_scale_sign(left, sign), right))
-        return acc
+        return mc_sum(self.dga, fam.entries, 1, fam.n)
 
     def _reduce_family_value(self, value: dict):
         """Reduce a closed parametric cochain to cohomology coordinates.
@@ -617,7 +512,7 @@ class MasseyEngine:
         """
         dga = self.dga
         coords: dict = {}
-        for deg, comp in pc_components(dga, value).items():
+        for deg, comp in dga.components(value).items():
             qb = dga.cohomology_basis(deg)
             vec = {dga.index(deg)[m]: p for m, p in comp.items()}
             red = qb.reduce_generic(vec, Poly())
@@ -902,17 +797,8 @@ class MasseyEngine:
         if isinstance(fam, Undefined):
             return KStepOutcome(k, False, inconclusive=fam.inconclusive)
         prof = self._profile(classes)
-        tuples_pc = []
-        for s in range(1, n - k + 1):
-            acc: dict = {}
-            for r in range(s, s + k):
-                left = fam.entries.get((s, r))
-                right = fam.entries.get((r + 1, s + k))
-                if left and right:
-                    sign = 1 if (prof[(s, r)].q + 1) % 2 == 0 else -1
-                    acc = pc_add(acc, pc_wedge(
-                        dga, pc_scale_sign(left, sign), right))
-            tuples_pc.append((s, acc))
+        tuples_pc = [(s, mc_sum(dga, fam.entries, s, s + k))
+                     for s in range(1, n - k + 1)]
         all_coords: dict = {}
         for s, acc in tuples_pc:
             for key, p in self._reduce_family_value(acc).items():
