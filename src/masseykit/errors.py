@@ -29,6 +29,12 @@ class NotADefiningSystem(MasseyKitError):
     """A connection does not satisfy the staged equations it was claimed to."""
 
 
+class Undecided(MasseyKitError):
+    """The exact solvers cannot decide the question (a nonlinear parameter
+    dependence with no definitive fallback).  Not a ValueError: it reports
+    a limit of the search, not bad input."""
+
+
 class UnsupportedOperands(MasseyKitError):
     """Closed-form product rule applied outside its domain."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .dga import CohomologyClass, DGAlgebra, MultiDegree
 from .errors import (InvalidInput, NotADefiningSystem, SingularMatrix,
-                     WindowTooSmall)
+                     Undecided, WindowTooSmall)
 from .linalg import EchelonSolver, axpy
 from .params import Poly
 
@@ -528,8 +528,8 @@ class MasseyEngine:
         """Find an assignment with coords == extra_target (default zero).
 
         Returns an assignment dict, or None when no assignment exists (a
-        definitive answer); raises ValueError('nonlinear') when the
-        dependence is not affine and no definitive fallback applies.
+        definitive answer); raises Undecided when the dependence is not
+        affine and no definitive fallback applies.
         """
         field = self.dga.field
         target = extra_target or {}
@@ -587,7 +587,7 @@ class MasseyEngine:
                 for v in bad:
                     got.setdefault(v, field.zero())
                 return got
-        raise ValueError("nonlinear")
+        raise Undecided("nonlinear parameter dependence")
 
     def strictness_certificate(self, classes) -> list | None:
         """Vanishing cohomology degrees making every defining system give one
@@ -654,7 +654,7 @@ class MasseyEngine:
 
         if n == 3:
             indet = self._triple_indeterminacy(classes, value_deg)
-            triv = self._triviality(coords, fam)
+            triv, _ = self._triviality(coords, fam)
             return MasseyOutcome("affine", n, triv, representative=rep_class,
                                  classes=[rep_class], indeterminacy=indet,
                                  witness=rep_conn, complete=fam.complete,
@@ -670,7 +670,7 @@ class MasseyEngine:
                                  complete=fam.complete, certificate=cert,
                                  value_coords=coords)
         samples = self._sample_classes(fam, coords, value_deg)
-        triv = self._triviality(coords, fam)
+        triv, _ = self._triviality(coords, fam)
         return MasseyOutcome("sampled", n, triv, representative=rep_class,
                              classes=samples, witness=rep_conn,
                              complete=fam.complete and affine,
@@ -734,26 +734,28 @@ class MasseyEngine:
             out.append(CohomologyClass(dga, deg, cochain))
         return out
 
-    def _triviality(self, coords: dict, fam: ConnectionFamily) -> str:
-        if not coords:
-            return "trivial"
-        for p in coords.values():
-            if p.is_constant() and not p.is_zero():
-                return "nontrivial"
+    def _triviality(self, coords: dict, fam: ConnectionFamily):
+        """(verdict, assignment) for the value coordinates of a family.
+
+        "trivial" comes with an assignment at which every coordinate
+        vanishes.  "nontrivial" needs both a definitive "no such assignment"
+        and a complete family (every kernel direction parametrized, every
+        constraint resolved exactly): over a truncated or pinned family it
+        only shows that 0 is outside the part explored.  Anything else is
+        "unknown", with assignment None."""
         try:
             assign = self._zero_solvable(coords)
-        except ValueError:
-            return "unknown"
+        except Undecided:
+            return "unknown", None
         if assign is not None:
-            return "trivial"
-        # definitive None: affine over Q, or exhausted prime-field box
-        return "nontrivial"
+            return "trivial", assign
+        return ("nontrivial" if fam.complete else "unknown"), None
 
     def contains_value(self, outcome: MasseyOutcome,
                        target_class: CohomologyClass) -> bool:
         """Is ``target_class`` reachable inside the explored value family?
 
-        Raises ValueError("nonlinear") when undecidable by the exact solvers.
+        Raises Undecided when the exact solvers cannot decide.
         """
         if outcome.value_coords is None:
             raise InvalidInput("outcome carries no value coordinates")
@@ -803,26 +805,12 @@ class MasseyEngine:
         for s, acc in tuples_pc:
             for key, p in self._reduce_family_value(acc).items():
                 all_coords[(s,) + key] = p
-        conn0 = fam.at({})
         classes_out = []
         for s, acc in tuples_pc:
             conc = pc_evaluate(acc, {}, dga.field)
             deg = prof[(s, s + k)]
             classes_out.append(CohomologyClass(
                 dga, MultiDegree(deg.q + 1, deg.aux), conc))
-        if not all_coords:
-            triv = "trivial"
-        else:
-            try:
-                assign = self._zero_solvable(all_coords)
-                if assign is not None:
-                    triv = "trivial"
-                    conn0 = fam.at(assign)
-                elif all(p.is_affine() for p in all_coords.values()):
-                    triv = "nontrivial"
-                else:
-                    triv = "nontrivial" if fam.complete else "unknown"
-            except ValueError:
-                triv = "unknown"
-        return KStepOutcome(k, True, tuple(classes_out), triv, conn0,
+        triv, assign = self._triviality(all_coords, fam)
+        return KStepOutcome(k, True, tuple(classes_out), triv, fam.at(assign),
                             complete=fam.complete)

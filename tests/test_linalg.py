@@ -5,10 +5,23 @@ import pytest
 
 from masseykit.errors import InconsistentSystem, InvalidInput
 from masseykit.fields import GF, QQ
-from masseykit.linalg import (EchelonSolver, SparseMatrix, rank, solve_affine,
-                              subspace_quotient)
+from masseykit.linalg import (EchelonSolver, SparseMatrix, axpy, rank,
+                              solve_affine, subspace_quotient)
+from masseykit.params import Poly
 
 from oracles import brute_force_solutions_fp, dense_rank
+
+
+def test_axpy_scalars_and_polys_drop_zero_sums():
+    out = {0: Fraction(1), 1: Fraction(2)}
+    assert axpy(out, Fraction(-1, 2), {1: Fraction(4), 2: Fraction(1)}.items()) \
+        is out
+    assert out == {0: Fraction(1), 2: Fraction(-1, 2)}
+    assert axpy(out, 0, {0: Fraction(5)}.items()) == out
+    t0 = Poly.var(0, Fraction(1))
+    pc = {"a": t0, "b": Poly.const(Fraction(3))}
+    axpy(pc, -1, [("a", t0), ("c", t0 * t0)])
+    assert pc == {"b": Poly.const(Fraction(3)), "c": -(t0 * t0)}
 
 
 def test_solve_identity():

@@ -1,17 +1,22 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from masseykit.dga import CohomologyClass, c_scale
-from masseykit.errors import SingularMatrix
-from masseykit.fields import QQ
+from masseykit.dga import CohomologyClass, MultiDegree, c_scale
+from masseykit.errors import SingularMatrix, Undecided
+from masseykit.facerings import generator_class, rk_window
+from masseykit.fields import GF, QQ
+from masseykit.generators import qn
 from masseykit.lie import (ce_window, five_fold_connection, m0, omega,
                            omega_tail_connection, staircase_connection,
                            triple_criterion, classify_1d_massey, witt_plus)
 from masseykit.massey import (FormalConnection, MasseyEngine, conjugate,
-                              is_defining_system, lift_obstruction, mc_defect,
-                              related_cocycle, strong_mc_check)
+                              is_defining_system, is_k_step, lift_obstruction,
+                              mc_defect, mc_sum, pc_evaluate, related_cocycle,
+                              strong_mc_check)
+from masseykit.params import Poly
 
 
 def w_window(w_max=10, q_max=3, field=QQ):
@@ -504,3 +509,136 @@ def test_family_d_defined_trivial():
                               "alpha": Fraction(2), "beta": Fraction(-1)})
     assert out.defined
     assert out.triviality == "trivial"
+
+
+# ---- sound verdicts -------------------------------------------------------
+
+def _wplus_gens(w_max=12, field=QQ):
+    dga = ce_window(witt_plus(w_max), 3, w_max, field)
+    return dga, dga.class_of(dga.one_form(1)), dga.class_of(dga.one_form(2))
+
+
+def test_truncated_family_gives_unknown_not_nontrivial():
+    """[e1, e2, e1, e1] over W+: at budgets 0 and 2 the family is truncated
+    and 0 is outside the part explored, yet budget 8 finds a vanishing
+    value, so the low budgets may only say "unknown"."""
+    dga, e1, e2 = _wplus_gens()
+    word = [e1, e2, e1, e1]
+    for budget in (0, 2):
+        out = MasseyEngine(dga, budget=budget,
+                           homogeneous_aux=False).massey(word)
+        assert (out.defined, out.complete) == (True, False)
+        assert out.triviality == "unknown", budget
+    out = MasseyEngine(dga, budget=8, homogeneous_aux=False).massey(word)
+    assert out.triviality == "trivial"
+
+
+def test_raising_the_budget_never_flips_a_verdict():
+    """Over W+ words in e1, e2 of lengths 3-5 and budgets 0, 2, 8, 40:
+    "trivial" and "nontrivial" never both occur for one word, and a
+    conclusive "undefined" never turns defined."""
+    dga, e1, e2 = _wplus_gens()
+    for hom in (True, False):
+        for length in (3, 4, 5):
+            for word in itertools.product((e1, e2), repeat=length):
+                seen = set()
+                conclusive_undefined = False
+                for budget in (0, 2, 8, 40):
+                    out = MasseyEngine(dga, budget=budget,
+                                       homogeneous_aux=hom).massey(list(word))
+                    if not out.defined:
+                        conclusive_undefined |= not out.inconclusive
+                        continue
+                    assert not conclusive_undefined, (hom, word, budget)
+                    if out.triviality != "unknown":
+                        seen.add(out.triviality)
+                assert len(seen) <= 1, (hom, [c.rep for c in word])
+
+
+def test_k_step_witness_from_the_verdict_assignment():
+    """A trivial k-step verdict comes with a witness whose stage-k
+    obstruction classes all vanish."""
+    dga, e1, e2 = _wplus_gens()
+    engine = MasseyEngine(dga, budget=8, homogeneous_aux=False)
+    out = engine.k_step([e1, e2, e1, e1], 2)
+    assert out.defined and out.triviality == "trivial"
+    assert is_k_step(mc_defect(out.witness), 2)
+    for s in (1, 2):
+        obstruction = mc_sum(dga, out.witness.entries, s, s + 2)
+        assert CohomologyClass(dga, dga.deg(3, 0), obstruction).is_zero()
+    low = MasseyEngine(dga, budget=0, homogeneous_aux=False)
+    assert low.k_step([e1, e2, e1, e1], 3).triviality != "nontrivial"
+
+
+def test_zero_solvable_raises_undecided_on_nonlinear():
+    dga, _e1, _e2 = _wplus_gens()
+    engine = MasseyEngine(dga)
+    one = QQ.one()
+    coord = Poly({(0, 1): one, (): -one})  # t0 t1 - 1
+    with pytest.raises(Undecided):
+        engine._zero_solvable({"k": coord})
+    assert not isinstance(Undecided("x"), ValueError)
+
+
+# ---- the generic kernel on Poly cochains ----------------------------------
+
+def _assignments(fam, field):
+    free = fam.free_vars()
+    out = [{}]
+    for t, v in enumerate(free[:4]):
+        out.append({v: field.of(1)})
+        out.append({v: field.of(-1 - t)})
+    out.append({v: field.of(t + 2) for t, v in enumerate(free)})
+    return out
+
+
+def _check_evaluation_commutes(engine, classes):
+    fam = engine.find_defining_system(classes)
+    assert hasattr(fam, "entries"), "expected a defined product"
+    dga = engine.dga
+    value = mc_sum(dga, fam.entries, 1, fam.n)
+    checked = 0
+    for assign in _assignments(fam, dga.field):
+        conn = fam.at(assign)
+        if not is_defining_system(conn):
+            continue
+        assert pc_evaluate(value, assign, dga.field) == related_cocycle(conn)
+        checked += 1
+    assert checked >= 2
+    return fam
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_evaluation_commutes_with_mc_sum_lie(field):
+    """Words in 1-forms have odd entries only, where bar is the identity;
+    the H^2_5 class c puts 2-forms into the entries, so bar's sign is
+    exercised as well."""
+    dga = ce_window(witt_plus(12), 4, 12, field)
+    e1 = dga.class_of(dga.one_form(1))
+    e2 = dga.class_of(dga.one_form(2))
+    qb = dga.cohomology_basis(dga.deg(2, 5))
+    bas = dga.basis(dga.deg(2, 5))
+    c = dga.class_of({bas[i]: v for i, v in qb.representatives[0].items()})
+    engine = MasseyEngine(dga, budget=8, homogeneous_aux=False)
+    params = 0
+    for word in ([e1, e2, e1], [e1, e2, e1, e1], [e2, e1, e1, e1],
+                 [c, e1, e2], [e1, c, e1]):
+        params += len(_check_evaluation_commutes(engine, word).params)
+    assert params > 0
+    mdga = m_window(9, 3, field)
+    m1 = mdga.class_of(mdga.one_form(1))
+    m2 = mdga.class_of(mdga.one_form(2))
+    engine = MasseyEngine(mdga, budget=40, homogeneous_aux=False)
+    fam = _check_evaluation_commutes(engine, [m2, m1, m1, m1, m2])
+    assert fam.params
+
+
+def test_evaluation_commutes_with_mc_sum_face_ring():
+    K = qn(3)
+    alg = rk_window(K, QQ)
+    classes = []
+    for c in (generator_class(K, (i, 3 + i)) for i in (1, 2, 3)):
+        deg = MultiDegree(len(c.I) + c.q + 1, alg._aux_of(c.I))
+        classes.append(CohomologyClass(alg, deg,
+                                       alg.from_simplicial(c.I, c.cochain)))
+    _check_evaluation_commutes(MasseyEngine(alg), classes)
