@@ -38,10 +38,6 @@ class MultiDegree:
         return MultiDegree(self.q - 1, self.aux)
 
 
-def c_add(u: dict, v: dict) -> dict:
-    return axpy(dict(u), 1, v.items())
-
-
 def c_scale(c, v: dict) -> dict:
     if c == 0:
         return {}

@@ -214,7 +214,10 @@ class CEAlgebra(DGAlgebra):
         """Cochain from (index, coeff) pairs or bare indices."""
         out: dict = {}
         for t in terms:
-            g, c = t if isinstance(t, tuple) else (t, 1)
+            if isinstance(t, tuple):
+                g, c = t
+            else:
+                g, c = t, 1
             axpy(out, 1, (((g,), self.field.of(c)),))
         return out
 

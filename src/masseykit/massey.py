@@ -365,17 +365,6 @@ class MasseyEngine:
             entries[(i, i)] = pc_const(cls.rep)
         params: list = []
         complete = True
-        subst: dict = {}
-
-        def apply_subst(new_subst: dict):
-            nonlocal entries
-            for v, rep in new_subst.items():
-                subst[v] = rep
-            for v in list(subst):
-                subst[v] = subst[v].substitute(new_subst)
-            entries = {slot: pc_substitute(pc, new_subst)
-                       for slot, pc in entries.items()}
-
         for stage in range(1, max_stage + 1):
             for i in range(1, n - stage + 1):
                 j = i + stage
@@ -408,7 +397,8 @@ class MasseyEngine:
                     if not clean:
                         complete = False
                     if new_subst:
-                        apply_subst(new_subst)
+                        entries = {slot: pc_substitute(pc, new_subst)
+                                   for slot, pc in entries.items()}
                         comp_data = [
                             (deg, solver, pc_substitute(vec, new_subst))
                             for deg, solver, vec in comp_data]
