@@ -733,6 +733,8 @@ class MasseyEngine:
         constraint resolved exactly): over a truncated or pinned family it
         only shows that 0 is outside the part explored.  Anything else is
         "unknown", with assignment None."""
+        if not coords:
+            return "trivial", {}
         try:
             assign = self._zero_solvable(coords)
         except Undecided:
