@@ -5,6 +5,10 @@ with the differential and the product on basis pairs.  Cochains are plain
 dicts ``{monomial: scalar}`` with no stored zeros; all bookkeeping (vectors,
 matrices, cohomology bases) happens through the window object.
 
+Cohomology dimensions come from ranks of d alone (``cohomology_dim``).
+Cycle, boundary and quotient bases (``cohomology_basis``) are built only
+where cochains are reduced: Massey products, cup products and coordinates.
+
 Degrees are pairs (cohomological degree, auxiliary vector): weight for
 Chevalley-Eilenberg windows, vertex-support vectors for face-ring models,
 exponent vectors for Koszul complexes of monomial quotients.
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import MixedDegree, WindowTooSmall
 from .fields import Field
-from .linalg import EchelonSolver, QuotientBasis, axpy
+from .linalg import EchelonSolver, QuotientBasis, axpy, rank
 
 
 @dataclass(frozen=True)
@@ -172,27 +176,38 @@ class DGAlgebra:
         bas = self.basis(deg)
         return {bas[i]: c for i, c in vec.items() if c != 0}
 
+    def d_rows(self, deg: MultiDegree) -> list[dict]:
+        """Matrix of d from deg to deg + 1: one sparse row per basis element
+        of the target, keyed by the index of the source basis element."""
+        self._require(deg)
+        target = deg.d_target()
+        self._require(target)
+        tgt_idx = self.index(target)
+        rows: list[dict] = [dict() for _ in range(len(tgt_idx))]
+        for j, mono in enumerate(self.basis(deg)):
+            img = axpy({}, 1, ((tgt_idx[m2], c) for m2, c in self.d_mono(mono)))
+            for i, c in img.items():
+                rows[i][j] = c
+        return rows
+
     def d_solver(self, deg: MultiDegree) -> EchelonSolver:
         """Elimination data for d restricted to the given degree."""
         if not hasattr(self, "_dsolve"):
             self._dsolve = {}
         got = self._dsolve.get(deg)
-        if got is not None:
-            return got
-        self._require(deg)
-        target = deg.d_target()
-        self._require(target)
-        src = self.basis(deg)
-        tgt_idx = self.index(target)
-        rows: list[dict] = [dict() for _ in range(len(tgt_idx))]
-        for j, mono in enumerate(src):
-            for m2, c in self.d_mono(mono):
-                rows[tgt_idx[m2]][j] = rows[tgt_idx[m2]].get(j, 0) + c
-        for row in rows:
-            for k in [k for k, v in row.items() if v == 0]:
-                del row[k]
-        got = EchelonSolver(self.field, len(src), rows)
-        self._dsolve[deg] = got
+        if got is None:
+            rows = self.d_rows(deg)
+            got = self._dsolve[deg] = EchelonSolver(
+                self.field, len(self.basis(deg)), rows)
+        return got
+
+    def d_rank(self, deg: MultiDegree) -> int:
+        """Rank of d from deg to deg + 1, cached; no transform rows."""
+        if not hasattr(self, "_drank"):
+            self._drank = {}
+        got = self._drank.get(deg)
+        if got is None:
+            got = self._drank[deg] = rank(self.d_rows(deg), self.field)
         return got
 
     def cycles(self, deg: MultiDegree) -> list:
@@ -220,6 +235,20 @@ class DGAlgebra:
                             self.cycles(deg), self.boundaries(deg))
         self._coh[deg] = got
         return got
+
+    def cohomology_dim(self, deg: MultiDegree) -> int:
+        """dim H at deg as n - rank d_deg - rank d_(deg-1).  Raises
+        ``WindowTooSmall`` where ``cohomology_basis`` does (deg and deg + 1
+        must lie in the window); a source degree outside the window adds no
+        boundaries."""
+        self._require(deg)
+        self._require(deg.d_target())
+        n = len(self.basis(deg))
+        if not n:
+            return 0
+        prev = deg.d_source()
+        return n - self.d_rank(deg) - (
+            self.d_rank(prev) if self.in_window(prev) else 0)
 
     def class_of(self, cochain: dict, deg: MultiDegree | None = None) -> "CohomologyClass":
         if deg is None:
@@ -283,7 +312,3 @@ def cup(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
     vec = dga.to_vector(prod, deg)
     proj = dga.cohomology_basis(deg).project(vec)
     return CohomologyClass(dga, deg, dga.from_vector(proj, deg))
-
-
-def cohomology_dims(dga: DGAlgebra, degrees) -> dict:
-    return {deg: dga.cohomology_basis(deg).dim for deg in degrees}

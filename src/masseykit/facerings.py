@@ -128,15 +128,6 @@ class RKAlgebra(DGAlgebra):
             out[(sigma, J)] = self.field.of(sign) * c
         return out
 
-    def to_simplicial(self, I, cochain: dict) -> dict:
-        I = tuple(sorted(I))
-        out = {}
-        for (sigma, _J), c in cochain.items():
-            exp = sum(sum(1 for j in I if j < i) for i in sigma)
-            sign = 1 if exp % 2 == 0 else -1
-            out[sigma] = self.field.of(sign) * c
-        return out
-
 
 def rk_window(K: SimplicialComplex, field: Field = QQ) -> RKAlgebra:
     """The R(K) window of K over the field, built once and cached on K.
@@ -165,31 +156,21 @@ class ZkClass:
 
 
 def rk_cohomology(K: SimplicialComplex, field: Field = QQ,
-                  cap: int = RK_CAP):
-    """(BettiTable, classes) computed from the R(K) model; dims must agree
-    with the Hochster route per multidegree."""
+                  cap: int = RK_CAP) -> BettiTable:
+    """BettiTable computed from the R(K) model, by ranks of its own
+    differential; dims must agree with the Hochster route per multidegree."""
     if K.m > cap:
         raise CapExceeded(f"m = {K.m} exceeds the cap {cap}")
     alg = RKAlgebra(K, field)
     table = BettiTable(field.tag)
-    classes = []
     for r in range(0, K.m + 1):
         for I in itertools.combinations(range(1, K.m + 1), r):
             aux = alg._aux_of(I)
             for q in range(r, 2 * r + 1):
-                deg = MultiDegree(q, aux)
-                if not alg.basis(deg):
-                    continue
-                qb = alg.cohomology_basis(deg)
-                if qb.dim:
-                    table.entries[(2 * r - q, I)] = qb.dim
-                    bas = alg.basis(deg)
-                    for rep in qb.representatives:
-                        cochain = {bas[i]: c for i, c in rep.items()}
-                        classes.append(
-                            ZkClass(I, q - r - 1,
-                                    alg.to_simplicial(I, cochain)))
-    return table, classes
+                dim = alg.cohomology_dim(MultiDegree(q, aux))
+                if dim:
+                    table.entries[(2 * r - q, I)] = dim
+    return table
 
 
 def zk_classes(K: SimplicialComplex, field: Field = QQ,
@@ -331,7 +312,7 @@ def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
             representative=out.representative, classes=out.classes,
             indeterminacy=[], witness=out.witness, complete=out.complete,
             certificate=engine.strictness_certificate(chain_classes),
-            value_coords=out.value_coords, value_affine=out.value_affine)
+            value_coords=out.value_coords)
     return out
 
 

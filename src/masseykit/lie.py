@@ -235,7 +235,7 @@ def goncharova_table(q_max: int, w_max: int, field: Field = QQ) -> dict:
     out = {}
     for q in range(1, q_max + 1):
         for w in range(1, w_max + 1):
-            out[(q, w)] = dga.cohomology_basis(dga.deg(q, w)).dim
+            out[(q, w)] = dga.cohomology_dim(dga.deg(q, w))
     return out
 
 

@@ -18,11 +18,13 @@ from .fields import Field, Fp
 def axpy(out: dict, c, pairs) -> dict:
     """In place: out += c * v, v given by its (key, value) pairs; returns
     out.  The one sparse accumulate: zero sums are dropped, and the values
-    may be field scalars or ``Poly``."""
+    may be field scalars or ``Poly``.  For c = 1 the values are added as
+    they are (scalars and ``Poly`` are never mutated, so sharing is safe)."""
     if c == 0:
         return out
+    unit = c == 1
     for k, x in pairs:
-        s = out.get(k, 0) + c * x
+        s = out.get(k, 0) + (x if unit else c * x)
         if s == 0:
             out.pop(k, None)
         else:

@@ -272,7 +272,6 @@ class MasseyOutcome:
     complete: bool = True
     inconclusive: bool = False
     certificate: list | None = None
-    value_affine: tuple | None = None  # (keys, const dict, direction dicts)
     value_coords: dict | None = None   # {(degree, index): Poly in parameters}
 
     @property
@@ -628,27 +627,12 @@ class MasseyEngine:
         value_deg = MultiDegree(nominal.q + 1, nominal.aux)
         rep_class = CohomologyClass(dga, value_deg, rep_cochain)
 
-        affine = all(p.is_affine() for p in coords.values())
-        value_affine = None
-        if affine:
-            keys = sorted(coords, key=lambda k: (k[0].aux, k[0].q, k[1]))
-            const = {}
-            dirs: dict = {}
-            for key, p in coords.items():
-                c0, lin = p.affine_parts()
-                if c0 != 0:
-                    const[key] = c0
-                for v, cf in lin.items():
-                    dirs.setdefault(v, {})[key] = cf
-            value_affine = (keys, const, [dirs[v] for v in sorted(dirs)])
-
         if n == 3:
             indet = self._triple_indeterminacy(classes, value_deg)
             triv, _ = self._triviality(coords, fam)
             return MasseyOutcome("affine", n, triv, representative=rep_class,
                                  classes=[rep_class], indeterminacy=indet,
                                  witness=rep_conn, complete=fam.complete,
-                                 value_affine=value_affine,
                                  value_coords=coords)
 
         cert = self.strictness_certificate(classes) if certificate == "auto" \
@@ -661,10 +645,10 @@ class MasseyEngine:
                                  value_coords=coords)
         samples = self._sample_classes(fam, coords, value_deg)
         triv, _ = self._triviality(coords, fam)
+        affine = all(p.is_affine() for p in coords.values())
         return MasseyOutcome("sampled", n, triv, representative=rep_class,
                              classes=samples, witness=rep_conn,
                              complete=fam.complete and affine,
-                             value_affine=value_affine,
                              value_coords=coords)
 
     def _triple_indeterminacy(self, classes, value_deg) -> list:

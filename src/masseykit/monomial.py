@@ -177,7 +177,7 @@ class KoszulAlgebra(DGAlgebra):
         """b_i = dim H_i of the Koszul complex, all i >= 0."""
         out: dict = {}
         for deg in self.window_degrees():
-            d = self.cohomology_basis(deg).dim
+            d = self.cohomology_dim(deg)
             if d:
                 out[-deg.q] = out.get(-deg.q, 0) + d
         return out

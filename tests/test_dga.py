@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from masseykit.dga import CohomologyClass, cup
-from masseykit.errors import MixedDegree
-from masseykit.fields import QQ
-from masseykit.lie import ce_window, m0, witt_plus
+from masseykit.dga import CohomologyClass, MultiDegree, cup
+from masseykit.errors import MixedDegree, WindowTooSmall
+from masseykit.facerings import RKAlgebra, rk_cohomology
+from masseykit.fields import GF, QQ
+from masseykit.generators import polygon
+from masseykit.lie import ce_window, goncharova_table, m0, witt_plus
+from masseykit.linalg import EchelonSolver, QuotientBasis
 from masseykit.massey import MasseyEngine
+from masseykit.monomial import KoszulAlgebra, MonomialQuotient, anr
+from masseykit.simplicial import from_facets, hochster_table
 
 
 def test_bar_signs():
@@ -68,3 +73,70 @@ def test_pair_always_defined():
     y = dga.class_of(dga.one_form(2))
     out = engine.massey([x, y])
     assert out.defined and out.status == "strict"
+
+
+# ---- rank-only cohomology dimensions ----------------------------------------
+
+RP2_FACETS = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+CUBE_RING = MonomialQuotient(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
+
+
+def assert_dim_matches_basis(make):
+    """cohomology_dim on one window equals cohomology_basis(deg).dim on a
+    second, fresh window, degree by degree; where the quotient basis raises
+    WindowTooSmall, so must the rank path."""
+    dga, ref = make(), make()
+    dims = {}
+    for deg in ref.window_degrees():
+        try:
+            want = ref.cohomology_basis(deg).dim
+        except WindowTooSmall:
+            with pytest.raises(WindowTooSmall):
+                dga.cohomology_dim(deg)
+            continue
+        dims[deg] = dga.cohomology_dim(deg)
+        assert dims[deg] == want, deg
+    return dims
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("lie", [witt_plus, m0], ids=["wplus", "m0"])
+def test_cohomology_dim_matches_basis_ce(lie, field):
+    dims = assert_dim_matches_basis(lambda: ce_window(lie(12), 3, 12, field))
+    assert any(dims.values())
+
+
+def test_cohomology_dim_matches_basis_rk():
+    assert_dim_matches_basis(lambda: RKAlgebra(polygon(6), QQ))
+    top = {}
+    for field in (QQ, GF(2)):
+        K = from_facets(6, RP2_FACETS)
+        dims = assert_dim_matches_basis(lambda: RKAlgebra(K, field))
+        # H~^1 and H~^2 of RP^2 sit at q = |I| + 2 and |I| + 3 over I = [6]
+        top[field] = [dims[MultiDegree(q, (1,) * 6)] for q in (8, 9)]
+    assert top == {QQ: [0, 0], GF(2): [1, 1]}
+
+
+@pytest.mark.parametrize("ring", [CUBE_RING, anr(2, 2)], ids=["cube", "anr22"])
+def test_cohomology_dim_matches_basis_koszul(ring):
+    for field in (QQ, GF(3)):
+        dims = assert_dim_matches_basis(lambda: KoszulAlgebra(ring, field))
+        assert sum(dims.values()) > 1
+
+
+def test_dimension_queries_build_no_quotient_basis_or_solver(monkeypatch):
+    built = {QuotientBasis: 0, EchelonSolver: 0}
+    for cls in built:
+        def counting(self, *args, _cls=cls, _init=cls.__init__):
+            built[_cls] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert goncharova_table(3, 12)[(1, 1)] == 1
+    K = from_facets(6, RP2_FACETS)
+    assert rk_cohomology(K, GF(2)).entries == hochster_table(K, GF(2)).entries
+    assert KoszulAlgebra(CUBE_RING, QQ).betti()[1] == 4
+    assert built == {QuotientBasis: 0, EchelonSolver: 0}
+    dga = ce_window(witt_plus(8), 3, 8)
+    dga.cohomology_basis(dga.deg(1, 1))
+    assert built == {QuotientBasis: 1, EchelonSolver: 1}

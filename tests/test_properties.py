@@ -80,8 +80,13 @@ def test_koszul_product_table_trivial_for_anr():
 
 def test_cohomology_window_too_small():
     dga = ce_window(m0(6), 2, 6)
-    with pytest.raises(WindowTooSmall):
-        dga.cohomology_basis(dga.deg(3, 5))  # q_store = 3, d target q = 4
+    # q_store = 3, d target q = 4; the basis at weight 5 is empty, at 6 not
+    assert not dga.basis(dga.deg(3, 5)) and dga.basis(dga.deg(3, 6))
+    for w in (5, 6):
+        with pytest.raises(WindowTooSmall):
+            dga.cohomology_basis(dga.deg(3, w))
+        with pytest.raises(WindowTooSmall):
+            dga.cohomology_dim(dga.deg(3, w))
 
 
 def test_value_independence_spot_check_n4():
