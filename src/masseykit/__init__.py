@@ -3,8 +3,7 @@ Stanley-Reisner rings and moment-angle complexes."""
 
 from .fields import GF, QQ, Field, Fp
 from .dga import CohomologyClass, DGAlgebra, MultiDegree, cohomology, cup
-from .linalg import (AffineSolutionSet, QuotientBasis, SparseMatrix, rank,
-                     solve_affine, subspace_quotient)
+from .linalg import QuotientBasis, SparseMatrix, rank
 from .massey import (ConnectionFamily, FormalConnection, KStepOutcome,
                      MasseyEngine, MasseyOutcome, conjugate, lift_obstruction,
                      mc_defect, related_cocycle, strong_mc_check)
@@ -25,8 +24,7 @@ from . import generators
 __all__ = [
     "GF", "QQ", "Field", "Fp",
     "CohomologyClass", "DGAlgebra", "MultiDegree", "cohomology", "cup",
-    "AffineSolutionSet", "QuotientBasis", "SparseMatrix", "rank",
-    "solve_affine", "subspace_quotient",
+    "QuotientBasis", "SparseMatrix", "rank",
     "ConnectionFamily", "FormalConnection", "KStepOutcome", "MasseyEngine",
     "MasseyOutcome", "conjugate", "lift_obstruction", "mc_defect",
     "related_cocycle", "strong_mc_check",

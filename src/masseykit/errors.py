@@ -9,10 +9,6 @@ class InvalidInput(MasseyKitError, ValueError):
     """Malformed or inconsistent input data."""
 
 
-class InconsistentSystem(MasseyKitError):
-    """A linear system M x = b has no solution (b is not in the image of M)."""
-
-
 class SingularMatrix(MasseyKitError):
     """A matrix required to be invertible is singular."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from math import gcd, lcm
 
-from .errors import InconsistentSystem, InvalidInput
+from .errors import InvalidInput
 from .fields import Field, Fp
 
 
@@ -148,12 +148,6 @@ class EchelonSolver:
                 out[pcol] = y
         return out
 
-    def solve(self, b: dict) -> dict:
-        for obs in self.obstructions(b):
-            if obs != 0:
-                raise InconsistentSystem("right-hand side not in the image")
-        return self.particular(b)
-
     def kernel_basis(self) -> list[dict]:
         out = []
         one = self.field.one()
@@ -168,31 +162,6 @@ class EchelonSolver:
 
     def in_image(self, b: dict) -> bool:
         return all(obs == 0 for obs in self.obstructions(b))
-
-
-@dataclass
-class AffineSolutionSet:
-    """All solutions of M x = b: particular + span of kernel_basis."""
-
-    particular: dict
-    kernel_basis: list[dict]
-    n_cols: int
-
-    @property
-    def kernel_dim(self) -> int:
-        return len(self.kernel_basis)
-
-
-def solve_affine(matrix: SparseMatrix, b: dict, field: Field) -> AffineSolutionSet:
-    """Solve M x = b exactly; raises InconsistentSystem when b is not in im M."""
-    for r in b:
-        if not (0 <= r < matrix.rows):
-            raise InvalidInput("right-hand side index out of range")
-    solver = EchelonSolver(field, matrix.cols, matrix.row_dicts())
-    for obs in solver.obstructions(b):
-        if obs != 0:
-            raise InconsistentSystem("right-hand side not in the image")
-    return AffineSolutionSet(solver.particular(b), solver.kernel_basis(), matrix.cols)
 
 
 def rank(matrix, field: Field) -> int:
@@ -364,9 +333,3 @@ class QuotientBasis:
 
     def is_zero_class(self, v: dict) -> bool:
         return not self.reduce(v)
-
-
-def subspace_quotient(cycles: list[dict], boundaries: list[dict],
-                      field: Field, ambient_dim: int) -> QuotientBasis:
-    """Quotient of span(cycles) by span(boundaries) with reduction data."""
-    return QuotientBasis(field, ambient_dim, cycles, boundaries)

@@ -18,6 +18,15 @@ to exact linear algebra whenever that dependence is affine.  A family of
 connections is a connection whose cochains have ``Poly`` coefficients: the
 same ``d``, ``wedge``, ``bar`` and ``components`` of the window, and the same
 ``mc_sum``, act on both.
+
+One solver, ``MasseyEngine._resolve_constraints``, answers every parameter
+question.  A nonzero constant constraint proves a system inconsistent.
+Otherwise each variable of a monomial of degree >= 2 is pinned to 0 and the
+affine rest is eliminated exactly.  A pin, like a budget stop, makes the
+search incomplete.  So an ``undefined`` is proven only when the failing
+stage is inconsistent with nothing pinned in it (a nonzero constant before
+any pin, or an affine system with no solution) and every earlier stage is
+complete; otherwise it is inconclusive.
 """
 
 from __future__ import annotations
@@ -345,6 +354,13 @@ class MasseyEngine:
     def find_defining_system(self, classes, max_stage: int | None = None):
         """Solve the staged equations through ``max_stage`` (default n-1,
         the full defining system).  Returns a ConnectionFamily or Undefined.
+
+        A stage's obstructions go to ``_resolve_constraints``, which pins
+        the variables of its nonlinear monomials to 0; a pin or a budget
+        stop makes the family incomplete.  An ``Undefined`` is conclusive
+        only when the solver returns (None, False), a proof of
+        inconsistency with nothing pinned, and every earlier stage was
+        complete.
         """
         dga = self.dga
         n = len(classes)
@@ -388,25 +404,18 @@ class MasseyEngine:
                         obs for obs in solver.obstructions(vec, Poly())
                         if not obs.is_zero())
                 if constraints:
-                    res = self._resolve_constraints(constraints)
-                    if res is None:
+                    new_subst, pinned = self._resolve_constraints(constraints)
+                    if pinned:
+                        complete = False
+                    if new_subst is None:
                         return Undefined((i, j), "inconsistent stage",
                                          inconclusive=not complete)
-                    new_subst, clean = res
-                    if not clean:
-                        complete = False
                     if new_subst:
                         entries = {slot: pc_substitute(pc, new_subst)
                                    for slot, pc in entries.items()}
                         comp_data = [
                             (deg, solver, pc_substitute(vec, new_subst))
                             for deg, solver, vec in comp_data]
-                        for deg, solver, vec in comp_data:
-                            for obs in solver.obstructions(vec, Poly()):
-                                if not obs.is_zero():
-                                    return Undefined(
-                                        (i, j), "unresolved obstruction",
-                                        inconclusive=True)
                 entry: dict = {}
                 for deg, solver, vec in comp_data:
                     bas = dga.basis(deg.d_source())
@@ -442,52 +451,43 @@ class MasseyEngine:
                     entries[(i, j)] = entry
         return ConnectionFamily(dga, n, entries, params, complete, max_stage)
 
-    def _resolve_constraints(self, constraints):
-        """Solve polynomial constraints = 0 for the parameters.
+    def _resolve_constraints(self, polys):
+        """The one exact solver: parameter values at which every poly of
+        ``polys`` vanishes.  Returns (subst, pinned).
 
-        Returns (substitution, clean) or None when provably inconsistent;
-        ``clean`` is False when a heuristic zero-assignment was needed.
+        A nonzero constant proves the system inconsistent: (None, False).
+        Otherwise every variable of a monomial of degree >= 2 is pinned to
+        0 (``pinned`` is True when one was), which leaves an affine system,
+        and one elimination over its variables in index order solves it.
+        ``subst`` sends each pinned variable to 0 and each pivot variable
+        to a ``Poly`` in the free variables, so every poly substitutes to
+        0.  (None, pinned) when the affine system has no solution; that is
+        a proof only when nothing was pinned.
         """
-        one = self.dga.field.one()
-        todo = [c for c in constraints if not c.is_zero()]
-        subst: dict = {}
-        clean = True
-        for _ in range(256):
-            todo = [c for c in (p.substitute(subst) for p in todo)
-                    if not c.is_zero()]
-            if not todo:
-                return subst, clean
-            nonlinear = [c for c in todo if not c.is_affine()]
-            if nonlinear:
-                # heuristic: pin every variable of a nonlinear constraint to 0
-                bad = set()
-                for c in nonlinear:
-                    bad |= c.variables()
-                if not bad:
-                    return None
-                for v in bad:
-                    subst[v] = Poly()
-                clean = False
-                continue
-            progressed = False
-            for c in todo:
-                const, lin = c.affine_parts()
-                if not lin:
-                    if const != 0:
-                        return None
-                    continue
-                var = min(lin)
-                inv = -(one / lin[var])
-                rep = Poly({(): inv * const} if const != 0 else {})
-                for v, cf in lin.items():
-                    if v != var:
-                        rep = rep + Poly({(v,): inv * cf})
-                subst[var] = rep
-                progressed = True
-                break
-            if not progressed:
-                return subst, clean
-        return None
+        if any(p.is_constant() and not p.is_zero() for p in polys):
+            return None, False
+        subst = {v: Poly() for p in polys for m in p.terms if len(m) >= 2
+                 for v in m}
+        if subst:
+            polys = [p.substitute(subst) for p in polys]
+        varset = sorted({v for p in polys for v in p.variables()})
+        col = {v: c for c, v in enumerate(varset)}
+        rows, b = [], {}
+        for r, p in enumerate(polys):
+            const, lin = p.affine_parts()
+            rows.append({col[v]: cf for v, cf in lin.items()})
+            if const != 0:
+                b[r] = -const
+        solver = EchelonSolver(self.dga.field, len(varset), rows)
+        pinned = bool(subst)
+        if not solver.in_image(b):
+            return None, pinned
+        x0 = solver.particular(b)
+        for pcol, erow, _t in solver.piv:
+            terms = {(varset[c],): -cf for c, cf in erow.items() if c != pcol}
+            terms[()] = x0.get(pcol, 0)
+            subst[varset[pcol]] = Poly(terms)
+        return subst, pinned
 
     # -- products ------------------------------------------------------------
     def related_cocycle_family(self, fam: ConnectionFamily) -> dict:
@@ -518,7 +518,10 @@ class MasseyEngine:
 
         Returns an assignment dict, or None when no assignment exists (a
         definitive answer); raises Undecided when the dependence is not
-        affine and no definitive fallback applies.
+        affine and no definitive fallback applies.  Nonlinear coordinates
+        over a small prime field are settled by enumerating the parameter
+        box; everything else goes to ``_resolve_constraints``, with the
+        free variables set to 0.
         """
         field = self.dga.field
         target = extra_target or {}
@@ -529,54 +532,21 @@ class MasseyEngine:
         for key, t in target.items():
             if key not in coords and t != 0:
                 return None
-        # a constant nonzero coordinate is unreachable whatever the params
-        for p in polys:
-            if p.is_constant() and not p.is_zero():
-                return None
-
-        def affine_solve(ps):
-            varset = sorted({v for p in ps for v in p.variables()})
-            col = {v: c for c, v in enumerate(varset)}
-            rows = []
-            b = {}
-            for r, p in enumerate(ps):
-                const, lin = p.affine_parts()
-                rows.append({col[v]: cf for v, cf in lin.items()})
-                if const != 0:
-                    b[r] = -const
-            solver = EchelonSolver(field, len(varset), rows)
-            if not solver.in_image(b):
-                return None
-            sol = solver.particular(b)
-            return {varset[c]: v for c, v in sol.items()}
-
-        if all(p.is_affine() for p in polys):
-            return affine_solve(polys)
-        # exhaustive enumeration over small prime-field parameter boxes
         varset = sorted({v for p in polys for v in p.variables()})
-        if field.p is not None and field.p ** len(varset) <= 200_000:
+        if (not all(p.is_affine() for p in polys) and field.p is not None
+                and field.p ** len(varset) <= 200_000):
             for combo in itertools.product(list(field.elements()),
                                            repeat=len(varset)):
                 assign = dict(zip(varset, combo))
                 if all(p.evaluate(assign, field) == 0 for p in polys):
                     return assign
             return None
-        # witness search: pin every nonlinearly-occurring variable to zero,
-        # then solve the remaining affine system exactly
-        bad = set()
-        for p in polys:
-            for mono in p.terms:
-                if len(mono) >= 2:
-                    bad |= set(mono)
-        zeroed = [p.substitute({v: Poly() for v in bad}) for p in polys]
-        zeroed = [p for p in zeroed if not p.is_zero()]
-        if all(p.is_affine() for p in zeroed):
-            got = affine_solve(zeroed)
-            if got is not None:
-                for v in bad:
-                    got.setdefault(v, field.zero())
-                return got
-        raise Undecided("nonlinear parameter dependence")
+        subst, pinned = self._resolve_constraints(polys)
+        if subst is None:
+            if pinned:
+                raise Undecided("nonlinear parameter dependence")
+            return None
+        return {v: rep.constant() for v, rep in subst.items()}
 
     def strictness_certificate(self, classes) -> list | None:
         """Vanishing cohomology degrees making every defining system give one

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from masseykit.errors import InconsistentSystem, InvalidInput
+from masseykit.errors import InvalidInput
 from masseykit.fields import GF, QQ
-from masseykit.linalg import (EchelonSolver, SparseMatrix, axpy, rank,
-                              solve_affine, subspace_quotient)
+from masseykit.linalg import (EchelonSolver, QuotientBasis, SparseMatrix,
+                              axpy, rank)
 from masseykit.params import Poly
 
 from oracles import brute_force_solutions_fp, dense_rank
@@ -24,24 +24,28 @@ def test_axpy_scalars_and_polys_drop_zero_sums():
     assert pc == {"b": Poly.const(Fraction(3)), "c": -(t0 * t0)}
 
 
+def _solver(m: SparseMatrix, field) -> EchelonSolver:
+    return EchelonSolver(field, m.cols, m.row_dicts())
+
+
 def test_solve_identity():
     m = SparseMatrix(3, 3, {(i, i): Fraction(1) for i in range(3)})
-    sol = solve_affine(m, {0: Fraction(1)}, QQ)
-    assert sol.particular == {0: Fraction(1)}
-    assert sol.kernel_basis == []
+    solver = _solver(m, QQ)
+    assert solver.in_image({0: Fraction(1)})
+    assert solver.particular({0: Fraction(1)}) == {0: Fraction(1)}
+    assert solver.kernel_basis() == []
 
 
 def test_solve_zero_matrix():
-    m = SparseMatrix(2, 2, {})
-    sol = solve_affine(m, {}, QQ)
-    assert sol.particular == {}
-    assert sol.kernel_dim == 2
+    solver = _solver(SparseMatrix(2, 2, {}), QQ)
+    assert solver.in_image({})
+    assert solver.particular({}) == {}
+    assert len(solver.kernel_basis()) == 2
 
 
 def test_solve_inconsistent():
     m = SparseMatrix(2, 1, {(0, 0): Fraction(1)})
-    with pytest.raises(InconsistentSystem):
-        solve_affine(m, {1: Fraction(1)}, QQ)
+    assert not _solver(m, QQ).in_image({1: Fraction(1)})
 
 
 def test_solution_invariants_random_rational():
@@ -56,14 +60,16 @@ def test_solution_invariants_random_rational():
         m = SparseMatrix(rows, cols, dict(entries))
         x0 = {c: Fraction(rng.randint(-2, 2)) for c in range(cols)}
         b = m.mul_vec(x0)
-        sol = solve_affine(m, b, QQ)
-        assert m.mul_vec(sol.particular) == b
-        for v in sol.kernel_basis:
+        solver = _solver(m, QQ)
+        assert solver.in_image(b)
+        assert m.mul_vec(solver.particular(b)) == b
+        kernel = solver.kernel_basis()
+        for v in kernel:
             assert m.mul_vec(v) == {}
-        assert rank(m, QQ) + sol.kernel_dim == cols
+        assert rank(m, QQ) + len(kernel) == cols
 
 
-def test_solve_affine_f5_matches_exhaustive_enumeration():
+def test_echelon_f5_matches_exhaustive_enumeration():
     p = 5
     field = GF(p)
     rng = random.Random(20240)
@@ -73,13 +79,15 @@ def test_solve_affine_f5_matches_exhaustive_enumeration():
     count, witness = brute_force_solutions_fp(rows, b, p, 8)
     m = SparseMatrix.from_rows(6, 8, [
         {c: field.of(v) for c, v in enumerate(row) if v % p} for row in rows])
-    sol = solve_affine(m, {r: field.of(v) for r, v in enumerate(b) if v % p},
-                       field)
+    rhs = {r: field.of(v) for r, v in enumerate(b) if v % p}
+    solver = _solver(m, field)
+    assert solver.in_image(rhs)
+    kernel = solver.kernel_basis()
     # solution count must be p^(kernel dim), and the particular must solve
-    assert count == p ** sol.kernel_dim
-    got = m.mul_vec(sol.particular)
-    assert got == {r: field.of(v) for r, v in enumerate(b) if v % p}
-    for v in sol.kernel_basis:
+    assert count == p ** len(kernel)
+    got = m.mul_vec(solver.particular(rhs))
+    assert got == rhs
+    for v in kernel:
         assert m.mul_vec(v) == {}
     assert witness is not None
 
@@ -137,7 +145,7 @@ def test_quotient_basic():
     one = Fraction(1)
     cycles = [{0: one}, {1: one}]
     boundaries = [{0: one, 1: one}]
-    qb = subspace_quotient(cycles, boundaries, QQ, 2)
+    qb = QuotientBasis(QQ, 2, cycles, boundaries)
     assert qb.dim == 1
     assert qb.reduce({0: one, 1: one}) == {}
     # reduce is idempotent as a projection
@@ -148,14 +156,14 @@ def test_quotient_basic():
 def test_quotient_boundaries_equal_cycles():
     one = Fraction(1)
     cycles = [{0: one}, {1: one}]
-    qb = subspace_quotient(cycles, list(cycles), QQ, 2)
+    qb = QuotientBasis(QQ, 2, cycles, list(cycles))
     assert qb.dim == 0
 
 
 def test_quotient_rejects_escaping_boundaries():
     one = Fraction(1)
     with pytest.raises(InvalidInput):
-        subspace_quotient([{0: one}], [{1: one}], QQ, 2)
+        QuotientBasis(QQ, 2, [{0: one}], [{1: one}])
 
 
 def test_quotient_dims_f3_match_rank_oracle():
@@ -178,7 +186,7 @@ def test_quotient_dims_f3_match_rank_oracle():
         boundaries = [{c: field.of(v) for c, v in enumerate(r) if v % p}
                       for r in bnd_rows]
         boundaries = [b for b in boundaries if b]
-        qb = subspace_quotient(cycles, boundaries, field, dim)
+        qb = QuotientBasis(field, dim, cycles, boundaries)
         assert qb.dim == dense_rank(cyc_rows, q=p) - dense_rank(bnd_rows, q=p)
 
 

@@ -8,6 +8,7 @@ from masseykit.dga import CohomologyClass, MultiDegree, c_scale
 from masseykit.errors import SingularMatrix, Undecided
 from masseykit.facerings import generator_class, rk_window
 from masseykit.fields import GF, QQ
+from masseykit.linalg import rank
 from masseykit.generators import qn
 from masseykit.lie import (ce_window, five_fold_connection, m0, omega,
                            omega_tail_connection, staircase_connection,
@@ -578,6 +579,149 @@ def test_zero_solvable_raises_undecided_on_nonlinear():
     with pytest.raises(Undecided):
         engine._zero_solvable({"k": coord})
     assert not isinstance(Undecided("x"), ValueError)
+    # t0 t1 + t2 - 1: pinning t0 and t1 leaves t2 = 1, a witness
+    coord = Poly({(0, 1): one, (2,): one, (): -one})
+    assign = engine._zero_solvable({"k": coord})
+    assert assign[2] == 1
+    assert coord.evaluate(assign, QQ) == 0
+
+
+# ---- the one parameter solver ---------------------------------------------
+
+def _tiny_engine(field):
+    return MasseyEngine(ce_window(witt_plus(4), 2, 4, field))
+
+
+def _check_resolved(polys, subst):
+    """Every poly substitutes to 0, and the substitution is fully reduced:
+    its values mention only variables it leaves free."""
+    for p in polys:
+        assert p.substitute(subst).is_zero(), (p, subst)
+    for rep in subst.values():
+        assert not rep.variables() & subst.keys(), subst
+
+
+def test_resolve_constraints_returns_a_reduced_substitution():
+    engine = _tiny_engine(QQ)
+    one = QQ.one()
+    polys = [Poly({(0,): one, (1,): one, (): -one}),  # t0 + t1 - 1
+             Poly({(1,): one, (): -3 * one})]          # t1 - 3
+    subst, pinned = engine._resolve_constraints(polys)
+    assert not pinned
+    _check_resolved(polys, subst)
+    assert subst[0] == Poly.const(-2 * one) and subst[1] == Poly.const(3 * one)
+
+
+def test_resolve_constraints_proof_only_before_a_pin():
+    engine = _tiny_engine(QQ)
+    one = QQ.one()
+    t0t1 = Poly({(0, 1): one})
+    # a nonzero constant proves inconsistency, pins or not
+    assert engine._resolve_constraints([t0t1, Poly.const(one)]) == \
+        (None, False)
+    # inconsistent only after pinning t0 and t1: not a proof
+    assert engine._resolve_constraints([t0t1 - one]) == (None, True)
+    # affine and inconsistent: a proof
+    t0 = Poly.var(0, one)
+    assert engine._resolve_constraints([t0, t0 - one]) == (None, False)
+    assert engine._resolve_constraints([]) == ({}, False)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_resolve_constraints_property(field):
+    """Consistent random systems, affine or with nonlinear monomials in a
+    set of pinned variables: the substitution zeroes every constraint, pins
+    exactly the variables of the nonlinear monomials, and leaves
+    (variables - rank) free, the rank counting each pin as one equation and
+    read from ``linalg.rank`` of the pinned system's linear parts."""
+    engine = _tiny_engine(field)
+    rng = random.Random(f"resolve:{field}")
+    checked = {False: 0, True: 0}
+    for _ in range(120):
+        n_vars = rng.randint(1, 6)
+        pins = set(rng.sample(range(n_vars), rng.randint(0, n_vars - 1))) \
+            if rng.random() < 0.5 else set()
+        x0 = {v: field.of(rng.randint(-3, 3)) for v in range(n_vars)
+              if v not in pins}
+        polys = []
+        for _ in range(rng.randint(1, 6)):
+            terms = {(v,): field.of(rng.randint(-2, 2))
+                     for v in rng.sample(range(n_vars),
+                                         rng.randint(1, n_vars))}
+            for _ in range(rng.randint(0, 2) if pins else 0):
+                mono = tuple(sorted(rng.choices(sorted(pins), k=2)))
+                terms[mono] = field.of(rng.choice((-1, 1, 2)))
+            p = Poly(terms)
+            polys.append(p - Poly.const(p.evaluate(x0, field)))
+        pinned_vars = {v for p in polys for m in p.terms if len(m) >= 2
+                       for v in m}
+        subst, pinned = engine._resolve_constraints(polys)
+        assert subst is not None
+        assert pinned == bool(pinned_vars)
+        _check_resolved(polys, subst)
+        for v in pinned_vars:
+            assert subst[v].is_zero()
+        all_vars = {v for p in polys for v in p.variables()}
+        zero = {v: Poly() for v in pinned_vars}
+        rows = [p.substitute(zero).affine_parts()[1] for p in polys]
+        r = rank([row for row in rows if row], field) + len(pinned_vars)
+        free = all_vars - subst.keys()
+        assert len(free) == len(all_vars) - r
+        checked[pinned] += 1
+    assert min(checked.values()) >= 20, checked
+
+
+# ---- sound undefined (the pin rule) ----------------------------------------
+
+@pytest.fixture(scope="module")
+def wplus14():
+    dga = ce_window(witt_plus(14), 3, 14)
+    return dga, {"1": dga.class_of(dga.one_form(1)),
+                 "2": dga.class_of(dga.one_form(2))}
+
+
+def _spied_massey(dga, gens, word, budget=40):
+    """massey() on the word, with every result of the engine's solver."""
+    engine = MasseyEngine(dga, budget=budget, homogeneous_aux=False)
+    calls = []
+    solve = engine._resolve_constraints
+
+    def spy(polys):
+        calls.append(solve(polys))
+        return calls[-1]
+    engine._resolve_constraints = spy
+    return engine.massey([gens[c] for c in word]), calls
+
+
+def test_undefined_after_a_pin_is_inconclusive(wplus14):
+    dga, gens = wplus14
+    # the stage (1, 5) constraint of 111112 is solved by t1 = t7 = 0,
+    # t3 = 1/12; pinning t1, t3, t7 leaves 1/24 = 0, which proves nothing
+    out, calls = _spied_massey(dga, gens, "111112")
+    assert out.status == "undefined" and out.inconclusive
+    assert calls[-1] == (None, True)
+    # these stages hold a nonzero constant before any pin: proven
+    for word in ("112112", "211211"):
+        out, calls = _spied_massey(dga, gens, word)
+        assert out.status == "undefined" and not out.inconclusive, word
+        assert calls[-1] == (None, False), word
+
+
+def test_no_conclusive_undefined_follows_a_pin(wplus14):
+    dga, gens = wplus14
+    seen = {"conclusive": 0, "pinned": 0}
+    for length in (4, 5, 6):
+        for word in itertools.product("12", repeat=length):
+            out, calls = _spied_massey(dga, gens, "".join(word))
+            if out.status != "undefined":
+                continue
+            if any(pinned for _subst, pinned in calls):
+                assert out.inconclusive, word
+                seen["pinned"] += 1
+            if not out.inconclusive:
+                assert calls[-1] == (None, False), word
+                seen["conclusive"] += 1
+    assert seen["pinned"] >= 1 and seen["conclusive"] >= 1, seen
 
 
 # ---- the generic kernel on Poly cochains ----------------------------------
