@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", type=_field_arg, default=QQ,
                        help="q or fp:<prime>")
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=8)
         if infile:
             p.add_argument("--in", dest="infile", default=None,
                            help="input path (default: stdin)")
@@ -320,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--supports", required=True,
                    help='e.g. "1,4;2,5;3,6"')
     p.add_argument("--dims", default=None, help='e.g. "0;0;0"')
+    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_massey)
 
     p = sub.add_parser("kstep", help="k-step product of 1-classes over a Lie algebra")
@@ -330,16 +330,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help='alpha,beta pairs: "1,0;0,1;1,2"')
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--wmax", type=int, default=12)
+    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_kstep)
 
     p = sub.add_parser("golod", help="Golod certification up to an order cap")
     common(p)
     p.add_argument("--order-cap", dest="order_cap", type=int, default=None)
+    p.add_argument("--budget", type=int, default=8)
     p.set_defaults(func=cmd_golod)
 
     p = sub.add_parser("triple-scan",
                        help="scan ordered triples of disjoint missing edges")
     common(p)
+    p.add_argument("--budget", type=int, default=8)
     p.set_defaults(func=cmd_triple_scan)
 
     p = sub.add_parser("mainlemma", help="definedness/strictness conditions")

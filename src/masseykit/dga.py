@@ -176,16 +176,20 @@ class DGAlgebra:
         bas = self.basis(deg)
         return {bas[i]: c for i, c in vec.items() if c != 0}
 
+    def d_images(self, deg: MultiDegree):
+        """Yield d of each basis element of deg, in basis order, as a sparse
+        vector keyed by the index of the target basis element."""
+        idx = self.index(deg.d_target())
+        return (axpy({}, 1, ((idx[m2], c) for m2, c in self.d_mono(mono)))
+                for mono in self.basis(deg))
+
     def d_rows(self, deg: MultiDegree) -> list[dict]:
         """Matrix of d from deg to deg + 1: one sparse row per basis element
         of the target, keyed by the index of the source basis element."""
         self._require(deg)
-        target = deg.d_target()
-        self._require(target)
-        tgt_idx = self.index(target)
-        rows: list[dict] = [dict() for _ in range(len(tgt_idx))]
-        for j, mono in enumerate(self.basis(deg)):
-            img = axpy({}, 1, ((tgt_idx[m2], c) for m2, c in self.d_mono(mono)))
+        self._require(deg.d_target())
+        rows: list[dict] = [dict() for _ in self.basis(deg.d_target())]
+        for j, img in enumerate(self.d_images(deg)):
             for i, c in img.items():
                 rows[i][j] = c
         return rows
@@ -217,13 +221,7 @@ class DGAlgebra:
         prev = deg.d_source()
         if not self.in_window(prev):
             return []
-        idx = self.index(deg)
-        out = []
-        for mono in self.basis(prev):
-            img = axpy({}, 1, ((idx[m2], c) for m2, c in self.d_mono(mono)))
-            if img:
-                out.append(img)
-        return out
+        return [img for img in self.d_images(prev) if img]
 
     def cohomology_basis(self, deg: MultiDegree) -> QuotientBasis:
         if not hasattr(self, "_coh"):
@@ -298,9 +296,6 @@ class CohomologyClass:
             if not self.dga.cohomology_basis(deg).is_zero_class(vec):
                 return False
         return True
-
-    def scaled(self, c) -> "CohomologyClass":
-        return CohomologyClass(self.dga, self.degree, c_scale(c, self.rep))
 
 
 def cup(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:

@@ -112,10 +112,6 @@ class Field:
             raise InvalidInput(f"{p} is not prime")
         self.p = p
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
     def zero(self):
         return Fraction(0) if self.p is None else Fp(0, self.p)
 
@@ -139,11 +135,6 @@ class Field:
                 raise InvalidInput(f"denominator divisible by {self.p}")
             return Fp(x.numerator * pow(x.denominator, -1, self.p), self.p)
         return Fp(int(x), self.p)
-
-    def to_str(self, x) -> str:
-        if isinstance(x, Fp):
-            return str(x.v)
-        return str(x)
 
     def elements(self):
         """Iterate over all field elements (prime fields only)."""

@@ -254,8 +254,6 @@ class QuotientBasis:
                  cycles: list[dict], boundaries: list[dict]):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.cycle_space = cycles
-        self.boundary_space = boundaries
 
         cyc_span = _SpanTracker(field)
         for v in cycles:

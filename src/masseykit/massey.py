@@ -11,13 +11,13 @@ cocycle c(A) = sum_r bar(a(1, r)) ^ a(r+1, n) represents the product value.
 Partial connections solved through stage k-1 (all slots with j - i < k) give
 the k-step product: the stage-k obstruction classes form its value tuple.
 
-The search solves the staged equations with the kernel of every stage carried
-as symbolic parameters, so the value class comes out as a vector of
-polynomials in those parameters; membership and triviality questions reduce
-to exact linear algebra whenever that dependence is affine.  A family of
-connections is a connection whose cochains have ``Poly`` coefficients: the
-same ``d``, ``wedge``, ``bar`` and ``components`` of the window, and the same
-``mc_sum``, act on both.
+The search solves the staged equations with the cohomology directions of
+every stage carried as symbolic parameters, so the value class comes out as
+a vector of polynomials in those parameters; membership and triviality
+questions reduce to exact linear algebra whenever that dependence is affine.
+A family of connections is a connection whose cochains have ``Poly``
+coefficients: the same ``d``, ``wedge``, ``bar`` and ``components`` of the
+window, and the same ``mc_sum``, act on both.
 
 One solver, ``MasseyEngine._resolve_constraints``, answers every parameter
 question.  A nonzero constant constraint proves a system inconsistent.
@@ -232,7 +232,7 @@ class ParamInfo:
     var: int
     slot: tuple
     degree: MultiDegree
-    kind: str  # "class" (cohomology direction) or "boundary"
+    kind: str  # always "class": a cohomology direction
     direction: dict  # cochain
 
 
@@ -355,6 +355,32 @@ class MasseyEngine:
         """Solve the staged equations through ``max_stage`` (default n-1,
         the full defining system).  Returns a ConnectionFamily or Undefined.
 
+        Each entry is a particular solution plus one parameter per
+        cohomology direction of each degree it may occupy; ``budget`` caps
+        the parameter count.  Boundary directions are gauge (May 1969):
+
+        - Conjugating by 1 + b.E at a slot (i, j) != (1, n), with
+          deg b = deg a(i, j) - 1, changes a(i, j) by +-db and no other
+          slot of length <= j - i: the terms +-a(r, i-1).b and
+          +-b.a(j+1, c) land in the longer slots (r, j) and (i, c).
+        - The defect is conjugated too, and the corner defect
+          d a(1, n) - c(A) is central, so c(A) changes by the coboundary
+          of the new corner entry (a k-step tuple, by those of the new
+          length-k entries).
+        - So, stage by stage, every defining system is gauge-equivalent to
+          one whose kernel part at each slot (a cocycle: representatives
+          plus some db) lies in the span of the representatives, with the
+          same value class.
+
+        The gauge terms must be window cochains.  With ``homogeneous_aux``
+        they sit in the nominal degrees of slots (r, j) and (i, c), which
+        the search requires.  With ``homogeneous_aux=False`` on a CE window
+        they weigh what a(r, i-1).db and db.a(j+1, c) weigh, so the claim
+        covers the defining systems in which these weights stay within
+        w_max.  The search over the whole kernel (representatives and
+        boundary directions) raises ``WindowTooSmall`` on every such
+        product that is nonzero and weighs more.
+
         A stage's obstructions go to ``_resolve_constraints``, which pins
         the variables of its nonlinear monomials to 0; a pin or a budget
         stop makes the family incomplete.  An ``Undefined`` is conclusive
@@ -421,32 +447,26 @@ class MasseyEngine:
                     bas = dga.basis(deg.d_source())
                     axpy(entry, 1, ((bas[col], p) for col, p in
                                     solver.particular(vec, Poly()).items()))
-                # kernel freedom, cohomology directions first
+                # kernel freedom: cohomology directions only (see above)
                 for deg in self._entry_aux_degrees(prof[(i, j)].q, prof[(i, j)]):
                     if not dga.in_window(deg) or not dga.in_window(deg.d_target()):
                         if self.homogeneous_aux:
                             raise WindowTooSmall(
                                 f"entry degree {deg} not materialized")
                         continue
-                    if not dga.basis(deg):
-                        continue
-                    qb = dga.cohomology_basis(deg)
                     bas = dga.basis(deg)
-                    for kind, vecs in (("class", qb.representatives),
-                                       ("boundary", qb.boundary_basis)):
-                        for kvec in vecs:
-                            if len(params) >= self.budget:
-                                complete = False
-                                break
-                            var = len(params)
-                            direction = {bas[c]: v for c, v in kvec.items()}
-                            params.append(ParamInfo(var, (i, j), deg, kind,
-                                                    direction))
-                            axpy(entry, 1, ((m, Poly.var(var, c))
-                                            for m, c in direction.items()))
-                        else:
-                            continue
-                        break
+                    if not bas:
+                        continue
+                    for kvec in dga.cohomology_basis(deg).representatives:
+                        if len(params) >= self.budget:
+                            complete = False
+                            break
+                        var = len(params)
+                        direction = {bas[c]: v for c, v in kvec.items()}
+                        params.append(ParamInfo(var, (i, j), deg, "class",
+                                                direction))
+                        axpy(entry, 1, ((m, Poly.var(var, c))
+                                        for m, c in direction.items()))
                 if entry:
                     entries[(i, j)] = entry
         return ConnectionFamily(dga, n, entries, params, complete, max_stage)
@@ -490,9 +510,6 @@ class MasseyEngine:
         return subst, pinned
 
     # -- products ------------------------------------------------------------
-    def related_cocycle_family(self, fam: ConnectionFamily) -> dict:
-        return mc_sum(self.dga, fam.entries, 1, fam.n)
-
     def _reduce_family_value(self, value: dict):
         """Reduce a closed parametric cochain to cohomology coordinates.
 
@@ -589,8 +606,7 @@ class MasseyEngine:
             return MasseyOutcome("undefined", n, "unknown",
                                  inconclusive=fam.inconclusive,
                                  complete=False)
-        value_pc = self.related_cocycle_family(fam)
-        coords = self._reduce_family_value(value_pc)
+        coords = self._reduce_family_value(mc_sum(dga, fam.entries, 1, n))
         rep_conn = fam.at({})
         rep_cochain = related_cocycle(rep_conn)
         nominal = self._profile(classes)[(1, n)]

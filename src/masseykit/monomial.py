@@ -44,9 +44,6 @@ class MonomialQuotient:
         return any(all(g[i] <= exp[i] for i in range(self.n_vars))
                    for g in self.generators)
 
-    def is_squarefree(self) -> bool:
-        return all(all(e <= 1 for e in g) for g in self.generators)
-
     def standard_monomials(self, cap: int = BASIS_CAP) -> list:
         """Basis of the quotient; raises when it is not finite-dimensional."""
         # finite dimension needs a pure-power generator in every variable
@@ -279,13 +276,6 @@ def minimal_resolution_betti(ring: MonomialQuotient, i_cap: int = 6,
     one = field.one()
 
     # module elements are dicts {(gen_index, A-monomial): scalar}
-    def elem_degree(gen_degs, key):
-        gen, mono = key
-        return gen_degs[gen] + sum(mono)
-
-    # current map: generators of F_i -> elements of F_{i-1}
-    gen_degs = [0]
-    images: list = [None]  # F_0 -> k: the augmentation, handled separately
     betti = [1]
     # kernel of F_0 -> k is spanned by (0, mono) for mono != 1
     def aug_kernel_by_degree():
@@ -384,7 +374,6 @@ def minimal_resolution_betti(ring: MonomialQuotient, i_cap: int = 6,
             kb = solver.kernel_basis()
             kernel_by_degree[d] = [
                 {dom_keys[j]: c for j, c in v.items()} for v in kb]
-        gen_degs = next_gen_degs
     return betti[:i_cap + 1]
 
 

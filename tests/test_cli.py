@@ -126,6 +126,21 @@ def test_bad_input_exit_2():
     assert res.returncode == 2
 
 
+def test_budget_and_seed_only_where_read():
+    """--budget and --seed are options of the subcommands that read them
+    only; elsewhere they are bad input."""
+    simplex = json.dumps({"m": 3, "minimal_nonfaces": []})
+    for opt in ("--budget", "--seed"):
+        res = run_cli(["betti", opt, "3"], stdin=simplex)
+        assert res.returncode == 2, opt
+        assert "unrecognized arguments" in res.stderr, opt
+    gen = run_cli(["generate", "qn", "--n", "3"]).stdout
+    res = run_cli(["massey", "--seed", "5", "--budget", "3",
+                   "--supports", "1,4;2,5;3,6"], stdin=gen)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["seed"] == 5
+
+
 def test_cap_exceeded_exit_3():
     big = json.dumps({"m": 15, "minimal_nonfaces": [[1, 2]]})
     res = run_cli(["betti"], stdin=big)

@@ -1,22 +1,25 @@
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
+from masseykit import facerings
 from masseykit.dga import CohomologyClass, MultiDegree, c_scale
 from masseykit.errors import SingularMatrix, Undecided
-from masseykit.facerings import generator_class, rk_window
+from masseykit.facerings import (generator_class, iter_triple_massey_scan,
+                                 rk_window)
 from masseykit.fields import GF, QQ
-from masseykit.linalg import rank
-from masseykit.generators import qn
+from masseykit.linalg import axpy, rank
+from masseykit.generators import polygon, qn
 from masseykit.lie import (ce_window, five_fold_connection, m0, omega,
                            omega_tail_connection, staircase_connection,
                            triple_criterion, classify_1d_massey, witt_plus)
-from masseykit.massey import (FormalConnection, MasseyEngine, conjugate,
-                              is_defining_system, is_k_step, lift_obstruction,
-                              mc_defect, mc_sum, pc_evaluate, related_cocycle,
-                              strong_mc_check)
+from masseykit.massey import (FormalConnection, MasseyEngine, Undefined,
+                              conjugate, is_defining_system, is_k_step,
+                              lift_obstruction, mc_defect, mc_sum, pc_evaluate,
+                              related_cocycle, strong_mc_check)
 from masseykit.params import Poly
 
 
@@ -786,3 +789,129 @@ def test_evaluation_commutes_with_mc_sum_face_ring():
         classes.append(CohomologyClass(alg, deg,
                                        alg.from_simplicial(c.I, c.cochain)))
     _check_evaluation_commutes(MasseyEngine(alg), classes)
+
+
+# ---- gauge reduction: boundary directions add nothing ---------------------
+
+def _full_kernel_family(engine, classes, max_stage=None):
+    """The reference search over the whole kernel: one parameter per
+    representative and then per boundary direction of each degree.  Only
+    during the search, ``representatives`` reads both."""
+    dga = engine.dga
+    real = dga.cohomology_basis
+
+    def widened(deg):
+        qb = real(deg)
+        return types.SimpleNamespace(
+            representatives=qb.representatives + qb.boundary_basis)
+    dga.cohomology_basis = widened
+    try:
+        return engine.find_defining_system(classes, max_stage)
+    finally:
+        del dga.cohomology_basis
+
+
+def _affine_rows(coords, keys):
+    const, lin = {}, {}
+    for key, p in coords.items():
+        c, terms = p.affine_parts()
+        if c != 0:
+            const[keys[key]] = c
+        for v, cf in terms.items():
+            lin.setdefault(v, {})[keys[key]] = cf
+    return const, list(lin.values())
+
+
+def _assert_same_affine_set(a, b, field):
+    """c_a + span L_a == c_b + span L_b for value coordinates a and b."""
+    keys = {k: i for i, k in enumerate(sorted(set(a) | set(b), key=repr))}
+    ca, la = _affine_rows(a, keys)
+    cb, lb = _affine_rows(b, keys)
+    r = rank(la, field)
+    assert rank(lb, field) == r == rank(la + lb, field)  # one span L
+    assert rank(la + [axpy(dict(ca), -1, cb.items())], field) == r
+
+
+def _compare_with_full_kernel(engine, classes, k=None):
+    """Same definedness, completeness, verdict and affine value set
+    (the k-step tuple when k is given) as the full-kernel search.
+    Returns (parameters, full-kernel parameters)."""
+    dga = engine.dga
+    max_stage = None if k is None else k - 1
+    new = engine.find_defining_system(classes, max_stage)
+    old = _full_kernel_family(engine, classes, max_stage)
+    assert isinstance(new, Undefined) == isinstance(old, Undefined)
+    if isinstance(new, Undefined):
+        assert new.inconclusive == old.inconclusive
+        return 0, 0
+    assert all(p.kind == "class" for p in new.params)
+    assert new.complete and old.complete
+
+    def values(fam):
+        slots = [(1, fam.n)] if k is None else \
+            [(s, s + k) for s in range(1, fam.n - k + 1)]
+        out = {}
+        for s, t in slots:
+            acc = mc_sum(dga, fam.entries, s, t)
+            for key, p in engine._reduce_family_value(acc).items():
+                out[(s,) + key] = p
+        return out
+    a, b = values(new), values(old)
+    assert engine._triviality(a, new)[0] == engine._triviality(b, old)[0]
+    if all(p.is_affine() for p in [*a.values(), *b.values()]):
+        _assert_same_affine_set(a, b, dga.field)
+    return len(new.params), len(old.params)
+
+
+@pytest.mark.parametrize("make, mode", [(lambda: polygon(6), "edges"),
+                                        (lambda: polygon(7), "edges"),
+                                        (lambda: qn(3), "h0")])
+def test_gauge_reduced_search_face_ring_scans(monkeypatch, make, mode):
+    """Every product of the triple scan, searched again at a budget both
+    parameter sets fit in: the value sets agree, with fewer parameters."""
+    recorded = []
+
+    class Recording(MasseyEngine):
+        def massey(self, classes, certificate="auto"):
+            recorded.append((self.dga, classes))
+            return super().massey(classes, certificate)
+    monkeypatch.setattr(facerings, "MasseyEngine", Recording)
+    list(iter_triple_massey_scan(make(), QQ, support_mode=mode))
+    monkeypatch.undo()
+    assert recorded
+    counts = [_compare_with_full_kernel(MasseyEngine(dga, budget=10**6),
+                                        classes)
+              for dga, classes in recorded]
+    assert any(new < old for new, old in counts)
+
+
+def _h2_class(dga, w):
+    qb = dga.cohomology_basis(dga.deg(2, w))
+    bas = dga.basis(dga.deg(2, w))
+    return dga.class_of({bas[i]: v for i, v in qb.representatives[0].items()})
+
+
+def test_gauge_reduced_search_lie_windows_with_h2():
+    """Triples with an H^2 class put 2-forms into the entries, where d of a
+    1-form gives boundary directions: W+ with homogeneous entries, m0 with
+    entries over every weight of the window, and 2-step tuples of m0
+    4-fold words."""
+    counts = []
+    for w in (5, 7):
+        dga = w_window(12, 4)
+        e1, e2 = (dga.class_of(dga.one_form(g)) for g in (1, 2))
+        c = _h2_class(dga, w)
+        engine = MasseyEngine(dga, budget=10**6)
+        for word in ([c, e1, e2], [e1, c, e1], [e2, e1, c], [c, e1, e1],
+                     [e1, e1, c]):
+            counts.append(_compare_with_full_kernel(engine, word))
+        dga = m_window(12, 4)
+        e1, e2 = (dga.class_of(dga.one_form(g)) for g in (1, 2))
+        c = _h2_class(dga, w)
+        engine = MasseyEngine(dga, budget=10**6, homogeneous_aux=False)
+        for word in ([e1, c, e1], [c, e1, e1], [e1, e1, c], [c, e2, e1]):
+            counts.append(_compare_with_full_kernel(engine, word))
+        for word in ([e1, c, e1, e1], [c, e1, e1, e1], [e1, e1, c, e1]):
+            counts.append(_compare_with_full_kernel(engine, word, k=2))
+    assert sum(old - new for new, old in counts) > 0
+    assert sum(new for new, _old in counts) > 0
