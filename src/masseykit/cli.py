@@ -282,6 +282,17 @@ def _field_arg(text: str) -> Field:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _order_arg(text: str) -> int:
+    try:
+        order = int(text)
+    except ValueError:
+        order = -1
+    if order < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return order
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="masseykit",
@@ -354,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poincare", help="resolution dims against the Serre bound")
     common(p)
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=_order_arg, default=6)
     p.set_defaults(func=cmd_poincare)
 
     p = sub.add_parser("generate", help="built-in complexes and rings")

@@ -149,30 +149,38 @@ class EchelonSolver:
         return out
 
     def kernel_basis(self) -> list[dict]:
-        out = []
+        """One kernel vector per free column f, in free-column order: 1 at
+        f, minus column f of each pivot row at its pivot.  A stored row
+        holds its pivot and free columns only, so one pass over the rows
+        fills every vector."""
         one = self.field.one()
-        for f in self.free_cols:
-            v = {f: one}
-            for pcol, erow, _t in self.piv:
-                c = erow.get(f)
-                if c is not None:
-                    v[pcol] = -c
-            out.append(v)
-        return out
+        out = {f: {f: one} for f in self.free_cols}
+        for pcol, erow, _t in self.piv:
+            for f, c in erow.items():
+                if f != pcol:
+                    out[f][pcol] = -c
+        return list(out.values())
 
     def in_image(self, b: dict) -> bool:
         return all(obs == 0 for obs in self.obstructions(b))
 
 
 def rank(matrix, field: Field) -> int:
-    """Exact rank of a ``SparseMatrix`` or of a list of sparse row dicts.
+    """Exact rank of a ``SparseMatrix`` or of a list of sparse row dicts."""
+    rows = matrix.row_dicts() if isinstance(matrix, SparseMatrix) else matrix
+    return len(lead_columns(rows, field))
+
+
+def lead_columns(rows: list, field: Field) -> set:
+    """The leads of the span of sparse rows: every column that is the
+    smallest key of some nonzero vector of the span.  The set depends on
+    the span only, and its size is the rank.
 
     Plain ints, no transform rows: each row is cleared of denominators
     (over GF(p): taken to residues), then reduced fraction-free against the
     pivot rows as c*row - a*pivot, with a and c the leading entries over
     their gcd (Bareiss 1968).  A scaled row is divided by the gcd of its
     entries over Q and reduced mod p over GF(p)."""
-    rows = matrix.row_dicts() if isinstance(matrix, SparseMatrix) else matrix
     p = field.p
     pivots: dict = {}  # lead column -> stored row
     for row in rows:
@@ -207,7 +215,7 @@ def rank(matrix, field: Field) -> int:
                 cur = {k: x // g for k, x in cur.items()}
             elif c != 1:
                 cur = {k: r for k, x in cur.items() if (r := x % p)}
-    return len(pivots)
+    return set(pivots)
 
 
 class _SpanTracker:

@@ -5,6 +5,12 @@ The Koszul complex Lambda A^n of a finite-dimensional monomial quotient is a
 differential graded algebra; it is embedded in the generic window machinery
 with cohomological degree -i (i the exterior degree) so that the product adds
 degrees and d raises the degree by one.
+
+A monomial quotient A = k[x]/I is graded by exponent vectors, and so is its
+residue field k.  The minimal resolution of k is resolved one exponent
+vector at a time (``minimal_resolution_betti``): in each multidegree a free
+module has at most one basis vector per generator, and the multiples
+m K of a kernel K in degree a are the shifts x_v K_(a - e_v).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 from .dga import DGAlgebra, MultiDegree
 from .errors import CapExceeded, InvalidInput
 from .fields import QQ, Field
-from .linalg import EchelonSolver, _SpanTracker
+from .linalg import EchelonSolver, lead_columns
 
 BASIS_CAP = 20000
 
@@ -237,143 +243,102 @@ def polarization(ring: MonomialQuotient):
 
 # ---- graded minimal resolutions and Poincare series -------------------------
 
-class GradedQuotient:
-    """Degreewise data of a finite-dimensional monomial quotient."""
-
-    def __init__(self, ring: MonomialQuotient, field: Field = QQ):
-        self.ring = ring
-        self.field = field
-        monos = ring.standard_monomials()
-        self.by_degree: dict = {}
-        for a in monos:
-            self.by_degree.setdefault(sum(a), []).append(a)
-        for v in self.by_degree.values():
-            v.sort()
-        self.top = max(self.by_degree)
-        self.index = {d: {a: i for i, a in enumerate(monos_)}
-                      for d, monos_ in self.by_degree.items()}
-
-    def dim(self, d: int) -> int:
-        return len(self.by_degree.get(d, []))
-
-    def multiply(self, a, b):
-        prod = tuple(x + y for x, y in zip(a, b))
-        if self.ring.in_ideal(prod):
-            return None
-        return prod
-
-
 def minimal_resolution_betti(ring: MonomialQuotient, i_cap: int = 6,
                              field: Field = QQ, degree_cap: int = 60) -> list:
     """Dimensions of Tor_i over the quotient, i = 0..i_cap, by stepwise
-    minimal free resolution of the residue field.
+    minimal free resolution of the residue field, one exponent vector at a
+    time.
 
-    Free modules are tracked as generator-degree lists; kernels are computed
-    degree by degree and their minimal generators (a basis modulo the
-    maximal-ideal multiples) become the next module.
+    I is monomial, so A = k[x]/I and k are Z^n-graded and the minimal
+    resolution of k can be taken multigraded (Peeva, *Graded Syzygies*,
+    ch. 1).  Each generator g of F_i has a multidegree mdeg(g), and F_i in
+    multidegree b has the basis vectors x^(b - mdeg g) g for the g with
+    b - mdeg g a standard monomial, at most one per generator.  An element
+    of F_i in degree b is therefore a dict {generator index: scalar}, and
+    the kernel K of F_i -> F_(i-1) is eliminated one multidegree at a time,
+    with generators for rows and columns.
+
+    The generators of F_(i+1) in degree a are kernel vectors forming a basis
+    of K_a modulo (m K)_a; since m is generated by the variables,
+    m K  intersect  K_a = (m K)_a = sum over v of x_v K_(a - e_v).  The
+    kernel basis of K_a has one vector per free generator f (1 at f, 0 at
+    the other free generators), so a vector of K_a is given by its free
+    coordinates, and the kernel vectors taken, greedily in free order, are
+    those whose f is the largest free coordinate of no vector in the span of
+    the shifts.  ``CapExceeded`` is raised when a multidegree where F_i is
+    nonzero has total degree above ``degree_cap``.
     """
-    A = GradedQuotient(ring, field)
-    one = field.one()
-
-    # module elements are dicts {(gen_index, A-monomial): scalar}
+    std = ring.standard_monomials()
+    n = ring.n_vars
+    # b - mdeg g is standard  <=>  b in reach[mdeg g]
+    reach = {(0,) * n: set(std)}
+    # F_0 = A on one generator of degree 0, and ker(F_0 -> k) = m.  kernel
+    # maps each multidegree where the current F_i is nonzero to its kernel
+    # basis, {free generator: vector}, in free-generator order.
+    mdegs = [(0,) * n]
+    kernel = {a: {0: {0: field.one()}} for a in std if any(a)}
     betti = [1]
-    # kernel of F_0 -> k is spanned by (0, mono) for mono != 1
-    def aug_kernel_by_degree():
-        out: dict = {}
-        for d, monos in A.by_degree.items():
-            if d == 0:
-                continue
-            out[d] = [{(0, a): one} for a in monos]
-        return out
-
-    kernel_by_degree = aug_kernel_by_degree()
-
     for step in range(1, i_cap + 1):
-        # minimal generators of the kernel: per degree, a basis of
-        # K_d modulo sum_j x_j K_{d-1}
-        new_gens: list = []  # (degree, element)
-        max_d = max(kernel_by_degree, default=-1)
-        if max_d > degree_cap:
+        if any(sum(b) > degree_cap for b in kernel):
             raise CapExceeded("resolution degree exceeded the cap")
-        for d in sorted(kernel_by_degree):
-            kd = kernel_by_degree[d]
-            if not kd:
+        taken_gens = []
+        for a in sorted(kernel):
+            ka = kernel[a]
+            if not ka:
                 continue
-            prev = kernel_by_degree.get(d - 1, [])
-            span = _SpanTracker(field)
-            key_index: dict = {}
-
-            def vec_of(el):
-                out = {}
-                for key, c in el.items():
-                    if key not in key_index:
-                        key_index[key] = len(key_index)
-                    out[key_index[key]] = c
-                return out
-
-            for el in prev:
-                for var in range(ring.n_vars):
-                    shifted = {}
-                    for (gen, mono), c in el.items():
-                        unit = tuple(1 if t == var else 0
-                                     for t in range(ring.n_vars))
-                        prod = A.multiply(mono, unit)
-                        if prod is not None:
-                            shifted[(gen, prod)] = shifted.get(
-                                (gen, prod), field.zero()) + c
-                    shifted = {k: c for k, c in shifted.items() if c != 0}
-                    if shifted:
-                        span.add(vec_of(shifted))
-            for el in kd:
-                if span.add(vec_of(el)):
-                    new_gens.append((d, el))
-        betti.append(len(new_gens))
-        if step == i_cap or not new_gens:
-            if not new_gens:
+            shifts = []
+            for v in range(n):
+                if a[v]:
+                    below = a[:v] + (a[v] - 1,) + a[v + 1:]
+                    for el in kernel.get(below, {}).values():
+                        # free coordinates of x_v el, keyed -f so that the
+                        # smallest key is the largest free generator
+                        w = {-f: c for f, c in el.items() if f in ka}
+                        if w:
+                            shifts.append(w)
+            taken = lead_columns(shifts, field)
+            taken_gens.extend((sum(a), f, a, el) for f, el in ka.items()
+                              if -f not in taken)
+        # number the new generators by total degree, then by the free
+        # generator each comes from: the numbering fixes the row and column
+        # order, hence the kernel vectors, of every later elimination
+        taken_gens.sort(key=lambda t: t[:3])
+        new_mdegs = [t[2] for t in taken_gens]
+        images = [t[3] for t in taken_gens]
+        betti.append(len(images))
+        if step == i_cap or not images:
+            if not images:
                 betti.extend([0] * (i_cap - step))
             break
-        # next map: F_step -> F_{step-1}, generators |-> kernel elements
-        next_gen_degs = [d for d, _el in new_gens]
-        next_images = [el for _d, el in new_gens]
-
-        # compute the kernel of the new map degree by degree
-        kernel_by_degree = {}
-        degrees = set()
-        for gd in next_gen_degs:
-            for ad in A.by_degree:
-                degrees.add(gd + ad)
-        for d in sorted(degrees):
-            # basis of F_step in degree d
-            dom_keys = []
-            for g, gd in enumerate(next_gen_degs):
-                for mono in A.by_degree.get(d - gd, []):
-                    dom_keys.append((g, mono))
-            if not dom_keys:
-                continue
-            # map each basis vector into F_{step-1} coordinates
-            cod_index: dict = {}
-            rows: dict = {}
-            cols = []
-            for j, (g, mono) in enumerate(dom_keys):
-                col = {}
-                for (tg, tmono), c in next_images[g].items():
-                    prod = A.multiply(tmono, mono)
-                    if prod is not None:
-                        key = (tg, prod)
-                        if key not in cod_index:
-                            cod_index[key] = len(cod_index)
-                        idx = cod_index[key]
-                        col[idx] = col.get(idx, field.zero()) + c
-                cols.append({k: c for k, c in col.items() if c != 0})
-            n_rows = len(cod_index)
-            rows_list = [dict() for _ in range(n_rows)]
-            for j, col in enumerate(cols):
-                for i_, c in col.items():
-                    rows_list[i_][j] = c
-            solver = EchelonSolver(field, len(dom_keys), rows_list)
-            kb = solver.kernel_basis()
-            kernel_by_degree[d] = [
-                {dom_keys[j]: c for j, c in v.items()} for v in kb]
+        # F_step in degree b: the generators h with b - mdeg h standard,
+        # found once per multidegree of a generator, not once per generator
+        groups: dict = {}
+        for h, a in enumerate(new_mdegs):
+            groups.setdefault(a, []).append(h)
+        domains: dict = {}
+        for a, hs in groups.items():
+            reach[a] = set()
+            for s in std:
+                b = tuple(x + y for x, y in zip(a, s))
+                reach[a].add(b)
+                domains.setdefault(b, []).extend(hs)
+        kernel = {}
+        for b in sorted(domains):
+            dom = sorted(domains[b])
+            row_of: dict = {}
+            rows: list = []
+            for j, h in enumerate(dom):
+                for g, c in images[h].items():
+                    if b in reach[mdegs[g]]:
+                        if g not in row_of:
+                            row_of[g] = len(rows)
+                            rows.append({})
+                        rows[row_of[g]][j] = c
+            solver = EchelonSolver(field, len(dom), rows)
+            kernel[b] = {dom[f]: {dom[j]: c for j, c in v.items()}
+                         for f, v in zip(solver.free_cols,
+                                         solver.kernel_basis())}
+        mdegs = new_mdegs
     return betti[:i_cap + 1]
 
 

@@ -98,6 +98,17 @@ def test_poincare_cli():
     assert data["golod_equality"] is True
 
 
+def test_poincare_negative_order_exit_2():
+    ring = json.dumps({"n": 1, "gens": [[2]]})
+    for order in ("-1", "x"):
+        res = run_cli(["poincare", "--order", order], stdin=ring)
+        assert res.returncode == 2, order
+        assert "--order" in res.stderr and "Traceback" not in res.stderr
+    res = run_cli(["poincare", "--order", "0"], stdin=ring)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["tor_dims"] == [1]
+
+
 def test_poincare_resolves_once(monkeypatch, tmp_path, capsys):
     from masseykit import cli, monomial
 

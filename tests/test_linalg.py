@@ -6,7 +6,7 @@ import pytest
 from masseykit.errors import InvalidInput
 from masseykit.fields import GF, QQ
 from masseykit.linalg import (EchelonSolver, QuotientBasis, SparseMatrix,
-                              axpy, rank)
+                              axpy, lead_columns, rank)
 from masseykit.params import Poly
 
 from oracles import brute_force_solutions_fp, dense_rank
@@ -198,3 +198,36 @@ def test_echelon_deterministic():
     s2 = EchelonSolver(field, 3, [dict(r) for r in rows])
     assert s1.pivot_cols == s2.pivot_cols
     assert s1.kernel_basis() == s2.kernel_basis()
+
+
+def _kernel_basis_reference(solver):
+    """The per-free-column loop: one lookup per free column and pivot row."""
+    one = solver.field.one()
+    out = []
+    for f in solver.free_cols:
+        v = {f: one}
+        for pcol, erow, _t in solver.piv:
+            c = erow.get(f)
+            if c is not None:
+                v[pcol] = -c
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(5)), ids=("q", "fp2", "fp5"))
+def test_kernel_basis_and_leads_match_references(field):
+    """kernel_basis equals the per-column loop, key order included, and the
+    fraction-free lead_columns equals the pivot columns of the elimination."""
+    rng = random.Random(11)
+    for _ in range(150):
+        n_rows, n_cols = rng.randint(0, 7), rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 0.8))
+        rows = [{c: x for c in range(n_cols) if rng.random() < density
+                 and (x := field.of(rng.randint(-3, 3))) != 0}
+                for _ in range(n_rows)]
+        solver = EchelonSolver(field, n_cols, rows)
+        got = solver.kernel_basis()
+        want = _kernel_basis_reference(solver)
+        assert got == want
+        assert [list(v) for v in got] == [list(v) for v in want]
+        assert lead_columns(rows, field) == set(solver.pivot_cols)

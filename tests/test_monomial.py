@@ -1,11 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from masseykit.errors import InvalidInput
-from masseykit.fields import QQ
+from masseykit.errors import CapExceeded, InvalidInput
+from masseykit.fields import GF, QQ
+from masseykit.linalg import EchelonSolver, _SpanTracker
 from masseykit.massey import MasseyEngine
 from masseykit.monomial import (KoszulAlgebra, MonomialQuotient, anr,
                                 golod_series_check, koszul_homology,
@@ -151,3 +153,167 @@ def test_anr_triple_massey_trivial():
             assert out.triviality == "trivial", trip
             checked += 1
     assert checked > 0
+
+
+# ---- the multigraded resolution against the total-degree one ---------------
+
+def total_degree_resolution(ring, i_cap, field, degree_cap=60):
+    """Reference: the minimal resolution of k eliminated one total degree at
+    a time, elements as {(generator, standard monomial): scalar}."""
+    one = field.one()
+    by_degree = {}
+    for a in ring.standard_monomials():
+        by_degree.setdefault(sum(a), []).append(a)
+
+    def multiply(a, b):
+        prod = tuple(x + y for x, y in zip(a, b))
+        return None if ring.in_ideal(prod) else prod
+
+    betti = [1]
+    kernel_by_degree = {d: [{(0, a): one} for a in monos]
+                        for d, monos in by_degree.items() if d}
+    for step in range(1, i_cap + 1):
+        if max(kernel_by_degree, default=-1) > degree_cap:
+            raise CapExceeded("resolution degree exceeded the cap")
+        new_gens = []
+        for d in sorted(kernel_by_degree):
+            key_index = {}
+
+            def vec_of(el):
+                return {key_index.setdefault(k, len(key_index)): c
+                        for k, c in el.items()}
+
+            span = _SpanTracker(field)
+            for el in kernel_by_degree.get(d - 1, []):
+                for var in range(ring.n_vars):
+                    unit = tuple(int(t == var) for t in range(ring.n_vars))
+                    shifted = {}
+                    for (gen, mono), c in el.items():
+                        prod = multiply(mono, unit)
+                        if prod is not None:
+                            shifted[(gen, prod)] = c
+                    if shifted:
+                        span.add(vec_of(shifted))
+            for el in kernel_by_degree[d]:
+                if span.add(vec_of(el)):
+                    new_gens.append((d, el))
+        betti.append(len(new_gens))
+        if step == i_cap or not new_gens:
+            betti.extend([0] * (i_cap - step))
+            break
+        kernel_by_degree = {}
+        for d in sorted({gd + ad for gd, _el in new_gens for ad in by_degree}):
+            dom_keys = [(g, mono) for g, (gd, _el) in enumerate(new_gens)
+                        for mono in by_degree.get(d - gd, [])]
+            if not dom_keys:
+                continue
+            cod_index = {}
+            cols = []
+            for g, mono in dom_keys:
+                col = {}
+                for (tg, tmono), c in new_gens[g][1].items():
+                    prod = multiply(tmono, mono)
+                    if prod is not None:
+                        idx = cod_index.setdefault((tg, prod), len(cod_index))
+                        col[idx] = c
+                cols.append(col)
+            rows = [dict() for _ in cod_index]
+            for j, col in enumerate(cols):
+                for i, c in col.items():
+                    rows[i][j] = c
+            kb = EchelonSolver(field, len(dom_keys), rows).kernel_basis()
+            kernel_by_degree[d] = [{dom_keys[j]: c for j, c in v.items()}
+                                   for v in kb]
+    return betti[:i_cap + 1]
+
+
+CUBE = MonomialQuotient(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
+FIELDS = (QQ, GF(2), GF(3))
+
+
+def sweep_rings(count=24, seed=9):
+    """Seeded finite-dimensional monomial rings, n <= 3, exponents <= 3:
+    a pure power of every variable plus up to three mixed monomials."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 3)
+        gens = [tuple(rng.randint(1, 3) if j == i else 0 for j in range(n))
+                for i in range(n)]
+        gens += [tuple(rng.randint(0, 3) for _ in range(n))
+                 for _ in range(rng.randint(0, 3))]
+        gens = [g for g in set(gens) if any(g)]
+        minimal = [g for g in gens if not any(
+            h != g and all(x <= y for x, y in zip(h, g)) for h in gens)]
+        out.append(MonomialQuotient(n, minimal))
+    return out
+
+
+def permuted(ring, perm):
+    return MonomialQuotient(ring.n_vars, [tuple(g[p] for p in perm)
+                                          for g in ring.generators])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("q", "fp2", "fp3"))
+def test_multigraded_resolution_matches_total_degree_on_bench_rings(field):
+    rings = [(CUBE, 6), (CUBE, 8), (anr(2, 2), 6), (anr(3, 2), 6),
+             (anr(2, 3), 6)]
+    for ring, order in rings:
+        assert minimal_resolution_betti(ring, order, field) == \
+            total_degree_resolution(ring, order, field), (ring, order)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("q", "fp2", "fp3"))
+def test_multigraded_resolution_matches_total_degree_on_sweep(field):
+    for ring in sweep_rings():
+        tor = minimal_resolution_betti(ring, 5, field)
+        assert tor == total_degree_resolution(ring, 5, field), ring
+        for perm in itertools.permutations(range(ring.n_vars)):
+            other = permuted(ring, perm)
+            assert minimal_resolution_betti(other, 5, field) == tor, \
+                (ring, perm)
+    tor = minimal_resolution_betti(CUBE, 6, field)
+    for perm in itertools.permutations(range(3)):
+        other = permuted(CUBE, perm)
+        assert minimal_resolution_betti(other, 6, field) == tor
+        assert total_degree_resolution(other, 6, field) == tor
+
+
+def _raises_cap(resolve, ring, order, cap):
+    try:
+        resolve(ring, order, QQ, cap)
+    except CapExceeded:
+        return True
+    return False
+
+
+def test_multigraded_resolution_degree_cap_matches_total_degree():
+    cases = [(CUBE, 6, range(15))] + [(ring, 4, range(12))
+                                      for ring in sweep_rings(8, seed=3)]
+    for ring, order, caps in cases:
+        for cap in caps:
+            assert _raises_cap(minimal_resolution_betti, ring, order, cap) \
+                == _raises_cap(total_degree_resolution, ring, order, cap), \
+                (ring, order, cap)
+    assert _raises_cap(minimal_resolution_betti, CUBE, 6, 12)
+    assert not _raises_cap(minimal_resolution_betti, CUBE, 6, 13)
+
+
+def test_resolution_first_deviations():
+    """For I inside m^2, Tor_1 has dimension n and Tor_2 dimension
+    C(n, 2) + mu(I): the deviations eps_1 = n and eps_2 = mu(I) (Avramov,
+    "Infinite free resolutions", 1998)."""
+    rings = [CUBE, anr(2, 2), anr(3, 2), anr(2, 3)] + sweep_rings(40, seed=5)
+    checked = 0
+    for ring in rings:
+        if any(sum(g) < 2 for g in ring.generators):
+            continue
+        n = ring.n_vars
+        for field in FIELDS:
+            tor = minimal_resolution_betti(ring, 2, field)
+            assert tor[1] == n, ring
+            assert tor[2] == comb(n, 2) + len(ring.generators), ring
+        checked += 1
+    assert checked >= 15
+    assert [minimal_resolution_betti(r, 2)[2]
+            for r in (CUBE, anr(3, 2), anr(2, 3))] == [7, 9, 5]
