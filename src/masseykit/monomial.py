@@ -317,10 +317,8 @@ def minimal_resolution_betti(ring: MonomialQuotient, i_cap: int = 6,
             groups.setdefault(a, []).append(h)
         domains: dict = {}
         for a, hs in groups.items():
-            reach[a] = set()
-            for s in std:
-                b = tuple(x + y for x, y in zip(a, s))
-                reach[a].add(b)
+            reach[a] = {tuple(x + y for x, y in zip(a, s)) for s in std}
+            for b in reach[a]:
                 domains.setdefault(b, []).extend(hs)
         kernel = {}
         for b in sorted(domains):
