@@ -273,13 +273,14 @@ def minimal_resolution_betti(ring: MonomialQuotient, i_cap: int = 6,
     # b - mdeg g is standard  <=>  b in reach[mdeg g]
     reach = {(0,) * n: set(std)}
     # F_0 = A on one generator of degree 0, and ker(F_0 -> k) = m.  kernel
-    # maps each multidegree where the current F_i is nonzero to its kernel
-    # basis, {free generator: vector}, in free-generator order.
+    # maps multidegrees to kernel bases, {free generator: vector}, in
+    # free-generator order; after the first step its keys are all the
+    # multidegrees where F_i is nonzero.
     mdegs = [(0,) * n]
     kernel = {a: {0: {0: field.one()}} for a in std if any(a)}
     betti = [1]
     for step in range(1, i_cap + 1):
-        if any(sum(b) > degree_cap for b in kernel):
+        if max(map(sum, kernel), default=-1) > degree_cap:
             raise CapExceeded("resolution degree exceeded the cap")
         taken_gens = []
         for a in sorted(kernel):
