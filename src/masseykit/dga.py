@@ -5,7 +5,9 @@ with the differential and the product on basis pairs.  Cochains are plain
 dicts ``{monomial: scalar}`` with no stored zeros; all bookkeeping (vectors,
 matrices, cohomology bases) happens through the window object.
 
-Cohomology dimensions come from ranks of d alone (``cohomology_dim``).
+Cohomology dimensions come from ranks of d alone (``cohomology_dim``),
+cleared across degrees: a row of d_deg that d_(deg+1) d_deg = 0 already
+decides is skipped (the proof is in ``DGAlgebra.d_rank``).
 Cycle, boundary and quotient bases (``cohomology_basis``) are built only
 where cochains are reduced: Massey products, cup products and coordinates.
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import MixedDegree, WindowTooSmall
 from .fields import Field
-from .linalg import EchelonSolver, QuotientBasis, axpy, rank
+from .linalg import EchelonSolver, QuotientBasis, axpy, lead_columns
 
 
 @dataclass(frozen=True)
@@ -153,17 +155,11 @@ class DGAlgebra:
             raise WindowTooSmall(f"degree {deg} outside the materialized window")
 
     def index(self, deg: MultiDegree) -> dict:
-        cache = self._index_cache()
+        cache = self.__dict__.setdefault("_idx", {})
         got = cache.get(deg)
         if got is None:
-            got = {m: i for i, m in enumerate(self.basis(deg))}
-            cache[deg] = got
+            got = cache[deg] = {m: i for i, m in enumerate(self.basis(deg))}
         return got
-
-    def _index_cache(self) -> dict:
-        if not hasattr(self, "_idx"):
-            self._idx = {}
-        return self._idx
 
     def to_vector(self, cochain: dict, deg: MultiDegree) -> dict:
         idx = self.index(deg)
@@ -196,22 +192,35 @@ class DGAlgebra:
 
     def d_solver(self, deg: MultiDegree) -> EchelonSolver:
         """Elimination data for d restricted to the given degree."""
-        if not hasattr(self, "_dsolve"):
-            self._dsolve = {}
-        got = self._dsolve.get(deg)
+        got = self.__dict__.setdefault("_dsolve", {}).get(deg)
         if got is None:
-            rows = self.d_rows(deg)
             got = self._dsolve[deg] = EchelonSolver(
-                self.field, len(self.basis(deg)), rows)
+                self.field, len(self.basis(deg)), self.d_rows(deg))
         return got
 
     def d_rank(self, deg: MultiDegree) -> int:
-        """Rank of d from deg to deg + 1, cached; no transform rows."""
-        if not hasattr(self, "_drank"):
-            self._drank = {}
-        got = self._drank.get(deg)
+        """Rank of d from deg to deg + 1; no transform rows.
+
+        Clears across degrees: where deg + 2 is in the window and d from deg
+        has rows, each row of d_deg labelled by a lead of the row span of
+        d_(deg+1) (``lead_columns``) is dropped before the rank is taken.
+        This is exact.  d_(deg+1) d_deg = 0, so a vector v of the row span
+        of d_(deg+1) with smallest key sigma writes row sigma of d_deg as a
+        combination of rows with larger labels.  By descending induction
+        every cleared row lies in the span of the kept rows, so the span,
+        its rank and its lead set are those of all of d_deg, and the degree
+        below clears exactly with them.  The lead set of each degree is
+        cached for that."""
+        return len(self._d_leads(deg))
+
+    def _d_leads(self, deg: MultiDegree) -> set:
+        got = self.__dict__.setdefault("_dleads", {}).get(deg)
         if got is None:
-            got = self._drank[deg] = rank(self.d_rows(deg), self.field)
+            rows = self.d_rows(deg)
+            if rows and self.in_window(deg.shift(2)):
+                cleared = self._d_leads(deg.d_target())
+                rows = [r for i, r in enumerate(rows) if i not in cleared]
+            got = self._dleads[deg] = lead_columns(rows, self.field)
         return got
 
     def cycles(self, deg: MultiDegree) -> list:
@@ -224,14 +233,11 @@ class DGAlgebra:
         return [img for img in self.d_images(prev) if img]
 
     def cohomology_basis(self, deg: MultiDegree) -> QuotientBasis:
-        if not hasattr(self, "_coh"):
-            self._coh = {}
-        got = self._coh.get(deg)
-        if got is not None:
-            return got
-        got = QuotientBasis(self.field, len(self.basis(deg)),
-                            self.cycles(deg), self.boundaries(deg))
-        self._coh[deg] = got
+        got = self.__dict__.setdefault("_coh", {}).get(deg)
+        if got is None:
+            got = self._coh[deg] = QuotientBasis(
+                self.field, len(self.basis(deg)), self.cycles(deg),
+                self.boundaries(deg))
         return got
 
     def cohomology_dim(self, deg: MultiDegree) -> int:

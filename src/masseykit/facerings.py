@@ -19,18 +19,21 @@ from .errors import CapExceeded, InvalidInput, OverlappingSupports
 from .fields import QQ, Field
 from .linalg import _SpanTracker, axpy
 from .massey import MasseyEngine, MasseyOutcome
-from .simplicial import BettiTable, SimplicialComplex, reduced_cache
+from .simplicial import (BettiTable, SimplicialComplex, _mask, faces_within,
+                         reduced_cache)
 
 RK_CAP = 14
 
 
 class RKAlgebra(DGAlgebra):
-    """Window of R(K) over every squarefree multidegree of K."""
+    """Window of R(K) over every squarefree multidegree of K.  It keeps K's
+    faces, not K, so that ``rk_window``'s cache on K is no cycle."""
 
     def __init__(self, K: SimplicialComplex, field: Field = QQ):
-        self.K = K
         self.field = field
         self.aux_len = K.m
+        self._levels = K.face_table()
+        self._faces = {t for level in self._levels for t, _f in level}
         self._bases: dict = {}
 
     # ---- degrees ----------------------------------------------------------
@@ -39,18 +42,18 @@ class RKAlgebra(DGAlgebra):
         return all(v >= 0 for v in deg.aux)
 
     def window_degrees(self) -> list:
-        if self.K.m > RK_CAP:
-            raise CapExceeded(f"m = {self.K.m} exceeds the cap {RK_CAP}")
+        if self.aux_len > RK_CAP:
+            raise CapExceeded(f"m = {self.aux_len} exceeds the cap {RK_CAP}")
         out = []
-        for r in range(self.K.m + 1):
-            for S in itertools.combinations(range(1, self.K.m + 1), r):
+        for r in range(self.aux_len + 1):
+            for S in itertools.combinations(range(1, self.aux_len + 1), r):
                 aux = self._aux_of(S)
                 for q in range(len(S), 2 * len(S) + 1):
                     out.append(MultiDegree(q, aux))
         return out
 
     def _aux_of(self, support) -> tuple:
-        aux = [0] * self.K.m
+        aux = [0] * self.aux_len
         for v in support:
             aux[v - 1] = 1
         return tuple(aux)
@@ -67,16 +70,11 @@ class RKAlgebra(DGAlgebra):
             got = []
         else:
             S = self.support_of(deg)
-            k = deg.q - len(S)  # = |sigma|
-            if k < 0 or k > len(S):
-                got = []
-            else:
-                got = []
-                sset = set(S)
-                for sigma in self.K.faces_of_dim(k - 1, within=S):
-                    J = tuple(sorted(sset - set(sigma)))
-                    got.append((sigma, J))
-                got.sort()
+            sset = set(S)
+            # the faces sigma have deg.q - |S| vertices
+            got = sorted((sigma, tuple(sorted(sset - set(sigma))))
+                         for sigma, _f in faces_within(
+                             self._levels, deg.q - len(S), _mask(S)))
         self._bases[deg] = got
         return got
 
@@ -91,7 +89,7 @@ class RKAlgebra(DGAlgebra):
         one = self.field.one()
         for t, j in enumerate(J):
             new = tuple(sorted(sigma + (j,)))
-            if self.K.is_face(new):
+            if new in self._faces:
                 sign = one if t % 2 == 0 else -one
                 out.append(((new, J[:t] + J[t + 1:]), sign))
         return out
@@ -104,7 +102,7 @@ class RKAlgebra(DGAlgebra):
         if sup1 & sup2:
             return []
         sigma = tuple(sorted(s1 + s2))
-        if not self.K.is_face(sigma):
+        if sigma not in self._faces:
             return []
         inv = sum(1 for a in J1 for b in J2 if a > b)
         sign = self.field.one() if inv % 2 == 0 else -self.field.one()

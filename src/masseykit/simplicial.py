@@ -8,8 +8,10 @@ arithmetic keeps the face tests cheap.
 
 The faces are enumerated once per complex, on first use, as bitmasks
 grouped by size; the faces of an induced subcomplex K_I are the masks
-contained in I.  Dimensions of reduced cohomology are rank-only (see
-``ReducedCohomology.dim``): no kernel or quotient basis is built for them.
+contained in I.  Dimensions of reduced cohomology are rank-only: no kernel
+or quotient basis is built for them, and one top-down sweep per K_I clears
+across degrees, skipping each row of d_q that d_{q+1} d_q = 0 already
+decides (the proof is in ``ReducedCohomology.dim``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, InvalidInput
 from .fields import QQ, Field
-from .linalg import EchelonSolver, QuotientBasis, rank
+from .linalg import EchelonSolver, QuotientBasis, lead_columns
 
 HOCHSTER_CAP = 14
 
@@ -91,16 +93,8 @@ class SimplicialComplex:
 
     def faces_of_dim(self, q: int, within=None) -> list:
         """Faces with q + 1 vertices (q = -1 gives the empty face)."""
-        if not 0 <= q + 1 < len(self.face_table()):
-            return []
         I = -1 if within is None else _mask(within)
-        return [t for t, f in self._faces[q + 1] if f & I == f]
-
-    def face_masks(self, size: int, within: int) -> list:
-        """Masks of the ``size``-vertex faces inside the mask ``within``."""
-        if not 0 <= size < len(self.face_table()):
-            return []
-        return [f for _t, f in self._faces[size] if f & within == f]
+        return [t for t, _f in faces_within(self.face_table(), q + 1, I)]
 
     def facets(self) -> list:
         return [t for level in self.face_table() for t, f in level
@@ -127,6 +121,14 @@ class SimplicialComplex:
         if "facets" in data:
             return from_facets(m, [tuple(f) for f in data["facets"]])
         raise InvalidInput("complex JSON needs minimal_nonfaces or facets")
+
+
+def faces_within(levels: list, size: int, mask: int) -> list:
+    """The (vertex tuple, mask) pairs of a face table (``face_table``) with
+    ``size`` vertices that lie inside ``mask``."""
+    if not 0 <= size < len(levels):
+        return []
+    return [tf for tf in levels[size] if tf[1] & mask == tf[1]]
 
 
 def from_facets(m: int, facets: list) -> SimplicialComplex:
@@ -219,12 +221,12 @@ def graph_complex(m: int, edges) -> SimplicialComplex:
 
 # ---- reduced simplicial cohomology ----------------------------------------
 
-def _coboundary_rows(K: SimplicialComplex, q: int, within: int) -> list:
-    """Rows of the reduced coboundary C^q(K_I) -> C^{q+1}(K_I), I = within:
-    one per (q+1)-face f in lexicographic order, keyed by facet masks, with
-    (-1)^t at f - v, t the number of vertices of f below v."""
+def _coboundary_rows(faces) -> list:
+    """Rows of the reduced coboundary C^q -> C^{q+1}, one per (q+1)-face
+    mask f in ``faces``, keyed by facet masks, with (-1)^t at f - v, t the
+    number of vertices of f below v."""
     rows = []
-    for f in K.face_masks(q + 2, within):
+    for f in faces:
         row, rest, sign = {}, f, 1
         while rest:
             bit = rest & -rest
@@ -235,29 +237,31 @@ def _coboundary_rows(K: SimplicialComplex, q: int, within: int) -> list:
 
 
 class ReducedCohomology:
-    """Reduced cohomology of an induced subcomplex K_I over a field."""
+    """Reduced cohomology of an induced subcomplex K_I over a field.  It
+    keeps K's faces, not K, so that ``reduced_cache`` on K is no cycle."""
 
     def __init__(self, K: SimplicialComplex, within=None, field: Field = QQ):
-        self.K = K
         self.within = tuple(sorted(within)) if within is not None \
             else tuple(range(1, K.m + 1))
         self.field = field
         self._mask = _mask(self.within)
+        self._levels = K.face_table()
         self._qb: dict = {}
-        self._ranks: dict = {}
+        self._ranks: dict | None = None
 
     def quotient(self, q: int) -> QuotientBasis:
         got = self._qb.get(q)
         if got is not None:
             return got
         one = self.field.one()
-        src = {f: i for i, f in
-               enumerate(self.K.face_masks(q + 1, self._mask))}
+        below, faces, above = ([f for _t, f in faces_within(
+            self._levels, q + s, self._mask)] for s in range(3))
+        src = {f: i for i, f in enumerate(faces)}
         rows = [{src[g]: one * c for g, c in row.items()}
-                for row in _coboundary_rows(self.K, q, self._mask)]
+                for row in _coboundary_rows(above)]
         cycles = EchelonSolver(self.field, len(src), rows).kernel_basis()
-        images: dict = {f: {} for f in self.K.face_masks(q, self._mask)}
-        for i, row in enumerate(_coboundary_rows(self.K, q - 1, self._mask)):
+        images: dict = {f: {} for f in below}
+        for i, row in enumerate(_coboundary_rows(faces)):
             for g, c in row.items():
                 images[g][i] = one * c
         boundaries = [img for img in images.values() if img]
@@ -267,23 +271,35 @@ class ReducedCohomology:
 
     def dim(self, q: int) -> int:
         """dim H~^q(K_I) = n_q - rank d_q - rank d_{q-1}: n_q counts the
-        q-faces of K_I, d_q: C^q -> C^{q+1} is the reduced coboundary, and
-        each rank is computed once and cached.  No kernel, transform or
-        quotient basis is built; ``quotient`` stays for the callers that
-        reduce cochains to classes (``facerings``)."""
-        n_q, rank_prev = self._coboundary(q - 1)
-        return n_q - self._coboundary(q)[1] - rank_prev
+        q-faces of K_I and d_q: C^q -> C^{q+1} is the reduced coboundary, a
+        row per (q+1)-face.  No kernel, transform or quotient basis is
+        built; ``quotient`` stays for the callers that reduce cochains to
+        classes (``facerings``).
 
-    def _coboundary(self, q: int) -> tuple:
-        """(number of rows, rank) of d_q on K_I."""
-        got = self._ranks.get(q)
-        if got is None:
-            rows = _coboundary_rows(self.K, q, self._mask)
-            got = self._ranks[q] = (len(rows), rank(rows, self.field))
-        return got
+        The first call fills every degree in one sweep from the top face
+        size down to d_{-2} (the empty face), caching (rows, rank) per
+        degree; outside that range both are 0.  The sweep clears: before
+        the rank of d_q it drops each row whose face is a lead of the row
+        span of d_{q+1} (``lead_columns``), so one elimination per degree
+        sees only the rows it still needs.  This is exact.  d_{q+1} d_q = 0,
+        so a vector v of the row span of d_{q+1} with smallest key sigma
+        writes row sigma of d_q as a combination of rows with larger
+        labels.  By descending induction every cleared row lies in the span
+        of the kept rows, so the span, its rank and its lead set are those
+        of all of d_q, and the next degree's clearing is exact too."""
+        if self._ranks is None:
+            self._ranks, cleared = {}, set()
+            for size in range(min(len(self.within), len(self._levels) - 1),
+                              -1, -1):
+                faces = faces_within(self._levels, size, self._mask)
+                cleared = lead_columns(_coboundary_rows(
+                    f for _t, f in faces if f not in cleared), self.field)
+                self._ranks[size - 2] = (len(faces), len(cleared))
+        n_q, rank_prev = self._ranks.get(q - 1, (0, 0))
+        return n_q - self._ranks.get(q, (0, 0))[1] - rank_prev
 
     def basis_faces(self, q: int) -> list:
-        return self.K.faces_of_dim(q, self.within)
+        return [t for t, _f in faces_within(self._levels, q + 1, self._mask)]
 
 
 def reduced_cohomology(K: SimplicialComplex, q: int, field: Field = QQ,

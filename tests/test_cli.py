@@ -80,6 +80,18 @@ def test_golod_cli():
     assert data["status"] == "not-golod"
 
 
+def test_golod_bad_order_cap_exit_2():
+    points = json.dumps({"m": 3, "minimal_nonfaces": [[1, 2], [1, 3], [2, 3]]})
+    for cap in ("-5", "x"):
+        res = run_cli(["golod", "--order-cap", cap], stdin=points)
+        assert res.returncode == 2, cap
+        assert "--order-cap" in res.stderr and "Traceback" not in res.stderr
+        assert not res.stdout
+    res = run_cli(["golod", "--order-cap", "3"], stdin=points)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["status"] == "golod-up-to-cap"
+
+
 def test_triple_scan_cli_streams_jsonl():
     gen = run_cli(["generate", "polygon", "--m", "6"])
     res = run_cli(["triple-scan"], stdin=gen.stdout)

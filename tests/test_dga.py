@@ -9,7 +9,7 @@ from masseykit.facerings import RKAlgebra, rk_cohomology
 from masseykit.fields import GF, QQ
 from masseykit.generators import polygon
 from masseykit.lie import ce_window, goncharova_table, m0, witt_plus
-from masseykit.linalg import EchelonSolver, QuotientBasis
+from masseykit.linalg import EchelonSolver, QuotientBasis, rank
 from masseykit.massey import MasseyEngine
 from masseykit.monomial import KoszulAlgebra, MonomialQuotient, anr
 from masseykit.simplicial import from_facets, hochster_table
@@ -123,6 +123,41 @@ def test_cohomology_dim_matches_basis_koszul(ring):
     for field in (QQ, GF(3)):
         dims = assert_dim_matches_basis(lambda: KoszulAlgebra(ring, field))
         assert sum(dims.values()) > 1
+
+
+def assert_d_rank_uncleared(dga):
+    """d_rank, cleared with the leads of d from deg + 1, against the rank of
+    all of d_rows(deg), on every degree where d is defined; returns how
+    many ranks had a nonzero rank above them to clear with."""
+    cleared = 0
+    for deg in dga.window_degrees():
+        if not dga.in_window(deg.d_target()):
+            continue
+        assert dga.d_rank(deg) == rank(dga.d_rows(deg), dga.field), deg
+        cleared += bool(dga.d_rank(deg) and dga.in_window(deg.shift(2))
+                        and dga.d_rank(deg.d_target()))
+    return cleared
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("lie", [witt_plus, m0], ids=["wplus", "m0"])
+def test_d_rank_cleared_equals_full_rank_ce(lie, field):
+    assert assert_d_rank_uncleared(ce_window(lie(12), 3, 12, field))
+
+
+def test_d_rank_cleared_equals_full_rank_rk():
+    for field in (QQ, GF(2)):
+        for K in (polygon(6), from_facets(6, RP2_FACETS)):
+            assert assert_d_rank_uncleared(RKAlgebra(K, field))
+
+
+def test_d_rank_cleared_equals_full_rank_koszul():
+    # the rings of the koszul bench; only some have ranks to clear with
+    cleared = 0
+    for ring in (CUBE_RING, anr(2, 2), anr(3, 2), anr(2, 3)):
+        for field in (QQ, GF(3)):
+            cleared += assert_d_rank_uncleared(KoszulAlgebra(ring, field))
+    assert cleared
 
 
 def test_dimension_queries_build_no_quotient_basis_or_solver(monkeypatch):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,12 @@ from masseykit.fields import GF, QQ
 from masseykit.facerings import (RK_CAP, RKAlgebra, cup_length,
                                  generator_class, golod_test,
                                  iter_triple_massey_scan, mainlemma_check,
-                                 rk_cohomology, triple_massey_scan, zk_classes,
-                                 zk_class_is_zero, zk_cup, zk_massey, ZkClass)
+                                 rk_cohomology, rk_window, triple_massey_scan,
+                                 zk_classes, zk_class_is_zero, zk_cup,
+                                 zk_massey, ZkClass)
 from masseykit.generators import cube, polygon, qn
 from masseykit.simplicial import (SimplicialComplex, hochster_table,
-                                  flag_complex)
+                                  flag_complex, reduced_cache)
 
 
 def random_complex(m, rng):
@@ -266,3 +269,20 @@ def test_zk_massey_cap_counts_support_vertices():
         zk_massey(K, classes, QQ, cap=5)
     with pytest.raises(CapExceeded):
         RKAlgebra(K, QQ).window_degrees()
+
+
+def test_caches_on_k_do_not_keep_k_alive():
+    """``rk_window`` and ``reduced_cache`` store their data on K; that data
+    must not refer back to K, so dropping the last reference frees K and
+    its cache without the cyclic collector."""
+    gc.disable()
+    try:
+        K = polygon(6)
+        assert triple_massey_scan(K, QQ)
+        golod_test(K, QQ, order_cap=4)
+        refs = [weakref.ref(K), weakref.ref(rk_window(K, QQ)),
+                weakref.ref(reduced_cache(K, (1, 2, 4, 5), QQ))]
+        del K
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()

@@ -5,11 +5,13 @@ import pytest
 
 from masseykit.errors import InvalidInput
 from masseykit.fields import GF, QQ
-from masseykit.generators import cube, polygon, qn
+from masseykit.generators import cube, dodecahedron_nerve, polygon, qn
+from masseykit.linalg import rank
 from masseykit.simplicial import (SimplicialComplex, ReducedCohomology,
-                                  from_facets, hochster_table, induced,
-                                  is_chordal, is_flag, join, skeleton1,
-                                  flag_complex, graph_complex)
+                                  _coboundary_rows, from_facets,
+                                  hochster_table, induced, is_chordal,
+                                  is_flag, join, skeleton1, flag_complex,
+                                  graph_complex)
 
 from oracles import dense_rank
 from sweeps import all_complexes, random_complex
@@ -170,6 +172,47 @@ def test_rank_dim_matches_quotient_random_6_vertex():
     for _ in range(40):
         assert_rank_dim_matches_quotient(
             SimplicialComplex(6, random_complex(6, rng)))
+
+
+def full_coboundary(K, q, mask, field):
+    """(rows, rank) of the whole reduced coboundary d_q on K_I, I = mask,
+    with no row cleared."""
+    levels = K.face_table()
+    faces = [f for _t, f in levels[q + 2] if f & mask == f] \
+        if 0 <= q + 2 < len(levels) else []
+    return len(faces), rank(_coboundary_rows(faces), field)
+
+
+def cleared_complexes():
+    rng = random.Random(1010)
+    out = [dodecahedron_nerve(), qn(3)]
+    for m in (3, 4, 5, 6, 7, 7):
+        out.append(SimplicialComplex(m, random_complex(m, rng)))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF2", "GF3"])
+def test_cleared_ranks_equal_full_ranks(field):
+    """The top-down sweep of ``ReducedCohomology.dim`` drops the rows of d_q
+    that are leads of d_{q+1}; every (rows, rank) it caches and every dim
+    must equal those of the whole coboundary, also for q < -1 and
+    q >= |I|, where both are 0."""
+    cleared = 0
+    for K in cleared_complexes():
+        for r in range(K.m + 1):
+            for I in itertools.combinations(range(1, K.m + 1), r):
+                mask = sum(1 << (v - 1) for v in I)
+                full = {q: full_coboundary(K, q, mask, field)
+                        for q in range(-4, r + 2)}
+                rc = ReducedCohomology(K, I, field)
+                for q in range(-3, r + 2):
+                    assert rc.dim(q) == \
+                        full[q - 1][0] - full[q][1] - full[q - 1][1], (I, q)
+                for q in range(-4, r + 2):
+                    assert rc._ranks.get(q, (0, 0)) == full[q], (I, q)
+                cleared += sum(full[q + 1][1] for q in range(-2, r)
+                               if full[q][1])
+    assert cleared  # some degree below a nonzero rank had rows to clear
 
 
 def test_rp2_torsion_seen_over_gf2_only():
