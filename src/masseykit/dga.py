@@ -194,8 +194,9 @@ class DGAlgebra:
         """Elimination data for d restricted to the given degree."""
         got = self.__dict__.setdefault("_dsolve", {}).get(deg)
         if got is None:
+            rows = self.d_rows(deg)
             got = self._dsolve[deg] = EchelonSolver(
-                self.field, len(self.basis(deg)), self.d_rows(deg))
+                self.field, len(self.basis(deg)), rows)
         return got
 
     def d_rank(self, deg: MultiDegree) -> int:
@@ -209,19 +210,25 @@ class DGAlgebra:
         combination of rows with larger labels.  By descending induction
         every cleared row lies in the span of the kept rows, so the span,
         its rank and its lead set are those of all of d_deg, and the degree
-        below clears exactly with them.  The lead set of each degree is
-        cached for that."""
-        return len(self._d_leads(deg))
+        below clears exactly with them.  Ranks are cached; a nonempty lead
+        set asked for here is kept until the degree below takes it."""
+        ranks = self.__dict__.setdefault("_drank", {})
+        if deg not in ranks:
+            leads = self._d_leads(deg)
+            if leads:
+                self._dleads[deg] = leads
+        return ranks[deg]
 
-    def _d_leads(self, deg: MultiDegree) -> set:
-        got = self.__dict__.setdefault("_dleads", {}).get(deg)
-        if got is None:
-            rows = self.d_rows(deg)
-            if rows and self.in_window(deg.shift(2)):
-                cleared = self._d_leads(deg.d_target())
-                rows = [r for i, r in enumerate(rows) if i not in cleared]
-            got = self._dleads[deg] = lead_columns(rows, self.field)
-        return got
+    def _d_leads(self, deg: MultiDegree):
+        got = self.__dict__.setdefault("_dleads", {}).pop(deg, None)
+        if got is None and self._drank.get(deg) != 0:
+            up = deg.d_target()
+            cleared = self._d_leads(up) if self.basis(up) and \
+                self.in_window(up.d_target()) else ()
+            got = lead_columns([r for i, r in enumerate(self.d_rows(deg))
+                                if i not in cleared], self.field)
+            self._drank[deg] = len(got)
+        return got or ()
 
     def cycles(self, deg: MultiDegree) -> list:
         return self.d_solver(deg).kernel_basis()
