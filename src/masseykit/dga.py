@@ -155,11 +155,17 @@ class DGAlgebra:
             raise WindowTooSmall(f"degree {deg} outside the materialized window")
 
     def index(self, deg: MultiDegree) -> dict:
-        cache = self.__dict__.setdefault("_idx", {})
+        cache = self._index_cache()
         got = cache.get(deg)
         if got is None:
-            got = cache[deg] = {m: i for i, m in enumerate(self.basis(deg))}
+            got = {m: i for i, m in enumerate(self.basis(deg))}
+            cache[deg] = got
         return got
+
+    def _index_cache(self) -> dict:
+        if not hasattr(self, "_idx"):
+            self._idx = {}
+        return self._idx
 
     def to_vector(self, cochain: dict, deg: MultiDegree) -> dict:
         idx = self.index(deg)
@@ -192,7 +198,9 @@ class DGAlgebra:
 
     def d_solver(self, deg: MultiDegree) -> EchelonSolver:
         """Elimination data for d restricted to the given degree."""
-        got = self.__dict__.setdefault("_dsolve", {}).get(deg)
+        if not hasattr(self, "_dsolve"):
+            self._dsolve = {}
+        got = self._dsolve.get(deg)
         if got is None:
             rows = self.d_rows(deg)
             got = self._dsolve[deg] = EchelonSolver(
@@ -210,25 +218,24 @@ class DGAlgebra:
         combination of rows with larger labels.  By descending induction
         every cleared row lies in the span of the kept rows, so the span,
         its rank and its lead set are those of all of d_deg, and the degree
-        below clears exactly with them.  Ranks are cached; a nonempty lead
-        set asked for here is kept until the degree below takes it."""
-        ranks = self.__dict__.setdefault("_drank", {})
-        if deg not in ranks:
-            leads = self._d_leads(deg)
-            if leads:
-                self._dleads[deg] = leads
-        return ranks[deg]
+        below clears exactly with them.  Ranks are cached; the lead set of a
+        degree asked for here is kept until the degree below takes it."""
+        if not hasattr(self, "_drank"):
+            self._drank, self._dleads = {}, {}
+        if deg not in self._drank:
+            self._dleads[deg] = self._d_leads(deg) or ()
+        return self._drank[deg]
 
     def _d_leads(self, deg: MultiDegree):
-        got = self.__dict__.setdefault("_dleads", {}).pop(deg, None)
-        if got is None and self._drank.get(deg) != 0:
+        got = self._dleads.pop(deg, None)
+        if got is None:
             up = deg.d_target()
             cleared = self._d_leads(up) if self.basis(up) and \
                 self.in_window(up.d_target()) else ()
             got = lead_columns([r for i, r in enumerate(self.d_rows(deg))
                                 if i not in cleared], self.field)
             self._drank[deg] = len(got)
-        return got or ()
+        return got
 
     def cycles(self, deg: MultiDegree) -> list:
         return self.d_solver(deg).kernel_basis()
@@ -240,11 +247,14 @@ class DGAlgebra:
         return [img for img in self.d_images(prev) if img]
 
     def cohomology_basis(self, deg: MultiDegree) -> QuotientBasis:
-        got = self.__dict__.setdefault("_coh", {}).get(deg)
-        if got is None:
-            got = self._coh[deg] = QuotientBasis(
-                self.field, len(self.basis(deg)), self.cycles(deg),
-                self.boundaries(deg))
+        if not hasattr(self, "_coh"):
+            self._coh = {}
+        got = self._coh.get(deg)
+        if got is not None:
+            return got
+        got = QuotientBasis(self.field, len(self.basis(deg)),
+                            self.cycles(deg), self.boundaries(deg))
+        self._coh[deg] = got
         return got
 
     def cohomology_dim(self, deg: MultiDegree) -> int:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from masseykit import dga as dga_module
 from masseykit.dga import CohomologyClass, MultiDegree, cup
 from masseykit.errors import MixedDegree, WindowTooSmall
 from masseykit.facerings import RKAlgebra, rk_cohomology
@@ -127,15 +128,23 @@ def test_cohomology_dim_matches_basis_koszul(ring):
 
 def assert_d_rank_uncleared(dga):
     """d_rank, cleared with the leads of d from deg + 1, against the rank of
-    all of d_rows(deg), on every degree where d is defined; returns how
-    many ranks had a nonzero rank above them to clear with."""
+    all of d_rows(deg), on every degree where d is defined, with one
+    elimination per degree; returns how many ranks had a nonzero rank
+    above them to clear with."""
+    calls = []
+    real = dga_module.lead_columns
+    dga_module.lead_columns = lambda rows, f: calls.append(1) or real(rows, f)
     cleared = 0
-    for deg in dga.window_degrees():
-        if not dga.in_window(deg.d_target()):
-            continue
-        assert dga.d_rank(deg) == rank(dga.d_rows(deg), dga.field), deg
-        cleared += bool(dga.d_rank(deg) and dga.in_window(deg.shift(2))
-                        and dga.d_rank(deg.d_target()))
+    try:
+        for deg in dga.window_degrees():
+            if not dga.in_window(deg.d_target()):
+                continue
+            assert dga.d_rank(deg) == rank(dga.d_rows(deg), dga.field), deg
+            cleared += bool(dga.d_rank(deg) and dga.in_window(deg.shift(2))
+                            and dga.d_rank(deg.d_target()))
+    finally:
+        dga_module.lead_columns = real
+    assert len(calls) == len(dga._drank)
     return cleared
 
 
