@@ -347,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("golod", help="Golod certification up to an order cap")
     common(p)
-    p.add_argument("--order-cap", dest="order_cap", type=_order_arg,
-                   default=None)
+    p.add_argument("--order-cap", type=_order_arg)
     p.add_argument("--budget", type=int, default=8)
     p.set_defaults(func=cmd_golod)
 

@@ -5,9 +5,8 @@ with the differential and the product on basis pairs.  Cochains are plain
 dicts ``{monomial: scalar}`` with no stored zeros; all bookkeeping (vectors,
 matrices, cohomology bases) happens through the window object.
 
-Cohomology dimensions come from ranks of d alone (``cohomology_dim``),
-cleared across degrees: a row of d_deg that d_(deg+1) d_deg = 0 already
-decides is skipped (the proof is in ``DGAlgebra.d_rank``).
+Cohomology dimensions come from ranks of d alone, cleared across degrees
+(``cohomology_dim``, ``d_rank``).
 Cycle, boundary and quotient bases (``cohomology_basis``) are built only
 where cochains are reduced: Massey products, cup products and coordinates.
 

@@ -8,10 +8,9 @@ arithmetic keeps the face tests cheap.
 
 The faces are enumerated once per complex, on first use, as bitmasks
 grouped by size; the faces of an induced subcomplex K_I are the masks
-contained in I.  Dimensions of reduced cohomology are rank-only: no kernel
-or quotient basis is built for them, and one top-down sweep per K_I clears
-across degrees, skipping each row of d_q that d_{q+1} d_q = 0 already
-decides (the proof is in ``ReducedCohomology.dim``).
+contained in I.  Dimensions of reduced cohomology are rank-only, cleared
+across degrees (``ReducedCohomology.dim``): no kernel or quotient basis is
+built for them.
 """
 
 from __future__ import annotations
@@ -251,42 +250,38 @@ class ReducedCohomology:
 
     def quotient(self, q: int) -> QuotientBasis:
         got = self._qb.get(q)
-        if got is not None:
-            return got
-        one = self.field.one()
-        below, faces, above = ([f for _t, f in faces_within(
-            self._levels, q + s, self._mask)] for s in range(3))
-        src = {f: i for i, f in enumerate(faces)}
-        rows = [{src[g]: one * c for g, c in row.items()}
-                for row in _coboundary_rows(above)]
-        cycles = EchelonSolver(self.field, len(src), rows).kernel_basis()
-        images: dict = {f: {} for f in below}
-        for i, row in enumerate(_coboundary_rows(faces)):
-            for g, c in row.items():
-                images[g][i] = one * c
-        boundaries = [img for img in images.values() if img]
-        got = QuotientBasis(self.field, len(src), cycles, boundaries)
-        self._qb[q] = got
+        if got is None:
+            one = self.field.one()
+            below, faces, above = ([f for _t, f in faces_within(
+                self._levels, q + s, self._mask)] for s in range(3))
+            src = {f: i for i, f in enumerate(faces)}
+            rows = [{src[g]: one * c for g, c in row.items()}
+                    for row in _coboundary_rows(above)]
+            cycles = EchelonSolver(self.field, len(src), rows).kernel_basis()
+            images: dict = {f: {} for f in below}
+            for i, row in enumerate(_coboundary_rows(faces)):
+                for g, c in row.items():
+                    images[g][i] = one * c
+            boundaries = [img for img in images.values() if img]
+            got = self._qb[q] = QuotientBasis(self.field, len(src), cycles,
+                                              boundaries)
         return got
 
     def dim(self, q: int) -> int:
         """dim H~^q(K_I) = n_q - rank d_q - rank d_{q-1}: n_q counts the
         q-faces of K_I and d_q: C^q -> C^{q+1} is the reduced coboundary, a
-        row per (q+1)-face.  No kernel, transform or quotient basis is
-        built; ``quotient`` stays for the callers that reduce cochains to
-        classes (``facerings``).
+        row per (q+1)-face.  No kernel or quotient basis is built.
 
-        The first call fills every degree in one sweep from the top face
-        size down to d_{-2} (the empty face), caching (rows, rank) per
-        degree; outside that range both are 0.  The sweep clears: before
-        the rank of d_q it drops each row whose face is a lead of the row
-        span of d_{q+1} (``lead_columns``), so one elimination per degree
-        sees only the rows it still needs.  This is exact.  d_{q+1} d_q = 0,
-        so a vector v of the row span of d_{q+1} with smallest key sigma
-        writes row sigma of d_q as a combination of rows with larger
-        labels.  By descending induction every cleared row lies in the span
-        of the kept rows, so the span, its rank and its lead set are those
-        of all of d_q, and the next degree's clearing is exact too."""
+        The first call sweeps from the top face size down to d_{-2} (the
+        empty face) and caches (rows, rank) per degree, both 0 outside.  It
+        clears: the rows of d_q whose faces are leads of the row span of
+        d_{q+1} (``lead_columns``) are dropped before its rank is taken.
+        This is exact.  d_{q+1} d_q = 0, so a vector v of the row span of
+        d_{q+1} with smallest key sigma writes row sigma of d_q as a
+        combination of rows with larger labels.  By descending induction
+        every cleared row lies in the span of the kept rows, so the span,
+        its rank and its lead set are those of all of d_q, and the next
+        degree's clearing is exact too."""
         if self._ranks is None:
             self._ranks, cleared = {}, set()
             for size in range(min(len(self.within), len(self._levels) - 1),
