@@ -32,7 +32,7 @@ def _scalar_str(x) -> str:
 
     if isinstance(x, Fp):
         return str(x.v)
-    return str(Fraction(x))
+    return str(x)
 
 
 def _read_input(path: str | None):
@@ -167,6 +167,7 @@ def cmd_kstep(args) -> int:
     payload = {
         "schema": SCHEMA, "command": "kstep", "k": args.k, "n": n,
         "defined": out.defined, "triviality": out.triviality,
+        "complete": out.complete, "inconclusive": out.inconclusive,
         "field": args.field.tag, "seed": args.seed,
         "classes": [[_scalar_str(a), _scalar_str(b)] for a, b in scalars],
     }

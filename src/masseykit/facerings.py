@@ -492,6 +492,9 @@ def golod_test(K: SimplicialComplex, field: Field = QQ,
                 outcome = zk_massey(K, list(combo), field, budget=budget,
                                     cap=cap)
                 if not outcome.defined:
+                    # an unproven `undefined` may be defined at a larger
+                    # budget, so it cannot support golod-up-to-cap
+                    unknown = unknown or outcome.inconclusive
                     continue
                 if outcome.triviality == "nontrivial":
                     return GolodVerdict("not-golod", order_cap,

@@ -1,9 +1,13 @@
 """Exact scalar arithmetic: the rationals and prime fields.
 
-Scalars are plain ``fractions.Fraction`` values over the rationals and small
-``Fp`` wrapper objects over a prime field, so all downstream code can use
-ordinary operators.  A ``Field`` object is only needed to construct scalars,
-parse them from text, and serialize them back.
+Over the rationals a scalar is a plain ``int`` when it is integral and a
+``fractions.Fraction`` otherwise; over a prime field it is a small ``Fp``
+wrapper object.  All downstream code uses ordinary operators, except for
+division: ``int / int`` is a ``float``, so every quotient of scalars goes
+through ``Field.div``.  Sums and products of ``Fraction`` values may be
+integral ``Fraction`` values; they compare and hash equal to the ``int``.
+A ``Field`` object is only needed to construct scalars, divide them, parse
+them from text, and serialize them back.
 """
 
 from __future__ import annotations
@@ -22,6 +26,11 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _integral(q: Fraction):
+    """q as an ``int`` when it is integral, else q itself."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class Fp:
@@ -113,19 +122,25 @@ class Field:
         self.p = p
 
     def zero(self):
-        return Fraction(0) if self.p is None else Fp(0, self.p)
+        """0 over Q (an ``int``), the zero residue over GF(p)."""
+        return 0 if self.p is None else Fp(0, self.p)
 
     def one(self):
-        return Fraction(1) if self.p is None else Fp(1, self.p)
+        """1 over Q (an ``int``), the unit residue over GF(p)."""
+        return 1 if self.p is None else Fp(1, self.p)
 
     def of(self, x):
-        """Coerce an int, Fraction, Fp or 'p/q' string into this field."""
-        if isinstance(x, str):
-            x = Fraction(x)
+        """Coerce an int, Fraction, Fp or 'p/q' string into this field.
+        Over Q the result is an ``int`` when the value is integral (``3``,
+        ``Fraction(6, 2)``, ``"4/2"``) and a ``Fraction`` otherwise."""
         if self.p is None:
+            if type(x) is int:
+                return x
             if isinstance(x, Fp):
                 raise InvalidInput("cannot lift a residue to the rationals")
-            return Fraction(x)
+            return _integral(Fraction(x))
+        if isinstance(x, str):
+            x = Fraction(x)
         if isinstance(x, Fp):
             if x.p != self.p:
                 raise InvalidInput(f"mixed moduli {self.p} and {x.p}")
@@ -135,6 +150,14 @@ class Field:
                 raise InvalidInput(f"denominator divisible by {self.p}")
             return Fp(x.numerator * pow(x.denominator, -1, self.p), self.p)
         return Fp(int(x), self.p)
+
+    def div(self, a, b):
+        """The scalar a / b.  Over Q it is an ``int`` when the quotient is
+        integral and a ``Fraction`` otherwise, never the ``float`` that
+        ``int / int`` gives; over GF(p) it is the residue a / b."""
+        if self.p is None:
+            return _integral(Fraction(a, b))
+        return a / b
 
     def elements(self):
         """Iterate over all field elements (prime fields only)."""

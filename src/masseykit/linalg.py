@@ -101,7 +101,7 @@ class EchelonSolver:
                 self.null_ts.append(t)
                 continue
             lead = min(cur)
-            inv = one / cur[lead]
+            inv = field.div(one, cur[lead])
             cur = {c: inv * v for c, v in cur.items()}
             t = {c: inv * v for c, v in t.items()}
             # eliminate the new pivot column from all stored pivot rows
@@ -177,14 +177,17 @@ def lead_columns(rows: list, field: Field) -> set:
     the span only, and its size is the rank.
 
     Plain ints, no transform rows: each row is cleared of denominators
-    (over GF(p): taken to residues), then reduced fraction-free against the
-    pivot rows as c*row - a*pivot, with a and c the leading entries over
-    their gcd (Bareiss 1968).  A scaled row is divided by the gcd of its
-    entries over Q and reduced mod p over GF(p)."""
+    (over GF(p): taken to residues; an all-int row over Q is only copied),
+    then reduced fraction-free against the pivot rows as c*row - a*pivot,
+    with a and c the leading entries over their gcd (Bareiss 1968).  A
+    scaled row is divided by the gcd of its entries over Q and reduced mod
+    p over GF(p)."""
     p = field.p
     pivots: dict = {}  # lead column -> stored row
     for row in rows:
-        if p is None:
+        if p is None and all(type(x) is int for x in row.values()):
+            cur = {k: x for k, x in row.items() if x}
+        elif p is None:
             den = lcm(*(x.denominator for x in row.values()))
             cur = {k: x.numerator * (den // x.denominator)
                    for k, x in row.items() if x}
@@ -244,7 +247,7 @@ class _SpanTracker:
         if not res:
             return False
         lead = min(res)
-        inv = self.field.one() / res[lead]
+        inv = self.field.div(self.field.one(), res[lead])
         self.rows[lead] = {c: inv * x for c, x in res.items()}
         return True
 

@@ -120,13 +120,13 @@ def conjugate(conn: FormalConnection, C: list) -> FormalConnection:
     # invert the triangular matrix by back substitution
     inv = [[field.zero() for _ in range(size)] for _ in range(size)]
     for r in range(size):
-        inv[r][r] = field.one() / C[r][r]
+        inv[r][r] = field.div(field.one(), C[r][r])
     for r in range(size - 1, -1, -1):
         for c in range(r + 1, size):
             s = field.zero()
             for t in range(r + 1, c + 1):
                 s = s + C[r][t] * inv[t][c]
-            inv[r][c] = -s / C[r][r]
+            inv[r][c] = field.div(-s, C[r][r])
     # matrix form: M[r][c] = a(r+1, c) for c >= r+1 (0-indexed rows/cols)
     def mat_entry(r, c):
         return conn.entries.get((r + 1, c), {})
@@ -759,7 +759,8 @@ class MasseyEngine:
             raise InvalidInput("need 1 <= k <= n-1")
         fam = self.find_defining_system(classes, max_stage=k - 1)
         if isinstance(fam, Undefined):
-            return KStepOutcome(k, False, inconclusive=fam.inconclusive)
+            return KStepOutcome(k, False, complete=False,
+                                inconclusive=fam.inconclusive)
         prof = self._profile(classes)
         tuples_pc = [(s, mc_sum(dga, fam.entries, s, s + k))
                      for s in range(1, n - k + 1)]

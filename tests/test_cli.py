@@ -62,6 +62,20 @@ def test_kstep_cli():
     assert len(data["tuple"]) == 2
 
 
+def test_kstep_cli_says_whether_undefined_is_proven():
+    # on m0 the 3-step product of e2,e2,e2,e2,e1 is undefined: at budget 8
+    # the search stops early, at budget 40 it proves it
+    args = ["kstep", "--lie", '{"name": "m0", "W": 12}',
+            "--classes", "0,1;0,1;0,1;0,1;1,0", "--k", "3"]
+    for budget, inconclusive in (("8", True), ("40", False)):
+        res = run_cli(args + ["--budget", budget])
+        assert res.returncode == 0
+        data = json.loads(res.stdout)
+        assert data["defined"] is False
+        assert data["inconclusive"] is inconclusive
+        assert data["complete"] is False
+
+
 def test_mainlemma_cli():
     gen = run_cli(["generate", "qn", "--n", "3"])
     res = run_cli(["mainlemma", "--supports", "1,4;2,5;3,6",

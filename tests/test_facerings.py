@@ -16,6 +16,7 @@ from masseykit.facerings import (RK_CAP, RKAlgebra, cup_length,
                                  zk_classes, zk_class_is_zero, zk_cup,
                                  zk_massey, ZkClass)
 from masseykit.generators import cube, polygon, qn
+from masseykit.massey import MasseyOutcome
 from masseykit.simplicial import (SimplicialComplex, hochster_table,
                                   flag_complex, reduced_cache)
 
@@ -172,6 +173,44 @@ def test_golod_chordal_flag():
     K = flag_complex(4, [(1, 2), (2, 3), (3, 4)])
     verdict = golod_test(K, QQ, order_cap=4)
     assert verdict.status == "golod-up-to-cap"
+
+
+@pytest.mark.parametrize("inconclusive,status", (
+    (True, "unknown"), (False, "golod-up-to-cap")))
+def test_golod_unproven_undefined_gives_unknown(monkeypatch, inconclusive,
+                                               status):
+    """An `undefined` that a larger budget might turn into a defined product
+    cannot support golod-up-to-cap.  Six disjoint points have trivial
+    products; the stubs make every value group nonzero and every triple
+    product undefined."""
+    K = SimplicialComplex(6, [(i, j) for i in range(1, 7)
+                              for j in range(i + 1, 7)])
+
+    real = facerings.reduced_cache
+
+    class OneDim:
+        def __init__(self, rc):
+            self.rc = rc
+
+        def __getattr__(self, name):
+            return getattr(self.rc, name)
+
+        def dim(self, q):
+            return 1
+
+    calls = []
+
+    def undefined(K, classes, field, budget, cap):
+        calls.append(len(classes))
+        return MasseyOutcome("undefined", len(classes), "unknown",
+                             complete=False, inconclusive=inconclusive)
+
+    monkeypatch.setattr(facerings, "reduced_cache",
+                        lambda *a: OneDim(real(*a)))
+    monkeypatch.setattr(facerings, "zk_massey", undefined)
+    verdict = golod_test(K, QQ, order_cap=3)
+    assert calls and set(calls) == {3}
+    assert verdict.status == status
 
 
 def test_mainlemma_rejects_overlap():

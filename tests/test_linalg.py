@@ -231,3 +231,32 @@ def test_kernel_basis_and_leads_match_references(field):
         assert got == want
         assert [list(v) for v in got] == [list(v) for v in want]
         assert lead_columns(rows, field) == set(solver.pivot_cols)
+
+
+def test_lead_columns_mixes_int_and_fraction_rows():
+    """The int-row fast path and the denominator path meet in one
+    elimination: same lead set as the all-Fraction input, and the rank of
+    the dense reference."""
+    rng = random.Random(7)
+    mixed = 0
+    for _ in range(150):
+        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 9)
+        rows = []
+        for _ in range(n_rows):
+            if rng.random() < 0.5:
+                row = [rng.randint(-3, 3) for _ in range(n_cols)]
+            else:
+                row = [Fraction(rng.randint(-4, 4), rng.randint(2, 5))
+                       for _ in range(n_cols)]
+            rows.append({c: x for c, x in enumerate(row)
+                         if x and rng.random() < 0.6})
+        if n_rows > 1:
+            rows.append({c: 2 * x for c, x in rows[0].items()})
+        kinds = {type(x) for r in rows for x in r.values()}
+        mixed += kinds == {int, Fraction}
+        as_fractions = [{c: Fraction(x) for c, x in r.items()} for r in rows]
+        leads = lead_columns(rows, QQ)
+        assert leads == lead_columns(as_fractions, QQ)
+        dense = [[r.get(c, 0) for c in range(n_cols)] for r in rows]
+        assert len(leads) == dense_rank(dense)
+    assert mixed >= 30
