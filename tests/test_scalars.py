@@ -118,6 +118,15 @@ def test_echelon_scalars_are_never_floats(entry):
     assert all_int >= (60 if entry is _unit_entry else 0)
 
 
+def _combination(rng, vectors):
+    v: dict = {}
+    for w in vectors:
+        c = _entry(rng)
+        for k, y in w.items():
+            v[k] = v.get(k, 0) + c * y
+    return {k: y for k, y in v.items() if y}
+
+
 def test_quotient_scalars_are_never_floats():
     rng = random.Random(1018)
     for _ in range(60):
@@ -127,38 +136,23 @@ def test_quotient_scalars_are_never_floats():
         cycles = [v for v in cycles if v]
         if not cycles:
             continue
-        boundaries = []
-        for _ in range(rng.randint(0, 3)):
-            v: dict = {}
-            for w in cycles[:2]:
-                c = _entry(rng)
-                for k, y in w.items():
-                    v[k] = v.get(k, 0) + c * y
-            boundaries.append({k: y for k, y in v.items() if y})
+        boundaries = [_combination(rng, cycles[:2])
+                      for _ in range(rng.randint(0, 3))]
         qb = QuotientBasis(QQ, dim, cycles, boundaries)
         assert _all_exact(qb.boundary_basis)
         for w in cycles:
-            coeffs = {c: _entry(rng) for c in range(3)}
-            v: dict = {}
-            for c, w2 in zip(coeffs.values(), [w, *cycles[:2]]):
-                for k, y in w2.items():
-                    v[k] = v.get(k, 0) + c * y
-            v = {k: y for k, y in v.items() if y}
+            v = _combination(rng, [w, *cycles[:2]])
             red, proj = qb.reduce(v), qb.project(v)
             assert _all_exact([red, proj])
             assert qb.reduce(proj) == red
 
 
-def _conn():
+def test_conjugate_scalars_are_never_floats():
     dga = ce_window(m0(12), 3, 12, QQ)
-    engine = MasseyEngine(dga, budget=6)
     e1 = dga.class_of(dga.one_form(1))
     e2 = dga.class_of(dga.one_form(2))
-    return engine.find_defining_system([e2, e1, e2]).at({})
-
-
-def test_conjugate_scalars_are_never_floats():
-    conn = _conn()
+    conn = MasseyEngine(dga, budget=6).find_defining_system(
+        [e2, e1, e2]).at({})
     assert _all_int(conn.entries.values())
     unit = [[1, 2, 0, 3], [0, 1, 4, 0], [0, 0, -1, 1], [0, 0, 0, 1]]
     conj = conjugate(conn, unit)
