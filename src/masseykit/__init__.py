@@ -2,8 +2,8 @@
 Stanley-Reisner rings and moment-angle complexes."""
 
 from .fields import GF, QQ, Field, Fp
-from .dga import CohomologyClass, DGAlgebra, MultiDegree, cohomology, cup
-from .linalg import QuotientBasis, SparseMatrix, rank
+from .dga import CohomologyClass, DGAlgebra, MultiDegree, cup
+from .linalg import QuotientBasis, rank
 from .massey import (ConnectionFamily, FormalConnection, KStepOutcome,
                      MasseyEngine, MasseyOutcome, conjugate, lift_obstruction,
                      mc_defect, related_cocycle, strong_mc_check)
@@ -23,8 +23,8 @@ from . import generators
 
 __all__ = [
     "GF", "QQ", "Field", "Fp",
-    "CohomologyClass", "DGAlgebra", "MultiDegree", "cohomology", "cup",
-    "QuotientBasis", "SparseMatrix", "rank",
+    "CohomologyClass", "DGAlgebra", "MultiDegree", "cup",
+    "QuotientBasis", "rank",
     "ConnectionFamily", "FormalConnection", "KStepOutcome", "MasseyEngine",
     "MasseyOutcome", "conjugate", "lift_obstruction", "mc_defect",
     "related_cocycle", "strong_mc_check",

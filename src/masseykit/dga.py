@@ -280,11 +280,6 @@ class DGAlgebra:
         return CohomologyClass(self, deg, dict(cochain))
 
 
-def cohomology(dga: DGAlgebra, window) -> dict:
-    """Per-degree quotient bases of ker d / im d over a set of multidegrees."""
-    return {deg: dga.cohomology_basis(deg) for deg in window}
-
-
 @dataclass
 class CohomologyClass:
     """Cohomology class given by a closed representative.

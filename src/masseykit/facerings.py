@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .dga import CohomologyClass, DGAlgebra, MultiDegree
 from .errors import CapExceeded, InvalidInput, OverlappingSupports
 from .fields import QQ, Field
-from .linalg import _SpanTracker, axpy
+from .linalg import EchelonSolver, axpy
 from .massey import MasseyEngine, MasseyOutcome
 from .simplicial import (BettiTable, SimplicialComplex, _mask, faces_within,
                          reduced_cache)
@@ -263,9 +263,11 @@ def cup_length(K: SimplicialComplex, field: Field = QQ,
                 faces = rc.basis_faces(prod.q)
                 idx = {f: i for i, f in enumerate(faces)}
                 vec = {idx[f]: v for f, v in prod.cochain.items() if v != 0}
-                red = rc.quotient(prod.q).reduce(vec)
-                span = seen.setdefault(key, _SpanTracker(field))
-                if span.add(red):
+                qb = rc.quotient(prod.q)
+                red = qb.reduce(vec)
+                if key not in seen:
+                    seen[key] = EchelonSolver(field, qb.dim, [])
+                if seen[key].add(red):
                     nxt.append(prod)
         if not nxt:
             return length

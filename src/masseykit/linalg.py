@@ -1,14 +1,18 @@
 """Exact sparse linear algebra over the rationals and prime fields.
 
-Vectors are sparse dicts ``{index: scalar}`` with no stored zeros.  The
-elimination is plain fraction arithmetic with a deterministic pivot rule:
-rows are processed in index order and each contributes its lowest remaining
-nonzero column as pivot, so repeated runs produce identical output.
+Vectors are sparse dicts ``{index: scalar}`` with no stored zeros.  Two
+loops eliminate.  ``EchelonSolver.add`` is the one Gauss-Jordan step, with
+transform rows: it reduces a row against the stored pivot rows, makes its
+lowest remaining nonzero column a pivot and clears that column from the
+stored rows.  Rows are taken in order, so repeated runs produce identical
+output.  ``lead_columns`` is the rank path: fraction-free over ints, no
+transform rows.  ``QuotientBasis`` selects its bases with one
+``EchelonSolver`` pass and reduces a cycle by reading it in the row space
+of another (``EchelonSolver.coordinates``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from math import gcd, lcm
 
 from .errors import InvalidInput
@@ -32,41 +36,6 @@ def axpy(out: dict, c, pairs) -> dict:
     return out
 
 
-@dataclass
-class SparseMatrix:
-    """Sparse matrix with entries keyed by (row, col); zero entries are not stored."""
-
-    rows: int
-    cols: int
-    entries: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        for (r, c), v in list(self.entries.items()):
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise InvalidInput(f"entry ({r},{c}) out of range")
-            if v == 0:
-                del self.entries[(r, c)]
-
-    @staticmethod
-    def from_rows(rows: int, cols: int, row_dicts: list[dict]) -> "SparseMatrix":
-        entries = {}
-        for r, row in enumerate(row_dicts):
-            for c, v in row.items():
-                if v != 0:
-                    entries[(r, c)] = v
-        return SparseMatrix(rows, cols, entries)
-
-    def row_dicts(self) -> list[dict]:
-        out = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def mul_vec(self, x: dict) -> dict:
-        return axpy({}, 1, ((r, v * x[c])
-                            for (r, c), v in self.entries.items() if c in x))
-
-
 class EchelonSolver:
     """Gauss-Jordan elimination of a matrix given by rows, with transform tracking.
 
@@ -75,52 +44,62 @@ class EchelonSolver:
     give a particular solution and the free columns give the kernel.
     The transform rows also apply to vectors with polynomial entries, which
     is how the staged defining-system solver propagates parameters.
+    Rows are taken one at a time by ``add``; the constructor adds ``rows``.
     """
 
     def __init__(self, field: Field, n_cols: int, rows: list[dict]):
         self.field = field
         self.n_cols = n_cols
-        self.n_rows = len(rows)
-        one = field.one()
+        self.n_rows = 0
         self.piv: list[tuple[int, dict, dict]] = []  # (pivot_col, E-row, T-row)
         self.null_ts: list[dict] = []
-        piv_by_col: dict[int, tuple[int, dict, dict]] = {}
-        for r_idx, row in enumerate(rows):
-            cur = {c: v for c, v in row.items() if v != 0}
-            t = {r_idx: one}
-            # reduce against existing pivots; stored rows are fully reduced
-            # (support = own pivot + free columns), so one pass suffices
-            for c in sorted(set(cur) & piv_by_col.keys()):
-                coef = cur.get(c)
-                if coef is None:
-                    continue
-                hit = piv_by_col[c]
-                axpy(cur, -coef, hit[1].items())
-                axpy(t, -coef, hit[2].items())
-            if not cur:
-                self.null_ts.append(t)
-                continue
-            lead = min(cur)
-            inv = field.div(one, cur[lead])
-            cur = {c: inv * v for c, v in cur.items()}
-            t = {c: inv * v for c, v in t.items()}
-            # eliminate the new pivot column from all stored pivot rows
-            for entry in self.piv:
-                coef = entry[1].get(lead)
-                if coef is not None:
-                    axpy(entry[1], -coef, cur.items())
-                    axpy(entry[2], -coef, t.items())
-            rec = (lead, cur, t)
-            self.piv.append(rec)
-            piv_by_col[lead] = rec
+        self._by_col: dict[int, tuple[int, dict, dict]] = {}
+        for row in rows:
+            self.add(row)
 
-        self.pivot_cols = [p[0] for p in self.piv]
-        piv_set = set(self.pivot_cols)
-        self.free_cols = [c for c in range(n_cols) if c not in piv_set]
+    def add(self, row: dict) -> bool:
+        """One Gauss-Jordan step: append row to M; True when the rank grew."""
+        one = self.field.one()
+        by_col = self._by_col
+        cur = {c: v for c, v in row.items() if v != 0}
+        t = {self.n_rows: one}
+        self.n_rows += 1
+        # reduce against existing pivots; stored rows are fully reduced
+        # (support = own pivot + free columns), so one pass suffices
+        for c in sorted(cur.keys() & by_col.keys()):
+            coef = cur[c]
+            hit = by_col[c]
+            axpy(cur, -coef, hit[1].items())
+            axpy(t, -coef, hit[2].items())
+        if not cur:
+            self.null_ts.append(t)
+            return False
+        lead = min(cur)
+        inv = self.field.div(one, cur[lead])
+        cur = {c: inv * v for c, v in cur.items()}
+        t = {c: inv * v for c, v in t.items()}
+        # eliminate the new pivot column from all stored pivot rows
+        for entry in self.piv:
+            coef = entry[1].get(lead)
+            if coef is not None:
+                axpy(entry[1], -coef, cur.items())
+                axpy(entry[2], -coef, t.items())
+        rec = (lead, cur, t)
+        self.piv.append(rec)
+        by_col[lead] = rec
+        return True
 
     @property
     def rank(self) -> int:
         return len(self.piv)
+
+    @property
+    def pivot_cols(self) -> list[int]:
+        return [p[0] for p in self.piv]
+
+    @property
+    def free_cols(self) -> list[int]:
+        return [c for c in range(self.n_cols) if c not in self._by_col]
 
     def _dot(self, t: dict, b: dict, zero):
         acc = zero
@@ -164,10 +143,31 @@ class EchelonSolver:
     def in_image(self, b: dict) -> bool:
         return all(obs == 0 for obs in self.obstructions(b))
 
+    def coordinates(self, v: dict) -> tuple[dict, dict]:
+        """v read in the row space of M: (x, r) with v = x . M + r, and r
+        empty exactly when v lies in the row space.  E is in reduced row
+        echelon form, so the coefficient of E-row p is v[p]: x = sum_p v[p]
+        T_p and r = v - sum_p v[p] E_p, which vanishes at every pivot.
+        Entries of v may lie in any commutative algebra over the field
+        (``Poly``); so do the entries of x and r."""
+        x, r = {}, {k: y for k, y in v.items() if k not in self._by_col}
+        for pcol, erow, t in self.piv:
+            c = v.get(pcol)
+            if c is None:
+                continue
+            for i, a in t.items():
+                y = c * a
+                x[i] = x[i] + y if i in x else y
+            for k, a in erow.items():
+                if k != pcol:
+                    y = c * a
+                    r[k] = r[k] - y if k in r else -y
+        return ({i: y for i, y in x.items() if y != 0},
+                {k: y for k, y in r.items() if y != 0})
 
-def rank(matrix, field: Field) -> int:
-    """Exact rank of a ``SparseMatrix`` or of a list of sparse row dicts."""
-    rows = matrix.row_dicts() if isinstance(matrix, SparseMatrix) else matrix
+
+def rank(rows: list, field: Field) -> int:
+    """Exact rank of a list of sparse row dicts."""
     return len(lead_columns(rows, field))
 
 
@@ -221,116 +221,59 @@ def lead_columns(rows: list, field: Field) -> set:
     return set(pivots)
 
 
-class _SpanTracker:
-    """Incremental row echelon for membership tests and independent-set selection."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.rows: dict[int, dict] = {}  # lead col -> normalized row
-
-    def residue(self, v: dict) -> dict:
-        cur = dict(v)
-        while cur:
-            lead = min(cur)
-            row = self.rows.get(lead)
-            if row is None:
-                return cur
-            axpy(cur, -cur[lead], row.items())
-        return cur
-
-    def contains(self, v: dict) -> bool:
-        return not self.residue(v)
-
-    def add(self, v: dict) -> bool:
-        """Add v to the span; returns True when v was independent."""
-        res = self.residue(v)
-        if not res:
-            return False
-        lead = min(res)
-        inv = self.field.div(self.field.one(), res[lead])
-        self.rows[lead] = {c: inv * x for c, x in res.items()}
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
 class QuotientBasis:
-    """Basis data for cycles/boundaries: representatives of the quotient plus
-    a reduction map expressing any cycle in those representatives modulo
-    boundaries."""
+    """Cycles modulo boundaries: representatives of the quotient and a
+    reduction map expressing any cycle in them modulo boundaries.
+
+    One ``EchelonSolver`` pass selects both: the boundaries are added, then
+    the cycles, and the rows that raise the rank are ``boundary_basis`` and
+    ``representatives``.  The boundaries lie in the cycle space exactly when
+    that pass has the rank of the cycles alone.  Reductions read a vector in
+    the row space of [boundary_basis | representatives] (``coordinates``);
+    that solver is built on the first reduction, since most bases only
+    answer ``dim``."""
 
     def __init__(self, field: Field, ambient_dim: int,
                  cycles: list[dict], boundaries: list[dict]):
         self.field = field
         self.ambient_dim = ambient_dim
-
-        cyc_span = _SpanTracker(field)
-        for v in cycles:
-            cyc_span.add(v)
-        bnd_span = _SpanTracker(field)
-        for v in boundaries:
-            if not cyc_span.contains(v):
-                raise InvalidInput("boundaries escape the cycle space")
-            bnd_span.add(v)
-
-        reps: list[dict] = []
-        sel = _SpanTracker(field)
-        for v in boundaries:
-            sel.add(v)
-        for v in cycles:
-            if sel.add(v):
-                reps.append(v)
-        self.representatives = reps
-        self.boundary_basis = list(bnd_span.rows.values())
-        self._n_reps = len(reps)
-        self._solver_cache = None
-
-    @property
-    def _solver(self) -> EchelonSolver:
-        # columns = [representatives | boundary span rows]; these are
-        # independent by construction, so coordinates are unique.  Built on
-        # first use: dimension queries never pay for it.
-        if self._solver_cache is None:
-            cols = self.representatives + self.boundary_basis
-            rows_of_cols: list[dict] = [dict() for _ in range(self.ambient_dim)]
-            for j, col in enumerate(cols):
-                for i, v in col.items():
-                    rows_of_cols[i][j] = v
-            self._solver_cache = EchelonSolver(self.field, len(cols),
-                                               rows_of_cols)
-        return self._solver_cache
+        sel = EchelonSolver(field, ambient_dim, [])
+        self.boundary_basis = [v for v in boundaries if sel.add(v)]
+        self.representatives = [v for v in cycles if sel.add(v)]
+        if self.boundary_basis and \
+                sel.rank > len(lead_columns(cycles, field)):
+            raise InvalidInput("boundaries escape the cycle space")
+        self._solver = None
 
     @property
     def dim(self) -> int:
-        return self._n_reps
+        return len(self.representatives)
+
+    def _coordinates(self, v: dict) -> tuple[dict, dict]:
+        """(coordinates in the representatives, residue off the cycles)."""
+        if self._solver is None:
+            self._solver = EchelonSolver(
+                self.field, self.ambient_dim,
+                self.boundary_basis + self.representatives)
+        x, r = self._solver.coordinates(v)
+        nb = len(self.boundary_basis)
+        return {i - nb: y for i, y in x.items() if i >= nb}, r
 
     def reduce(self, v: dict) -> dict:
         """Coordinates of the class of v in the representatives."""
-        if not self._solver.in_image(v):
+        coords, residue = self._coordinates(v)
+        if residue:
             raise InvalidInput("vector is not in the cycle space")
-        sol = self._solver.particular(v)
-        return {j: c for j, c in sol.items() if j < self._n_reps}
+        return coords
 
-    def reduce_generic(self, v: dict, zero) -> dict:
+    def reduce_generic(self, v: dict) -> dict:
         """Reduction for vectors with entries from any commutative algebra
         over the field (used with parameter polynomials).  Consistency is the
-        caller's concern: entries beyond the representative columns are
-        obstructions and returned under key ('obs', j)."""
-        out = {}
-        for pcol, _erow, t in self._solver.piv:
-            y = self._solver._dot(t, v, zero)
-            if y != 0:
-                if pcol < self._n_reps:
-                    out[pcol] = y
-                else:
-                    out[("coord", pcol)] = y
-        for k, t in enumerate(self._solver.null_ts):
-            y = self._solver._dot(t, v, zero)
-            if y != 0:
-                out[("obs", k)] = y
-        return out
+        caller's concern: the residue of v off the cycle space is returned
+        under keys ('obs', column)."""
+        coords, residue = self._coordinates(v)
+        coords.update((("obs", k), y) for k, y in residue.items())
+        return coords
 
     def project(self, v: dict) -> dict:
         """Canonical representative of the class of v (idempotent)."""

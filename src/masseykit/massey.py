@@ -513,20 +513,18 @@ class MasseyEngine:
     def _reduce_family_value(self, value: dict):
         """Reduce a closed parametric cochain to cohomology coordinates.
 
-        Returns {(degree, rep_index): Poly}; boundary coordinates are
-        discarded, non-cycle components are an error.
+        Returns {(degree, rep_index): Poly}; non-cycle components are an
+        error.
         """
         dga = self.dga
         coords: dict = {}
         for deg, comp in dga.components(value).items():
             qb = dga.cohomology_basis(deg)
             vec = {dga.index(deg)[m]: p for m, p in comp.items()}
-            red = qb.reduce_generic(vec, Poly())
+            red = qb.reduce_generic(vec)
             for key, p in red.items():
-                if isinstance(key, tuple):
-                    if key[0] == "obs":
-                        raise NotADefiningSystem("value is not a cocycle")
-                    continue  # boundary coordinate
+                if isinstance(key, tuple):  # ("obs", column): a residue
+                    raise NotADefiningSystem("value is not a cocycle")
                 coords[(deg, key)] = p
         return coords
 
@@ -640,12 +638,10 @@ class MasseyEngine:
     def _triple_indeterminacy(self, classes, value_deg) -> list:
         """Basis of the direction space a1 . H + H . a3 of the affine value
         set of a triple product."""
-        from .linalg import _SpanTracker
-
         dga = self.dga
         a1, a3 = classes[0], classes[2]
         dirs: list = []
-        seen = _SpanTracker(dga.field)
+        seen = EchelonSolver(dga.field, 0, [])  # width unread: add only
         vdim_index: dict = {}
 
         def flat(cochain):

@@ -45,6 +45,17 @@ def dense_rank(rows, q=0):
     return rank
 
 
+def sparse_mul(rows, x):
+    """M x for M given by sparse row dicts and x a sparse dict; zero
+    entries of the product are dropped."""
+    out = {}
+    for i, row in enumerate(rows):
+        s = sum(v * x.get(c, 0) for c, v in row.items())
+        if s:
+            out[i] = s
+    return out
+
+
 def brute_force_solutions_fp(rows, b, p, n_cols):
     """All solutions of M x = b over F_p by odometer enumeration.
 

@@ -5,11 +5,11 @@ import pytest
 
 from masseykit.errors import InvalidInput
 from masseykit.fields import GF, QQ
-from masseykit.linalg import (EchelonSolver, QuotientBasis, SparseMatrix,
-                              axpy, lead_columns, rank)
+from masseykit.linalg import (EchelonSolver, QuotientBasis, axpy,
+                              lead_columns, rank)
 from masseykit.params import Poly
 
-from oracles import brute_force_solutions_fp, dense_rank
+from oracles import brute_force_solutions_fp, dense_rank, sparse_mul
 
 
 def test_axpy_scalars_and_polys_drop_zero_sums():
@@ -24,49 +24,41 @@ def test_axpy_scalars_and_polys_drop_zero_sums():
     assert pc == {"b": Poly.const(Fraction(3)), "c": -(t0 * t0)}
 
 
-def _solver(m: SparseMatrix, field) -> EchelonSolver:
-    return EchelonSolver(field, m.cols, m.row_dicts())
-
-
 def test_solve_identity():
-    m = SparseMatrix(3, 3, {(i, i): Fraction(1) for i in range(3)})
-    solver = _solver(m, QQ)
+    solver = EchelonSolver(QQ, 3, [{i: Fraction(1)} for i in range(3)])
     assert solver.in_image({0: Fraction(1)})
     assert solver.particular({0: Fraction(1)}) == {0: Fraction(1)}
     assert solver.kernel_basis() == []
 
 
 def test_solve_zero_matrix():
-    solver = _solver(SparseMatrix(2, 2, {}), QQ)
+    solver = EchelonSolver(QQ, 2, [{}, {}])
     assert solver.in_image({})
     assert solver.particular({}) == {}
     assert len(solver.kernel_basis()) == 2
 
 
 def test_solve_inconsistent():
-    m = SparseMatrix(2, 1, {(0, 0): Fraction(1)})
-    assert not _solver(m, QQ).in_image({1: Fraction(1)})
+    solver = EchelonSolver(QQ, 1, [{0: Fraction(1)}, {}])
+    assert not solver.in_image({1: Fraction(1)})
 
 
 def test_solution_invariants_random_rational():
     rng = random.Random(7)
     for _ in range(25):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        entries = {}
-        for r in range(rows):
-            for c in range(cols):
-                if rng.random() < 0.5:
-                    entries[(r, c)] = Fraction(rng.randint(-3, 3))
-        m = SparseMatrix(rows, cols, dict(entries))
+        n_rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [{c: x for c in range(cols) if rng.random() < 0.5
+                 and (x := Fraction(rng.randint(-3, 3)))}
+                for _ in range(n_rows)]
         x0 = {c: Fraction(rng.randint(-2, 2)) for c in range(cols)}
-        b = m.mul_vec(x0)
-        solver = _solver(m, QQ)
+        b = sparse_mul(rows, x0)
+        solver = EchelonSolver(QQ, cols, rows)
         assert solver.in_image(b)
-        assert m.mul_vec(solver.particular(b)) == b
+        assert sparse_mul(rows, solver.particular(b)) == b
         kernel = solver.kernel_basis()
         for v in kernel:
-            assert m.mul_vec(v) == {}
-        assert rank(m, QQ) + len(kernel) == cols
+            assert sparse_mul(rows, v) == {}
+        assert rank(rows, QQ) + len(kernel) == cols
 
 
 def test_echelon_f5_matches_exhaustive_enumeration():
@@ -77,24 +69,24 @@ def test_echelon_f5_matches_exhaustive_enumeration():
     x0 = [rng.randrange(p) for _ in range(8)]
     b = [sum(rows[r][c] * x0[c] for c in range(8)) % p for r in range(6)]
     count, witness = brute_force_solutions_fp(rows, b, p, 8)
-    m = SparseMatrix.from_rows(6, 8, [
-        {c: field.of(v) for c, v in enumerate(row) if v % p} for row in rows])
+    m = [{c: field.of(v) for c, v in enumerate(row) if v % p}
+         for row in rows]
     rhs = {r: field.of(v) for r, v in enumerate(b) if v % p}
-    solver = _solver(m, field)
+    solver = EchelonSolver(field, 8, m)
     assert solver.in_image(rhs)
     kernel = solver.kernel_basis()
     # solution count must be p^(kernel dim), and the particular must solve
     assert count == p ** len(kernel)
-    got = m.mul_vec(solver.particular(rhs))
+    got = sparse_mul(m, solver.particular(rhs))
     assert got == rhs
     for v in kernel:
-        assert m.mul_vec(v) == {}
+        assert sparse_mul(m, v) == {}
     assert witness is not None
 
 
 def test_rank_zero_and_identity():
-    assert rank(SparseMatrix(4, 4, {}), QQ) == 0
-    ident = SparseMatrix(5, 5, {(i, i): Fraction(2) for i in range(5)})
+    assert rank([{} for _ in range(4)], QQ) == 0
+    ident = [{i: Fraction(2)} for i in range(5)]
     assert rank(ident, QQ) == 5
 
 
@@ -104,9 +96,8 @@ def test_rank_f7_matches_dense_oracle():
     rng = random.Random(99)
     for _ in range(10):
         rows = [[rng.randrange(p) for _ in range(10)] for _ in range(10)]
-        m = SparseMatrix.from_rows(10, 10, [
-            {c: field.of(v) for c, v in enumerate(row) if v % p}
-            for row in rows])
+        m = [{c: field.of(v) for c, v in enumerate(row) if v % p}
+             for row in rows]
         assert rank(m, field) == dense_rank(rows, q=p)
 
 
@@ -132,12 +123,12 @@ def test_rank_q_rational_entries_match_dense_oracle():
             else:
                 rows.append([entry() if rng.random() < 0.6 else Fraction(0)
                              for _ in range(n_cols)])
-        m = SparseMatrix.from_rows(n_rows, n_cols, [
-            {c: v for c, v in enumerate(row) if v} for row in rows])
+        m = [{c: v for c, v in enumerate(row) if v} for row in rows]
         want = dense_rank(rows)
         deficient += want < min(n_rows, n_cols)
         assert rank(m, QQ) == want
-        assert rank(m.row_dicts(), QQ) == want
+        # stored zeros are dropped on the way in
+        assert rank([dict(enumerate(row)) for row in rows], QQ) == want
     assert deficient >= 10
 
 
@@ -190,6 +181,82 @@ def test_quotient_dims_f3_match_rank_oracle():
         assert qb.dim == dense_rank(cyc_rows, q=p) - dense_rank(bnd_rows, q=p)
 
 
+def _dense(vectors, field, dim):
+    """Dense rows for the rank oracle: residues over GF(p)."""
+    return [[getattr(x, "v", x) for x in (v.get(c, 0) for c in range(dim))]
+            for v in vectors]
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(5)), ids=("q", "fp2", "fp5"))
+def test_quotient_basis_matches_rank_oracle(field):
+    """dim is rank(cycles) - rank(boundaries); v minus its reduction in the
+    representatives lies in the span of the boundaries; reduce_generic of a
+    Poly-valued cycle, evaluated at random points, is reduce of the
+    evaluated cycle, and a Poly-valued vector off the cycles has a residue.
+    Over Q the entries mix ints and Fractions."""
+    rng = random.Random(31)
+    q = field.p or 0
+
+    def scalar():
+        x = rng.randint(-3, 3)
+        if field.p is None and rng.random() < 0.4:
+            x = Fraction(x, rng.randint(2, 5))
+        return field.of(x)
+
+    def combination(vectors):
+        v: dict = {}
+        for w in vectors:
+            axpy(v, scalar(), w.items())
+        return v
+
+    for _ in range(40):
+        dim = rng.randint(1, 7)
+        cycles = [{c: x for c in range(dim)
+                   if rng.random() < 0.6 and (x := scalar()) != 0}
+                  for _ in range(rng.randint(0, dim))]
+        cycles = [v for v in cycles if v]
+        boundaries = [b for _ in range(rng.randint(0, len(cycles)))
+                      if (b := combination(cycles))]
+        qb = QuotientBasis(field, dim, cycles, boundaries)
+        bnd = _dense(boundaries, field, dim)
+        rank_bnd = dense_rank(bnd, q)
+        assert qb.dim == dense_rank(_dense(cycles, field, dim), q) - rank_bnd
+        for _ in range(3):
+            v = combination(cycles)
+            diff = dict(v)
+            for j, c in qb.reduce(v).items():
+                axpy(diff, -c, qb.representatives[j].items())
+            assert dense_rank(bnd + _dense([diff], field, dim), q) == rank_bnd
+        # v(t) = w0 + t0 w1 + t1 w2 with every w_k a cycle
+        ws = [combination(cycles) for _ in range(3)]
+        ts = [Poly.const(field.one())] + [Poly.var(k, field.one())
+                                          for k in range(2)]
+        vp: dict = {}
+        for t, w in zip(ts, ws):
+            for i, x in w.items():
+                vp[i] = vp.get(i, Poly()) + t * x
+        vp = {i: p for i, p in vp.items() if p != 0}
+        red = qb.reduce_generic(vp)
+        assert all(isinstance(k, int) and isinstance(p, Poly)
+                   for k, p in red.items())
+        for _ in range(3):
+            point = {0: scalar(), 1: scalar()}
+            got = {j: y for j, p in red.items()
+                   if (y := p.evaluate(point, field)) != 0}
+            at = {i: y for i, p in vp.items()
+                  if (y := p.evaluate(point, field)) != 0}
+            assert got == qb.reduce(at)
+        off = [c for c in range(dim) if dense_rank(
+            _dense(cycles + [{c: field.one()}], field, dim), q) > rank_bnd
+            + qb.dim]
+        if off:
+            e = {off[0]: Poly.var(0, field.one())}
+            assert any(isinstance(k, tuple) and k[0] == "obs"
+                       for k in qb.reduce_generic(e))
+            with pytest.raises(InvalidInput):
+                qb.reduce({off[0]: field.one()})
+
+
 def test_echelon_deterministic():
     field = QQ
     rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)},
@@ -217,7 +284,9 @@ def _kernel_basis_reference(solver):
 @pytest.mark.parametrize("field", (QQ, GF(2), GF(5)), ids=("q", "fp2", "fp5"))
 def test_kernel_basis_and_leads_match_references(field):
     """kernel_basis equals the per-column loop, key order included, and the
-    fraction-free lead_columns equals the pivot columns of the elimination."""
+    fraction-free lead_columns equals the pivot columns of the elimination.
+    Adding the rows one at a time stores the same pivot and null rows, and
+    ``add`` is True exactly when the rank grows."""
     rng = random.Random(11)
     for _ in range(150):
         n_rows, n_cols = rng.randint(0, 7), rng.randint(1, 9)
@@ -231,6 +300,13 @@ def test_kernel_basis_and_leads_match_references(field):
         assert got == want
         assert [list(v) for v in got] == [list(v) for v in want]
         assert lead_columns(rows, field) == set(solver.pivot_cols)
+        inc = EchelonSolver(field, n_cols, [])
+        for row in rows:
+            before = inc.rank
+            assert inc.add(row) == (inc.rank == before + 1)
+            assert inc.rank - before in (0, 1)
+        assert inc.piv == solver.piv
+        assert inc.null_ts == solver.null_ts
 
 
 def test_lead_columns_mixes_int_and_fraction_rows():

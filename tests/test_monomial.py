@@ -7,7 +7,7 @@ import pytest
 
 from masseykit.errors import CapExceeded, InvalidInput
 from masseykit.fields import GF, QQ
-from masseykit.linalg import EchelonSolver, _SpanTracker
+from masseykit.linalg import EchelonSolver
 from masseykit.massey import MasseyEngine
 from masseykit.monomial import (KoszulAlgebra, MonomialQuotient, anr,
                                 golod_series_check, koszul_homology,
@@ -183,7 +183,7 @@ def total_degree_resolution(ring, i_cap, field, degree_cap=60):
                 return {key_index.setdefault(k, len(key_index)): c
                         for k, c in el.items()}
 
-            span = _SpanTracker(field)
+            span = EchelonSolver(field, 0, [])
             for el in kernel_by_degree.get(d - 1, []):
                 for var in range(ring.n_vars):
                     unit = tuple(int(t == var) for t in range(ring.n_vars))

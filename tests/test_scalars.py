@@ -17,6 +17,8 @@ from masseykit.lie import ce_window, m0
 from masseykit.linalg import EchelonSolver, QuotientBasis
 from masseykit.massey import MasseyEngine, conjugate
 
+from oracles import sparse_mul
+
 
 def _exact(x) -> bool:
     """An int, or a Fraction; an integral Fraction is allowed only where
@@ -51,15 +53,6 @@ def _random_rows(rng, n_rows, n_cols, entry):
             dep[c] = dep.get(c, 0) - v
         rows.append({c: v for c, v in dep.items() if v})
     return rows
-
-
-def _mul(rows, x):
-    out = {}
-    for i, row in enumerate(rows):
-        s = sum(v * x.get(c, 0) for c, v in row.items())
-        if s:
-            out[i] = s
-    return out
 
 
 def test_field_of_returns_int_when_integral():
@@ -101,7 +94,8 @@ def test_echelon_scalars_are_never_floats(entry):
         n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 8)
         rows = _random_rows(rng, n_rows, n_cols, entry)
         solver = EchelonSolver(QQ, n_cols, rows)
-        b = _mul(rows, {c: x for c in range(n_cols) if (x := entry(rng))})
+        b = sparse_mul(rows, {c: x for c in range(n_cols)
+                              if (x := entry(rng))})
         off = dict(b)
         off[0] = off.get(0, 0) + 1
         part, kernel = solver.particular(b), solver.kernel_basis()
@@ -109,7 +103,7 @@ def test_echelon_scalars_are_never_floats(entry):
         vectors = [part, *kernel, dict(enumerate(obs))]
         assert _all_exact(vectors)
         assert not any(solver.obstructions(b))
-        assert _mul(rows, part) == b
+        assert sparse_mul(rows, part) == b
         stored = [rec[1] for rec in solver.piv] + \
             [rec[2] for rec in solver.piv] + solver.null_ts
         if _all_int(rows + [b]) and _all_int(stored):
