@@ -16,9 +16,9 @@ from .simplicial import (BettiTable, SimplicialComplex, from_facets,
 from .facerings import (RKAlgebra, ZkClass, cup_length, generator_class,
                         golod_test, mainlemma_check, rk_cohomology,
                         triple_massey_scan, zk_cup, zk_massey)
-from .monomial import (KoszulAlgebra, MonomialQuotient, PowerSeries,
-                       golod_series_check, koszul_homology,
-                       minimal_resolution_betti, polarization, serre_bound)
+from .monomial import (KoszulAlgebra, MonomialQuotient, golod_series_check,
+                       koszul_homology, minimal_resolution_betti,
+                       polarization, serre_bound)
 from . import generators
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "RKAlgebra", "ZkClass", "cup_length", "generator_class", "golod_test",
     "mainlemma_check", "rk_cohomology", "triple_massey_scan", "zk_cup",
     "zk_massey",
-    "KoszulAlgebra", "MonomialQuotient", "PowerSeries", "golod_series_check",
+    "KoszulAlgebra", "MonomialQuotient", "golod_series_check",
     "koszul_homology", "minimal_resolution_betti", "polarization",
     "serre_bound",
     "generators",

@@ -245,7 +245,7 @@ def cmd_poincare(args) -> int:
         "field": args.field.tag, "order": args.order,
         "koszul_betti": {str(i): b for i, b in sorted(betti.items())},
         "tor_dims": tor,
-        "serre_bound": [_scalar_str(c) for c in bound.coeffs],
+        "serre_bound": [str(c) for c in bound],
         "golod_equality": serre_equality(tor, bound),
     }
     _emit(payload, args.out)

@@ -9,6 +9,8 @@ Cohomology dimensions come from ranks of d alone, cleared across degrees
 (``cohomology_dim``, ``d_rank``).
 Cycle, boundary and quotient bases (``cohomology_basis``) are built only
 where cochains are reduced: Massey products, cup products and coordinates.
+``coords`` is the one reduction of a closed cochain to class coordinates;
+class tests, Massey values, indeterminacies and product tables all read it.
 
 Degrees are pairs (cohomological degree, auxiliary vector): weight for
 Chevalley-Eilenberg windows, vertex-support vectors for face-ring models,
@@ -177,6 +179,15 @@ class DGAlgebra:
         bas = self.basis(deg)
         return {bas[i]: c for i, c in vec.items() if c != 0}
 
+    def coords(self, cochain: dict) -> dict:
+        """Class coordinates {(degree, index): c} of a closed cochain, one
+        block per component degree, in the representatives of
+        ``cohomology_basis``.  Entries may be scalars or ``Poly``; a
+        component off the cycles raises ``InvalidInput``."""
+        return {(deg, i): c for deg, comp in self.components(cochain).items()
+                for i, c in self.cohomology_basis(deg).reduce(
+                    self.to_vector(comp, deg)).items()}
+
     def d_images(self, deg: MultiDegree):
         """Yield d of each basis element of deg, in basis order, as a sparse
         vector keyed by the index of the target basis element."""
@@ -294,25 +305,13 @@ class CohomologyClass:
     rep: dict
 
     def coords(self) -> dict:
-        out = {}
-        for deg, comp in self.dga.components(self.rep).items():
-            vec = self.dga.to_vector(comp, deg)
-            for i, c in self.dga.cohomology_basis(deg).reduce(vec).items():
-                out[(deg, i)] = c
-        return out
+        return self.dga.coords(self.rep)
 
     def is_zero(self) -> bool:
         return not self.coords()
 
     def same_class(self, other: "CohomologyClass") -> bool:
-        diff = c_sub(self.rep, other.rep)
-        if not diff:
-            return True
-        for deg, comp in self.dga.components(diff).items():
-            vec = self.dga.to_vector(comp, deg)
-            if not self.dga.cohomology_basis(deg).is_zero_class(vec):
-                return False
-        return True
+        return not self.dga.coords(c_sub(self.rep, other.rep))
 
 
 def cup(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:

@@ -23,6 +23,7 @@ from .simplicial import (BettiTable, SimplicialComplex, _mask, faces_within,
                          reduced_cache)
 
 RK_CAP = 14
+MAX_SUPPORT = 4  # vertices of a support in the "h0" triple scan
 
 
 class RKAlgebra(DGAlgebra):
@@ -153,12 +154,15 @@ class ZkClass:
         return len(self.I) + self.q + 1
 
 
-def rk_cohomology(K: SimplicialComplex, field: Field = QQ,
-                  cap: int = RK_CAP) -> BettiTable:
+def _check_cap(K: SimplicialComplex) -> None:
+    if K.m > RK_CAP:
+        raise CapExceeded(f"m = {K.m} exceeds the cap {RK_CAP}")
+
+
+def rk_cohomology(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     """BettiTable computed from the R(K) model, by ranks of its own
     differential; dims must agree with the Hochster route per multidegree."""
-    if K.m > cap:
-        raise CapExceeded(f"m = {K.m} exceeds the cap {cap}")
+    _check_cap(K)
     alg = RKAlgebra(K, field)
     table = BettiTable(field.tag)
     for r in range(0, K.m + 1):
@@ -171,21 +175,15 @@ def rk_cohomology(K: SimplicialComplex, field: Field = QQ,
     return table
 
 
-def zk_classes(K: SimplicialComplex, field: Field = QQ,
-               cap: int = RK_CAP) -> list:
+def zk_classes(K: SimplicialComplex, field: Field = QQ) -> list:
     """Basis classes of reduced cohomology per subset, simplicial route."""
-    if K.m > cap:
-        raise CapExceeded(f"m = {K.m} exceeds the cap {cap}")
+    _check_cap(K)
     out = []
     for r in range(1, K.m + 1):
         for I in itertools.combinations(range(1, K.m + 1), r):
             rc = reduced_cache(K, I, field)
             for q in range(-1, r):
-                qb = rc.quotient(q)
-                faces = rc.basis_faces(q)
-                for rep in qb.representatives:
-                    out.append(ZkClass(I, q,
-                                       {faces[i]: c for i, c in rep.items()}))
+                out.extend(ZkClass(I, q, c) for c in rc.classes(q))
     return out
 
 
@@ -222,13 +220,7 @@ def zk_cup(K: SimplicialComplex, x: ZkClass, y: ZkClass,
 
 def zk_class_is_zero(K: SimplicialComplex, cls: ZkClass,
                      field: Field = QQ) -> bool:
-    rc = reduced_cache(K, cls.I, field)
-    faces = rc.basis_faces(cls.q)
-    idx = {f: i for i, f in enumerate(faces)}
-    vec = {idx[f]: c for f, c in cls.cochain.items() if c != 0}
-    if not vec:
-        return True
-    return rc.quotient(cls.q).is_zero_class(vec)
+    return not reduced_cache(K, cls.I, field).reduce(cls.q, cls.cochain)
 
 
 def _product_can_live(K, x: ZkClass, y: ZkClass, field) -> bool:
@@ -240,13 +232,12 @@ def _product_can_live(K, x: ZkClass, y: ZkClass, field) -> bool:
     return reduced_cache(K, union, field).dim(x.q + y.q + 1) != 0
 
 
-def cup_length(K: SimplicialComplex, field: Field = QQ,
-               cap: int = RK_CAP) -> int:
+def cup_length(K: SimplicialComplex, field: Field = QQ) -> int:
     """Largest number of positive-degree classes with a nonzero product."""
-    basis = [c for c in zk_classes(K, field, cap)]
+    basis = zk_classes(K, field)
     if not basis:
         return 0
-    level = [c for c in basis]
+    level = basis
     length = 1
     while True:
         nxt = []
@@ -256,17 +247,13 @@ def cup_length(K: SimplicialComplex, field: Field = QQ,
                 if not _product_can_live(K, c, b, field):
                     continue
                 prod = zk_cup(K, c, b, field)
-                if prod is None or zk_class_is_zero(K, prod, field):
+                red = reduced_cache(K, prod.I, field).reduce(prod.q,
+                                                             prod.cochain)
+                if not red:
                     continue
                 key = (prod.I, prod.q)
-                rc = reduced_cache(K, prod.I, field)
-                faces = rc.basis_faces(prod.q)
-                idx = {f: i for i, f in enumerate(faces)}
-                vec = {idx[f]: v for f, v in prod.cochain.items() if v != 0}
-                qb = rc.quotient(prod.q)
-                red = qb.reduce(vec)
                 if key not in seen:
-                    seen[key] = EchelonSolver(field, qb.dim, [])
+                    seen[key] = EchelonSolver(field, 0, [])  # add only
                 if seen[key].add(red):
                     nxt.append(prod)
         if not nxt:
@@ -278,7 +265,7 @@ def cup_length(K: SimplicialComplex, field: Field = QQ,
 # ---- multidegree-restricted Massey products --------------------------------
 
 def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
-              budget: int = 8, cap: int = RK_CAP) -> MasseyOutcome:
+              budget: int = 8) -> MasseyOutcome:
     """Massey product of moment-angle classes on pairwise disjoint supports,
     computed in the shared R(K) window of K (``rk_window``).  The search is
     homogeneous in the vertex support, so every degree it touches lies over
@@ -294,8 +281,8 @@ def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
         if set(supports[a]) & set(supports[b]):
             raise OverlappingSupports("class supports must be disjoint")
     V = [v for I in supports for v in I]
-    if len(V) > cap:
-        raise CapExceeded(f"{len(V)} vertices exceed the cap {cap}")
+    if len(V) > RK_CAP:
+        raise CapExceeded(f"{len(V)} vertices exceed the cap {RK_CAP}")
     alg = rk_window(K, field)
     engine = MasseyEngine(alg, budget=budget, homogeneous_aux=True)
     chain_classes = []
@@ -350,55 +337,42 @@ def generator_class(K: SimplicialComplex, I, field: Field = QQ,
     be one-dimensional; pass q when several degrees are nonzero)."""
     I = tuple(sorted(I))
     rc = reduced_cache(K, I, field)
-    hits = []
     qs = [q] if q is not None else range(-1, len(I))
-    for qq in qs:
-        qb = rc.quotient(qq)
-        if qb.dim:
-            hits.append((qq, qb))
-    if len(hits) != 1 or hits[0][1].dim != 1:
+    hits = [(qq, reps) for qq in qs if (reps := rc.classes(qq))]
+    if len(hits) != 1 or len(hits[0][1]) != 1:
         raise InvalidInput(f"K_I has no canonical generator on {I}")
-    qq, qb = hits[0]
-    faces = rc.basis_faces(qq)
-    rep = qb.representatives[0]
-    return ZkClass(I, qq, {faces[i]: c for i, c in rep.items()})
+    qq, (rep,) = hits[0]
+    return ZkClass(I, qq, rep)
 
 
 def iter_triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
-                            cap: int = RK_CAP, budget: int = 8,
-                            support_mode: str = "edges",
-                            max_support: int = 4,
+                            budget: int = 8, support_mode: str = "edges",
                             stop_on_nontrivial: bool = False):
     """Yield ordered triples of classes on pairwise-disjoint supports with the
     outcome of their triple product.
 
     ``support_mode``: "edges" scans the degree-zero generators of missing
     edges only; "h0" widens the scan to degree-zero classes on disconnected
-    induced subcomplexes with up to ``max_support`` vertices (products of
+    induced subcomplexes with up to ``MAX_SUPPORT`` vertices (products of
     3-dimensional classes alone can be trivial throughout even when larger
     supports carry nontrivial products).  Definedness is pre-screened by the
     vanishing of the consecutive products and the value group.
     """
-    if K.m > cap:
-        raise CapExceeded(f"m = {K.m} exceeds the cap {cap}")
+    _check_cap(K)
     if support_mode == "edges":
         supports = [e for e in itertools.combinations(range(1, K.m + 1), 2)
                     if not K.is_face(e)]
     elif support_mode == "h0":
         supports = []
-        for r in range(2, max_support + 1):
+        for r in range(2, MAX_SUPPORT + 1):
             for I in itertools.combinations(range(1, K.m + 1), r):
                 if reduced_cache(K, I, field).dim(0):
                     supports.append(I)
     else:
         raise InvalidInput(f"unknown support mode {support_mode!r}")
-    by_support = {}
-    for I in supports:
-        rc = reduced_cache(K, I, field)
-        qb = rc.quotient(0)
-        faces = rc.basis_faces(0)
-        by_support[I] = [ZkClass(I, 0, {faces[i]: c for i, c in rep.items()})
-                         for rep in qb.representatives]
+    by_support = {I: [ZkClass(I, 0, c)
+                      for c in reduced_cache(K, I, field).classes(0)]
+                  for I in supports}
     for I1, I2, I3 in itertools.permutations(supports, 3):
         if set(I1) & set(I2) or set(I1) & set(I3) or set(I2) & set(I3):
             continue
@@ -408,8 +382,7 @@ def iter_triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
                                          by_support[I3]):
             if support_mode != "edges" and rc_union.dim(1) == 0:
                 continue
-            outcome = zk_massey(K, list(classes), field, budget=budget,
-                                cap=cap)
+            outcome = zk_massey(K, list(classes), field, budget=budget)
             yield I1, I2, I3, outcome
             if stop_on_nontrivial and outcome.defined and \
                     outcome.triviality == "nontrivial":
@@ -417,13 +390,11 @@ def iter_triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
 
 
 def triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
-                       cap: int = RK_CAP, budget: int = 8,
-                       support_mode: str = "edges",
-                       max_support: int = 4,
+                       budget: int = 8, support_mode: str = "edges",
                        stop_on_nontrivial: bool = False) -> list:
     """``iter_triple_massey_scan`` collected into a list."""
-    return list(iter_triple_massey_scan(K, field, cap, budget, support_mode,
-                                        max_support, stop_on_nontrivial))
+    return list(iter_triple_massey_scan(K, field, budget, support_mode,
+                                        stop_on_nontrivial))
 
 
 # ---- Golod certification -----------------------------------------------------
@@ -438,16 +409,15 @@ class GolodVerdict:
 
 
 def golod_test(K: SimplicialComplex, field: Field = QQ,
-               order_cap: int | None = None, cap: int = RK_CAP,
+               order_cap: int | None = None,
                budget: int = 8) -> GolodVerdict:
     """Trivial multiplication plus trivial defined Massey products up to the
     order cap.  A nonzero product or a nontrivial defined Massey product is
     a definitive counterexample; full Golodness is never certified."""
-    if K.m > cap:
-        raise CapExceeded(f"m = {K.m} exceeds the cap {cap}")
+    _check_cap(K)
     if order_cap is None:
         order_cap = min(K.m - 1, 5)
-    basis = zk_classes(K, field, cap)
+    basis = zk_classes(K, field)
     for x in basis:
         for y in basis:
             if not _product_can_live(K, x, y, field):
@@ -491,8 +461,7 @@ def golod_test(K: SimplicialComplex, field: Field = QQ,
                 d_val = sum(c.q for c in combo) + 1
                 if rc.dim(d_val) == 0:
                     continue
-                outcome = zk_massey(K, list(combo), field, budget=budget,
-                                    cap=cap)
+                outcome = zk_massey(K, list(combo), field, budget=budget)
                 if not outcome.defined:
                     # an unproven `undefined` may be defined at a larger
                     # budget, so it cannot support golod-up-to-cap

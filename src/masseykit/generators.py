@@ -5,11 +5,10 @@ of the dodecahedron."""
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 from .errors import InvalidInput
 from .monomial import MonomialQuotient, anr
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, graph_complex
 
 __all__ = ["cube", "qn", "multiwedge", "anr", "polygon",
            "dodecahedron_nerve", "MonomialQuotient"]
@@ -97,14 +96,7 @@ def polygon(m: int) -> SimplicialComplex:
     """Boundary m-gon: vertices 1..m, edges between cyclic neighbours."""
     if m < 3:
         raise InvalidInput("need m >= 3")
-    edges = {tuple(sorted(((i % m) + 1, ((i + 1) % m) + 1)))
-             for i in range(m)}
-    nonfaces = [e for e in itertools.combinations(range(1, m + 1), 2)
-                if e not in edges]
-    nonfaces += [t for t in itertools.combinations(range(1, m + 1), 3)
-                 if all(tuple(sorted(p)) in edges
-                        for p in itertools.combinations(t, 2))]
-    return SimplicialComplex(m, nonfaces)
+    return graph_complex(m, [(i, i % m + 1) for i in range(1, m + 1)])
 
 
 # facet triangles of the icosahedral sphere (= facet adjacency nerve of the

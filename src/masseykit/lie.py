@@ -269,24 +269,24 @@ def d1_power(x: dict, k: int) -> dict:
     return x
 
 
+def _tail(prefix: dict, start: int, out: dict) -> dict:
+    """In place: out += sum_l (-1)^l D1^l(prefix) ^ e^{start+l}."""
+    sign = 1
+    while prefix:
+        if any(pm and pm[-1] >= start for pm in prefix):
+            raise DomainError("prefix indices must stay below the appended one")
+        axpy(out, sign, ((pm + (start,), pc) for pm, pc in prefix.items()))
+        prefix, sign, start = d1(prefix), -sign, start + 1
+    return out
+
+
 def d_minus1(x: dict) -> dict:
     """Right inverse of D1: on xi ^ e^i (i the top index) it is
     sum_l (-1)^l D1^l(xi) ^ e^{i+1+l}."""
     out: dict = {}
     for mono, c in x.items():
         _check_domain(mono)
-        top = mono[-1]
-        prefix = {mono[:-1]: c}
-        sign = 1
-        l = 0
-        while prefix:
-            new = top + 1 + l
-            if any(pm and pm[-1] >= new for pm in prefix):
-                raise DomainError("prefix indices must stay below the appended one")
-            axpy(out, sign, ((pm + (new,), pc) for pm, pc in prefix.items()))
-            prefix = d1(prefix)
-            sign = -sign
-            l += 1
+        _tail({mono[:-1]: c}, mono[-1] + 1, out)
     return out
 
 
@@ -306,15 +306,7 @@ def omega_of(phi: dict, m: int) -> dict:
         merged = merge_sorted(mono, (m,))
         if merged is not None:
             axpy(psi, merged[1], ((merged[0], c),))
-    out: dict = {}
-    sign = 1
-    l = 0
-    while psi:
-        axpy(out, sign, ((pm + (m + 1 + l,), pc) for pm, pc in psi.items()))
-        psi = d1(psi)
-        sign = -sign
-        l += 1
-    return out
+    return _tail(psi, m + 1, {})
 
 
 @dataclass

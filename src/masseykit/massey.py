@@ -54,9 +54,6 @@ class FormalConnection:
     def entry(self, i: int, j: int) -> dict:
         return self.entries.get((i, j), {})
 
-    def diagonal(self) -> list:
-        return [self.entry(i, i) for i in range(1, self.n + 1)]
-
 
 def mc_sum(dga: DGAlgebra, entries: dict, i: int, j: int) -> dict:
     """sum_{r=i}^{j-1} bar(a(i, r)) ^ a(r+1, j) over the entries present.
@@ -243,7 +240,6 @@ class ConnectionFamily:
     entries: dict            # (i, j) -> parametric cochain
     params: list             # ParamInfo
     complete: bool
-    max_stage: int           # stages solved: all slots with j - i <= max_stage
 
     def free_vars(self) -> list:
         seen = set()
@@ -424,7 +420,7 @@ class MasseyEngine:
                         raise NotADefiningSystem(
                             f"inhomogeneous right-hand side at {(i, j)}")
                     solver = dga.d_solver(deg.d_source())
-                    vec = {dga.index(deg)[m]: p for m, p in comp.items()}
+                    vec = dga.to_vector(comp, deg)
                     comp_data.append((deg, solver, vec))
                     constraints.extend(
                         obs for obs in solver.obstructions(vec, Poly())
@@ -444,9 +440,8 @@ class MasseyEngine:
                             for deg, solver, vec in comp_data]
                 entry: dict = {}
                 for deg, solver, vec in comp_data:
-                    bas = dga.basis(deg.d_source())
-                    axpy(entry, 1, ((bas[col], p) for col, p in
-                                    solver.particular(vec, Poly()).items()))
+                    axpy(entry, 1, dga.from_vector(solver.particular(
+                        vec, Poly()), deg.d_source()).items())
                 # kernel freedom: cohomology directions only (see above)
                 for deg in self._entry_aux_degrees(prof[(i, j)].q, prof[(i, j)]):
                     if not dga.in_window(deg) or not dga.in_window(deg.d_target()):
@@ -454,22 +449,21 @@ class MasseyEngine:
                             raise WindowTooSmall(
                                 f"entry degree {deg} not materialized")
                         continue
-                    bas = dga.basis(deg)
-                    if not bas:
+                    if not dga.basis(deg):
                         continue
                     for kvec in dga.cohomology_basis(deg).representatives:
                         if len(params) >= self.budget:
                             complete = False
                             break
                         var = len(params)
-                        direction = {bas[c]: v for c, v in kvec.items()}
+                        direction = dga.from_vector(kvec, deg)
                         params.append(ParamInfo(var, (i, j), deg, "class",
                                                 direction))
                         axpy(entry, 1, ((m, Poly.var(var, c))
                                         for m, c in direction.items()))
                 if entry:
                     entries[(i, j)] = entry
-        return ConnectionFamily(dga, n, entries, params, complete, max_stage)
+        return ConnectionFamily(dga, n, entries, params, complete)
 
     def _resolve_constraints(self, polys):
         """The one exact solver: parameter values at which every poly of
@@ -511,22 +505,13 @@ class MasseyEngine:
 
     # -- products ------------------------------------------------------------
     def _reduce_family_value(self, value: dict):
-        """Reduce a closed parametric cochain to cohomology coordinates.
-
-        Returns {(degree, rep_index): Poly}; non-cycle components are an
-        error.
-        """
-        dga = self.dga
-        coords: dict = {}
-        for deg, comp in dga.components(value).items():
-            qb = dga.cohomology_basis(deg)
-            vec = {dga.index(deg)[m]: p for m, p in comp.items()}
-            red = qb.reduce_generic(vec)
-            for key, p in red.items():
-                if isinstance(key, tuple):  # ("obs", column): a residue
-                    raise NotADefiningSystem("value is not a cocycle")
-                coords[(deg, key)] = p
-        return coords
+        """Coordinates {(degree, rep_index): Poly} of a closed parametric
+        cochain (``DGAlgebra.coords``); a value off the cycles raises
+        ``NotADefiningSystem``."""
+        try:
+            return self.dga.coords(value)
+        except InvalidInput:
+            raise NotADefiningSystem("value is not a cocycle") from None
 
     def _zero_solvable(self, coords: dict, extra_target: dict | None = None):
         """Find an assignment with coords == extra_target (default zero).
@@ -585,7 +570,7 @@ class MasseyEngine:
         return cert
 
     # -- public products -----------------------------------------------------
-    def massey(self, classes, certificate: str = "auto") -> MasseyOutcome:
+    def massey(self, classes) -> MasseyOutcome:
         from .dga import cup
 
         dga = self.dga
@@ -619,8 +604,7 @@ class MasseyEngine:
                                  witness=rep_conn, complete=fam.complete,
                                  value_coords=coords)
 
-        cert = self.strictness_certificate(classes) if certificate == "auto" \
-            else certificate
+        cert = self.strictness_certificate(classes)
         if cert is not None:
             triv = "trivial" if rep_class.is_zero() else "nontrivial"
             return MasseyOutcome("strict", n, triv, representative=rep_class,
@@ -645,16 +629,8 @@ class MasseyEngine:
         vdim_index: dict = {}
 
         def flat(cochain):
-            out = {}
-            for deg, comp in dga.components(cochain).items():
-                qb = dga.cohomology_basis(deg)
-                red = qb.reduce(dga.to_vector(comp, deg))
-                for i, c in red.items():
-                    key = (deg, i)
-                    if key not in vdim_index:
-                        vdim_index[key] = len(vdim_index)
-                    out[vdim_index[key]] = c
-            return out
+            return {vdim_index.setdefault(key, len(vdim_index)): c
+                    for key, c in dga.coords(cochain).items()}
 
         def consider(prod_cochain):
             if not prod_cochain:
@@ -675,12 +651,9 @@ class MasseyEngine:
             for deg in self._entry_aux_degrees(q, MultiDegree(q, nominal.aux)):
                 if not (dga.in_window(deg) and dga.in_window(deg.d_target())):
                     continue
-                qb = dga.cohomology_basis(deg)
-                bas = dga.basis(deg)
-                for rep in qb.representatives:
-                    z = {bas[i]: c for i, c in rep.items()}
+                for rep in dga.cohomology_basis(deg).representatives:
                     try:
-                        consider(make(z))
+                        consider(make(dga.from_vector(rep, deg)))
                     except WindowTooSmall:
                         continue
         out = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 
 from .dga import DGAlgebra, MultiDegree
 from .errors import CapExceeded, InvalidInput
@@ -166,15 +166,9 @@ class KoszulAlgebra(DGAlgebra):
 
     def homology_classes(self, i: int) -> list:
         """Representative cochains of H_i, grouped across multidegrees."""
-        out = []
-        for deg in self.window_degrees():
-            if deg.q != -i:
-                continue
-            qb = self.cohomology_basis(deg)
-            bas = self.basis(deg)
-            for rep in qb.representatives:
-                out.append((deg, {bas[c]: v for c, v in rep.items()}))
-        return out
+        return [(deg, self.from_vector(rep, deg))
+                for deg in self.window_degrees() if deg.q == -i
+                for rep in self.cohomology_basis(deg).representatives]
 
     def betti(self) -> dict:
         """b_i = dim H_i of the Koszul complex, all i >= 0."""
@@ -195,13 +189,7 @@ class KoszulAlgebra(DGAlgebra):
         table: dict = {}
         for (i, a), c1 in classes.items():
             for (j, b), c2 in classes.items():
-                prod = self.wedge(c1, c2)
-                coords = {}
-                for deg, comp in self.components(prod).items():
-                    vec = self.to_vector(comp, deg)
-                    red = self.cohomology_basis(deg).reduce(vec)
-                    for k, v in red.items():
-                        coords[(deg, k)] = v
+                coords = self.coords(self.wedge(c1, c2))
                 if coords:
                     table[(i, a, j, b)] = coords
         return table
@@ -341,80 +329,23 @@ def minimal_resolution_betti(ring: MonomialQuotient, i_cap: int = 6,
     return betti[:i_cap + 1]
 
 
-@dataclass
-class PowerSeries:
-    """Truncated power series with exact rational coefficients."""
-
-    coeffs: list  # length order + 1
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def from_poly(poly: dict, order: int) -> "PowerSeries":
-        coeffs = [Fraction(0)] * (order + 1)
-        for k, c in poly.items():
-            if 0 <= k <= order:
-                coeffs[k] = Fraction(c)
-        return PowerSeries(coeffs)
-
-    def mul(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs[:order + 1]):
-            if a == 0:
-                continue
-            for j in range(0, order - i + 1):
-                out[i + j] += a * other.coeffs[j]
-        return PowerSeries(out)
-
-    def inverse(self) -> "PowerSeries":
-        if self.coeffs[0] == 0:
-            raise InvalidInput("inverse needs a nonzero constant term")
-        inv0 = 1 / self.coeffs[0]
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = inv0
-        for k in range(1, self.order + 1):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                s += self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * s
-        return PowerSeries(out)
-
-    def __le__(self, other: "PowerSeries") -> bool:
-        order = min(self.order, other.order)
-        return all(self.coeffs[k] <= other.coeffs[k]
-                   for k in range(order + 1))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSeries) and \
-            self.coeffs[:min(self.order, other.order) + 1] == \
-            other.coeffs[:min(self.order, other.order) + 1]
+def serre_bound(m: int, betti: dict, order: int) -> list:
+    """Coefficients c_0..c_order of (1+t)^m / (1 - sum_(i>=1) b_i t^(i+1)).
+    The denominator has constant term 1, so the coefficients are the ints
+    c_k = C(m, k) + sum_(i>=1) b_i c_(k-i-1)."""
+    c: list = []
+    for k in range(order + 1):
+        c.append(comb(m, k) + sum(b * c[k - i - 1] for i, b in betti.items()
+                                  if 1 <= i <= k - 1))
+    return c
 
 
-def serre_bound(m: int, betti: dict, order: int) -> PowerSeries:
-    """(1+t)^m / (1 - sum b_i t^{i+1}) truncated at the given order."""
-    num = PowerSeries.from_poly(
-        {k: _binom(m, k) for k in range(m + 1)}, order)
-    den = {0: 1}
-    for i, b in betti.items():
-        if i >= 1:
-            den[i + 1] = den.get(i + 1, 0) - b
-    return num.mul(PowerSeries.from_poly(den, order).inverse())
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-    return comb(n, k)
-
-
-def serre_equality(tor: list, bound: PowerSeries) -> bool:
+def serre_equality(tor: list, bound: list) -> bool:
     """Compare the Poincare series sum dim Tor_i t^i with Serre's bound up to
     the bound's order: the bound holds always, equality is the series side
     of the Golod property."""
-    actual = PowerSeries.from_poly(dict(enumerate(tor)), bound.order)
-    if not actual <= bound:
+    actual = (list(tor) + [0] * len(bound))[:len(bound)]
+    if any(a > b for a, b in zip(actual, bound)):
         raise AssertionError("Serre bound violated: internal inconsistency")
     return actual == bound
 

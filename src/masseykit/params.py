@@ -44,9 +44,6 @@ class Poly:
         """Constant term (field zero is represented as absence)."""
         return self.terms.get((), 0)
 
-    def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
-
     def variables(self) -> set:
         return {v for m in self.terms for v in m}
 

@@ -10,7 +10,8 @@ The faces are enumerated once per complex, on first use, as bitmasks
 grouped by size; the faces of an induced subcomplex K_I are the masks
 contained in I.  Dimensions of reduced cohomology are rank-only, cleared
 across degrees (``ReducedCohomology.dim``): no kernel or quotient basis is
-built for them.
+built for them.  ``ReducedCohomology.classes`` and ``reduce`` are the one
+transport between face-keyed cochains and quotient coordinates.
 """
 
 from __future__ import annotations
@@ -296,6 +297,21 @@ class ReducedCohomology:
     def basis_faces(self, q: int) -> list:
         return [t for t, _f in faces_within(self._levels, q + 1, self._mask)]
 
+    def classes(self, q: int) -> list:
+        """The representatives of ``quotient(q)`` as cochains keyed by face
+        tuple, in basis order."""
+        faces = self.basis_faces(q)
+        return [{faces[i]: c for i, c in rep.items()}
+                for rep in self.quotient(q).representatives]
+
+    def reduce(self, q: int, cochain: dict) -> dict:
+        """Coordinates of the class of a face-keyed q-cocycle in
+        ``classes(q)``; ``InvalidInput`` off the cycles."""
+        if not cochain:
+            return {}
+        idx = {t: i for i, t in enumerate(self.basis_faces(q))}
+        return self.quotient(q).reduce({idx[t]: c for t, c in cochain.items()})
+
 
 def reduced_cohomology(K: SimplicialComplex, q: int, field: Field = QQ,
                        within=None) -> ReducedCohomology:
@@ -352,12 +368,11 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
-def hochster_table(K: SimplicialComplex, field: Field = QQ,
-                   cap: int = HOCHSTER_CAP) -> BettiTable:
+def hochster_table(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     """Per-subset Betti numbers: the (i, I) entry is the dimension of the
     reduced cohomology of K_I in degree |I| - i - 1."""
-    if K.m > cap:
-        raise CapExceeded(f"m = {K.m} exceeds the cap {cap}")
+    if K.m > HOCHSTER_CAP:
+        raise CapExceeded(f"m = {K.m} exceeds the cap {HOCHSTER_CAP}")
     table = BettiTable(field.tag)
     for r in range(0, K.m + 1):
         for I in itertools.combinations(range(1, K.m + 1), r):

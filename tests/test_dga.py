@@ -5,14 +5,15 @@ import pytest
 
 from masseykit import dga as dga_module
 from masseykit.dga import CohomologyClass, MultiDegree, cup
-from masseykit.errors import MixedDegree, WindowTooSmall
+from masseykit.errors import InvalidInput, MixedDegree, WindowTooSmall
 from masseykit.facerings import RKAlgebra, rk_cohomology
 from masseykit.fields import GF, QQ
 from masseykit.generators import polygon
 from masseykit.lie import ce_window, goncharova_table, m0, witt_plus
-from masseykit.linalg import EchelonSolver, QuotientBasis, rank
-from masseykit.massey import MasseyEngine
+from masseykit.linalg import EchelonSolver, QuotientBasis, axpy, rank
+from masseykit.massey import MasseyEngine, pc_evaluate
 from masseykit.monomial import KoszulAlgebra, MonomialQuotient, anr
+from masseykit.params import Poly
 from masseykit.simplicial import from_facets, hochster_table
 
 
@@ -184,3 +185,53 @@ def test_dimension_queries_build_no_quotient_basis_or_solver(monkeypatch):
     dga = ce_window(witt_plus(8), 3, 8)
     dga.cohomology_basis(dga.deg(1, 1))
     assert built == {QuotientBasis: 1, EchelonSolver: 2}
+
+
+def _random_poly(rng, n_vars):
+    """A seeded polynomial of degree <= 2 in t0..t(n_vars - 1)."""
+    monos = [()] + [(v,) for v in range(n_vars)] + \
+        [(u, v) for u in range(n_vars) for v in range(u, n_vars)]
+    return Poly({m: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for m in rng.sample(monos, 3)})
+
+
+def test_coords_commutes_with_evaluation():
+    """A Poly-valued cocycle on two weights of a CE window: Poly multiples
+    of the representatives plus Poly multiples of coboundaries.  coords
+    reads the representative coefficients and nothing of the coboundaries,
+    and evaluating its coordinates at a point gives the coordinates of the
+    cocycle evaluated there."""
+    rng = random.Random(1919)
+    dga = ce_window(witt_plus(12), 3, 12)
+    cochain: dict = {}
+    want: dict = {}
+    for w in (5, 7):
+        deg = dga.deg(2, w)
+        reps = dga.cohomology_basis(deg).representatives
+        assert reps
+        for j, rep in enumerate(reps):
+            p = want[(deg, j)] = _random_poly(rng, 3)
+            axpy(cochain, 1, ((m, p * c)
+                              for m, c in dga.from_vector(rep, deg).items()))
+        for mono in dga.basis(dga.deg(1, w)):
+            p = _random_poly(rng, 3)
+            axpy(cochain, 1, ((m, p * c)
+                              for m, c in dga.d({mono: Fraction(1)}).items()))
+    got = dga.coords(cochain)
+    assert got == {k: p for k, p in want.items() if not p.is_zero()}
+    for _ in range(8):
+        point = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for v in range(3)}
+        evaluated = {k: x for k, p in got.items()
+                     if (x := p.evaluate(point, QQ)) != 0}
+        assert evaluated == dga.coords(pc_evaluate(cochain, point, QQ))
+
+
+def test_coords_rejects_a_cochain_off_the_cycles():
+    dga = ce_window(witt_plus(8), 3, 8)
+    e3 = dga.one_form(3)
+    assert dga.d(e3)
+    with pytest.raises(InvalidInput):
+        dga.coords(e3)
+    with pytest.raises(InvalidInput):
+        dga.coords({m: Poly.var(0, c) for m, c in e3.items()})

@@ -200,7 +200,7 @@ def test_golod_unproven_undefined_gives_unknown(monkeypatch, inconclusive,
 
     calls = []
 
-    def undefined(K, classes, field, budget, cap):
+    def undefined(K, classes, field, budget):
         calls.append(len(classes))
         return MasseyOutcome("undefined", len(classes), "unknown",
                              complete=False, inconclusive=inconclusive)
@@ -300,12 +300,15 @@ def test_scan_shares_one_window_and_matches_cold_windows(monkeypatch, make,
 
 
 def test_zk_massey_cap_counts_support_vertices():
-    K = polygon(RK_CAP + 2)
+    """The cap bounds the vertices of the supports, not those of K."""
+    K = polygon(RK_CAP + 4)
     classes = [generator_class(K, (v, v + 2)) for v in (1, 5, 9)]
     out = zk_massey(K, classes, QQ)
     assert out.defined and out.triviality == "trivial"
-    with pytest.raises(CapExceeded):
-        zk_massey(K, classes, QQ, cap=5)
+    wide = [generator_class(K, (v, v + 1, v + 2, v + 4, v + 5))
+            for v in (1, 7, 13)]
+    with pytest.raises(CapExceeded, match="15 vertices exceed the cap 14"):
+        zk_massey(K, wide, QQ)
     with pytest.raises(CapExceeded):
         RKAlgebra(K, QQ).window_degrees()
 

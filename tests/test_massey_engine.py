@@ -7,7 +7,7 @@ import pytest
 
 from masseykit import facerings
 from masseykit.dga import CohomologyClass, MultiDegree, c_scale
-from masseykit.errors import SingularMatrix, Undecided
+from masseykit.errors import NotADefiningSystem, SingularMatrix, Undecided
 from masseykit.facerings import (generator_class, iter_triple_massey_scan,
                                  rk_window)
 from masseykit.fields import GF, QQ
@@ -868,9 +868,9 @@ def test_gauge_reduced_search_face_ring_scans(monkeypatch, make, mode):
     recorded = []
 
     class Recording(MasseyEngine):
-        def massey(self, classes, certificate="auto"):
+        def massey(self, classes):
             recorded.append((self.dga, classes))
-            return super().massey(classes, certificate)
+            return super().massey(classes)
     monkeypatch.setattr(facerings, "MasseyEngine", Recording)
     list(iter_triple_massey_scan(make(), QQ, support_mode=mode))
     monkeypatch.undo()
@@ -911,3 +911,17 @@ def test_gauge_reduced_search_lie_windows_with_h2():
             counts.append(_compare_with_full_kernel(engine, word, k=2))
     assert sum(old - new for new, old in counts) > 0
     assert sum(new for new, _old in counts) > 0
+
+
+def test_reduce_family_value_rejects_a_value_off_the_cycles():
+    """A parametric value with a non-closed component is no Massey value;
+    a closed one reduces to its Poly coordinates."""
+    dga = ce_window(witt_plus(8), 3, 8)
+    engine = MasseyEngine(dga)
+    t0 = Poly.var(0, Fraction(1))
+    e3 = dga.one_form(3)
+    with pytest.raises(NotADefiningSystem, match="not a cocycle"):
+        engine._reduce_family_value({m: t0 * c for m, c in e3.items()})
+    e1 = dga.one_form(1)
+    got = engine._reduce_family_value({m: t0 * c for m, c in e1.items()})
+    assert got == {(dga.deg(1, 1), 0): t0}

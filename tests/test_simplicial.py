@@ -247,3 +247,32 @@ def test_graph_complex_vs_flag_complex():
     graph = graph_complex(3, edges)
     assert flag.is_face((1, 2, 3))
     assert not graph.is_face((1, 2, 3))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF2", "GF3"])
+def test_reduce_reads_classes_as_unit_vectors(field):
+    """On random complexes, ``reduce`` sends the j-th of ``classes(q)`` to
+    the j-th unit vector, also after a coboundary is added, and is empty on
+    a coboundary."""
+    rng = random.Random(2323)
+    seen = 0
+    for m in (4, 5, 6, 7, 7):
+        K = SimplicialComplex(m, random_complex(m, rng))
+        for I in (tuple(range(1, m + 1)),
+                  tuple(sorted(rng.sample(range(1, m + 1), m - 1)))):
+            rc = ReducedCohomology(K, I, field)
+            for q in range(-1, len(I)):
+                faces = rc.basis_faces(q)
+                bounds = [{faces[i]: c for i, c in b.items()}
+                          for b in rc.quotient(q).boundary_basis]
+                for b in bounds:
+                    assert rc.reduce(q, b) == {}
+                for j, c in enumerate(rc.classes(q)):
+                    seen += 1
+                    assert rc.reduce(q, c) == {j: field.one()}
+                    if bounds:
+                        b = rng.choice(bounds)
+                        shifted = {f: c.get(f, 0) + b.get(f, 0)
+                                   for f in set(c) | set(b)}
+                        assert rc.reduce(q, shifted) == {j: field.one()}
+    assert seen
