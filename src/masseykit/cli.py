@@ -283,15 +283,17 @@ def _field_arg(text: str) -> Field:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _order_arg(text: str) -> int:
+def _count_arg(text: str) -> int:
+    """An integer >= 0 (orders, order caps, budgets), checked at parse
+    time so that a bad value exits 2."""
     try:
-        order = int(text)
+        count = int(text)
     except ValueError:
-        order = -1
-    if order < 0:
+        count = -1
+    if count < 0:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 0, got {text!r}")
-    return order
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--supports", required=True,
                    help='e.g. "1,4;2,5;3,6"')
     p.add_argument("--dims", default=None, help='e.g. "0;0;0"')
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--budget", type=_count_arg, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_massey)
 
@@ -342,20 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help='alpha,beta pairs: "1,0;0,1;1,2"')
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--wmax", type=int, default=12)
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--budget", type=_count_arg, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_kstep)
 
     p = sub.add_parser("golod", help="Golod certification up to an order cap")
     common(p)
-    p.add_argument("--order-cap", type=_order_arg)
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--order-cap", type=_count_arg)
+    p.add_argument("--budget", type=_count_arg, default=8)
     p.set_defaults(func=cmd_golod)
 
     p = sub.add_parser("triple-scan",
                        help="scan ordered triples of disjoint missing edges")
     common(p)
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--budget", type=_count_arg, default=8)
     p.set_defaults(func=cmd_triple_scan)
 
     p = sub.add_parser("mainlemma", help="definedness/strictness conditions")
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poincare", help="resolution dims against the Serre bound")
     common(p)
-    p.add_argument("--order", type=_order_arg, default=6)
+    p.add_argument("--order", type=_count_arg, default=6)
     p.set_defaults(func=cmd_poincare)
 
     p = sub.add_parser("generate", help="built-in complexes and rings")

@@ -282,6 +282,3 @@ class QuotientBasis:
         for j, c in coords.items():
             axpy(out, c, self.representatives[j].items())
         return out
-
-    def is_zero_class(self, v: dict) -> bool:
-        return not self.reduce(v)

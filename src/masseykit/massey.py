@@ -314,37 +314,55 @@ class MasseyEngine:
         self.dga = dga
         self.budget = budget
         self.homogeneous_aux = homogeneous_aux
+        self._profiles: dict = {}
 
     # -- degree bookkeeping ------------------------------------------------
     def _profile(self, classes) -> dict:
-        degs = {i + 1: cls.degree for i, cls in enumerate(classes)}
-        prof = {}
-        n = len(classes)
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                q = sum(degs[r].q - 1 for r in range(i, j + 1)) + 1
-                aux = degs[i].aux
-                for r in range(i + 1, j + 1):
-                    aux = tuple(a + b for a, b in zip(aux, degs[r].aux))
-                prof[(i, j)] = MultiDegree(q, aux)
+        """Nominal degree of every slot (i, j): q = sum (q_r - 1) + 1 and
+        aux = sum aux_r over r = i..j, read off prefix sums of the input
+        degrees.  Cached per degree sequence."""
+        key = tuple(cls.degree for cls in classes)
+        prof = self._profiles.get(key)
+        if prof is None:
+            qs, auxs = [0], [(0,) * self.dga.aux_len]
+            for deg in key:
+                qs.append(qs[-1] + deg.q - 1)
+                auxs.append(tuple(a + b for a, b in zip(auxs[-1], deg.aux)))
+            prof = self._profiles[key] = {
+                (i, j): MultiDegree(qs[j] - qs[i - 1] + 1, tuple(
+                    b - a for a, b in zip(auxs[i - 1], auxs[j])))
+                for i in range(1, len(key) + 1)
+                for j in range(i, len(key) + 1)}
         return prof
 
-    def _entry_aux_degrees(self, q: int, nominal: MultiDegree) -> list:
-        """Multidegrees an entry of cohomological degree q may occupy."""
-        if self.homogeneous_aux:
-            return [nominal]
-        out = []
-        for deg in self._window_degrees():
-            if deg.q == q:
-                out.append(deg)
-        return sorted(out, key=lambda d: d.aux)
+    def _materialized(self, deg: MultiDegree) -> bool:
+        """deg and deg + 1 lie in the window (cohomology at deg is defined)."""
+        return self.dga.in_window(deg) and self.dga.in_window(deg.d_target())
 
-    def _window_degrees(self):
+    def _entry_aux_degrees(self, nominal: MultiDegree) -> list:
+        """Materialized degrees with a nonempty basis that an entry of
+        nominal degree ``nominal`` may occupy: the nominal degree itself
+        with ``homogeneous_aux``, else every window degree of the same
+        cohomological degree, sorted by auxiliary degree.  The second list
+        is the same for every product on the window, so it is built once
+        per q and cached there."""
         dga = self.dga
-        if hasattr(dga, "window_degrees"):
-            return dga.window_degrees()
-        raise InvalidInput("window does not enumerate degrees; "
-                           "inhomogeneous search unavailable")
+        if self.homogeneous_aux:
+            return [nominal] if self._materialized(nominal) and \
+                dga.basis(nominal) else []
+        if not hasattr(dga, "_entry_degs"):
+            if not hasattr(dga, "window_degrees"):
+                raise InvalidInput("window does not enumerate degrees; "
+                                   "inhomogeneous search unavailable")
+            dga._entry_degs = {}
+        got = dga._entry_degs.get(nominal.q)
+        if got is None:
+            got = dga._entry_degs[nominal.q] = sorted(
+                (deg for deg in dga.window_degrees()
+                 if deg.q == nominal.q and self._materialized(deg)
+                 and dga.basis(deg)),
+                key=lambda d: d.aux)
+        return got
 
     # -- the solver ---------------------------------------------------------
     def find_defining_system(self, classes, max_stage: int | None = None):
@@ -443,14 +461,11 @@ class MasseyEngine:
                     axpy(entry, 1, dga.from_vector(solver.particular(
                         vec, Poly()), deg.d_source()).items())
                 # kernel freedom: cohomology directions only (see above)
-                for deg in self._entry_aux_degrees(prof[(i, j)].q, prof[(i, j)]):
-                    if not dga.in_window(deg) or not dga.in_window(deg.d_target()):
-                        if self.homogeneous_aux:
-                            raise WindowTooSmall(
-                                f"entry degree {deg} not materialized")
-                        continue
-                    if not dga.basis(deg):
-                        continue
+                if self.homogeneous_aux and \
+                        not self._materialized(prof[(i, j)]):
+                    raise WindowTooSmall(
+                        f"entry degree {prof[(i, j)]} not materialized")
+                for deg in self._entry_aux_degrees(prof[(i, j)]):
                     for kvec in dga.cohomology_basis(deg).representatives:
                         if len(params) >= self.budget:
                             complete = False
@@ -562,7 +577,7 @@ class MasseyEngine:
                 if (i, j) == (1, n):
                     continue
                 deg = prof[(i, j)]
-                if not (dga.in_window(deg) and dga.in_window(deg.d_target())):
+                if not self._materialized(deg):
                     return None
                 if dga.cohomology_basis(deg).dim != 0:
                     return None
@@ -589,29 +604,32 @@ class MasseyEngine:
             return MasseyOutcome("undefined", n, "unknown",
                                  inconclusive=fam.inconclusive,
                                  complete=False)
-        coords = self._reduce_family_value(mc_sum(dga, fam.entries, 1, n))
+        value = mc_sum(dga, fam.entries, 1, n)
+        coords = self._reduce_family_value(value)
         rep_conn = fam.at({})
-        rep_cochain = related_cocycle(rep_conn)
         nominal = self._profile(classes)[(1, n)]
         value_deg = MultiDegree(nominal.q + 1, nominal.aux)
-        rep_class = CohomologyClass(dga, value_deg, rep_cochain)
+        cert = None if n == 3 else self.strictness_certificate(classes)
+        if n == 3 or cert is not None:
+            samples = [CohomologyClass(dga, value_deg,
+                                       related_cocycle(rep_conn))]
+        else:
+            samples = self._sample_classes(fam, value, coords, value_deg)
+        rep_class = samples[0]
 
         if n == 3:
             indet = self._triple_indeterminacy(classes, value_deg)
             triv, _ = self._triviality(coords, fam)
             return MasseyOutcome("affine", n, triv, representative=rep_class,
-                                 classes=[rep_class], indeterminacy=indet,
+                                 classes=samples, indeterminacy=indet,
                                  witness=rep_conn, complete=fam.complete,
                                  value_coords=coords)
-
-        cert = self.strictness_certificate(classes)
         if cert is not None:
             triv = "trivial" if rep_class.is_zero() else "nontrivial"
             return MasseyOutcome("strict", n, triv, representative=rep_class,
-                                 classes=[rep_class], witness=rep_conn,
+                                 classes=samples, witness=rep_conn,
                                  complete=fam.complete, certificate=cert,
                                  value_coords=coords)
-        samples = self._sample_classes(fam, coords, value_deg)
         triv, _ = self._triviality(coords, fam)
         affine = all(p.is_affine() for p in coords.values())
         return MasseyOutcome("sampled", n, triv, representative=rep_class,
@@ -648,9 +666,7 @@ class MasseyEngine:
              lambda z: dga.wedge(dga.bar(z), a3.rep)),
         )
         for q, nominal, make in specs:
-            for deg in self._entry_aux_degrees(q, MultiDegree(q, nominal.aux)):
-                if not (dga.in_window(deg) and dga.in_window(deg.d_target())):
-                    continue
+            for deg in self._entry_aux_degrees(MultiDegree(q, nominal.aux)):
                 for rep in dga.cohomology_basis(deg).representatives:
                     try:
                         consider(make(dga.from_vector(rep, deg)))
@@ -695,10 +711,25 @@ class MasseyEngine:
                                      extra_target=target)
         return assign is not None
 
-    def _sample_classes(self, fam: ConnectionFamily, coords: dict,
-                        value_deg) -> list:
+    def _sample_classes(self, fam: ConnectionFamily, value: dict,
+                        coords: dict, value_deg) -> list:
+        """Value classes of the family at the origin (first) and at +-1 on
+        each of its first six free variables, one per distinct coordinate
+        vector.  ``value`` is the parametric related cocycle, ``coords`` its
+        class coordinates.
+
+        The family is checked once, symbolically: its ``Poly``-valued
+        defect must lie in the corner ideal.  A ``Poly`` that vanishes
+        identically vanishes at every assignment, and evaluation commutes
+        with d, bar and wedge, hence with ``mc_sum``.  So every sampled
+        connection ``fam.at(assign)`` is a defining system, and its related
+        cocycle is ``value`` evaluated at ``assign``: what a concrete
+        ``related_cocycle`` check of each sample would prove, from one
+        defect computation in place of one per sample."""
         dga = self.dga
         field = dga.field
+        if not is_defining_system(FormalConnection(dga, fam.n, fam.entries)):
+            raise NotADefiningSystem("Maurer-Cartan defect escapes the corner")
         free = fam.free_vars()
         assigns = [dict()]
         for v in free[:6]:
@@ -716,8 +747,8 @@ class MasseyEngine:
             if sig in seen:
                 continue
             seen.add(sig)
-            conn = fam.at(assign)
-            out.append(CohomologyClass(dga, value_deg, related_cocycle(conn)))
+            out.append(CohomologyClass(dga, value_deg,
+                                       pc_evaluate(value, assign, field)))
         return out
 
     # -- k-step products -------------------------------------------------------

@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from masseykit.dga import CohomologyClass, c_scale, cup
+from masseykit.dga import CohomologyClass, c_scale
 from masseykit.fields import GF, QQ
 from masseykit.facerings import (cup_length, generator_class, golod_test,
                                  mainlemma_check, rk_cohomology,
@@ -286,7 +286,7 @@ def test_criterion_10_anr_golod_suite():
                 prod = alg.wedge(c1, c2)
                 for deg, comp in alg.components(prod).items():
                     vec = alg.to_vector(comp, deg)
-                    assert alg.cohomology_basis(deg).is_zero_class(vec)
+                    assert not alg.cohomology_basis(deg).reduce(vec)
         # every defined triple Massey product is trivial
         engine = MasseyEngine(alg, budget=8)
         chain = [CohomologyClass(alg, deg, coch) for deg, coch in classes]
@@ -506,7 +506,7 @@ def test_criterion_15_invariant_suites():
         diff[mo] = diff.get(mo, Fraction(0)) - c
     diff = {mo: c for mo, c in diff.items() if c != 0}
     for deg, comp in dm.components(diff).items():
-        assert dm.cohomology_basis(deg).is_zero_class(dm.to_vector(comp, deg))
+        assert not dm.cohomology_basis(deg).reduce(dm.to_vector(comp, deg))
     # sub-product necessity
     outer = engine.massey([e2, e1, e1, e2])
     assert outer.defined

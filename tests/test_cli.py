@@ -178,6 +178,28 @@ def test_budget_and_seed_only_where_read():
     assert json.loads(res.stdout)["seed"] == 5
 
 
+def test_negative_budget_exit_2():
+    """--budget is checked where it is parsed: a negative or non-integer
+    budget is bad input for every subcommand that reads it, and 0 runs."""
+    gen = run_cli(["generate", "polygon", "--m", "6"]).stdout
+    commands = {
+        "massey": ["massey", "--supports", "1,3;2,5;4,6"],
+        "kstep": ["kstep", "--lie", '{"name":"m0","W":8}',
+                  "--classes", "1,0;0,1;1,0", "--k", "2"],
+        "golod": ["golod"],
+        "triple-scan": ["triple-scan"],
+    }
+    for name, args in commands.items():
+        for budget in ("-1", "x"):
+            res = run_cli(args + ["--budget", budget], stdin=gen)
+            assert res.returncode == 2, (name, budget)
+            assert "--budget" in res.stderr and "Traceback" not in res.stderr
+            assert not res.stdout
+    res = run_cli(commands["triple-scan"] + ["--budget", "0"], stdin=gen)
+    assert res.returncode == 0
+    assert res.stdout.strip()
+
+
 def test_cap_exceeded_exit_3():
     big = json.dumps({"m": 15, "minimal_nonfaces": [[1, 2]]})
     res = run_cli(["betti"], stdin=big)

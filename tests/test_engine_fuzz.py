@@ -8,7 +8,6 @@ verdicts (definedness, triviality, strictness) and its affine value data.
 
 import itertools
 import random
-from fractions import Fraction
 
 from masseykit.dga import MultiDegree
 from masseykit.fields import GF, QQ

@@ -229,7 +229,7 @@ def test_m0_product_rules_vs_cup_oracle():
         # the rule result and the cochain cup agree in cohomology
         for deg, comp in dga.components(diff).items():
             vec = dga.to_vector(comp, deg)
-            assert dga.cohomology_basis(deg).is_zero_class(vec), (x, y, deg)
+            assert not dga.cohomology_basis(deg).reduce(vec), (x, y, deg)
 
 
 def test_m0_product_e2_top_collision():

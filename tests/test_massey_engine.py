@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from masseykit import facerings
+from masseykit import facerings, lie
 from masseykit.dga import CohomologyClass, MultiDegree, c_scale
-from masseykit.errors import NotADefiningSystem, SingularMatrix, Undecided
+from masseykit.errors import (NotADefiningSystem, SingularMatrix, Undecided,
+                              WindowTooSmall)
 from masseykit.facerings import (generator_class, iter_triple_massey_scan,
                                  rk_window)
 from masseykit.fields import GF, QQ
@@ -18,8 +19,8 @@ from masseykit.lie import (ce_window, five_fold_connection, m0, omega,
                            triple_criterion, classify_1d_massey, witt_plus)
 from masseykit.massey import (FormalConnection, MasseyEngine, Undefined,
                               conjugate, is_defining_system, is_k_step,
-                              lift_obstruction, mc_defect, mc_sum, pc_evaluate,
-                              related_cocycle, strong_mc_check)
+                              lift_obstruction, mc_defect, mc_sum, pc_const,
+                              pc_evaluate, related_cocycle, strong_mc_check)
 from masseykit.params import Poly
 
 
@@ -180,7 +181,7 @@ def test_conjugate_identity_and_scaling():
     diff = {m: c for m, c in diff.items() if c != 0}
     for deg, comp in dga.components(diff).items():
         vec = dga.to_vector(comp, deg)
-        assert dga.cohomology_basis(deg).is_zero_class(vec)
+        assert not dga.cohomology_basis(deg).reduce(vec)
 
 
 def test_conjugate_general_upper_triangular():
@@ -208,7 +209,7 @@ def test_conjugate_general_upper_triangular():
     diff = {m: c for m, c in diff.items() if c != 0}
     for deg, comp in dga.components(diff).items():
         vec = dga.to_vector(comp, deg)
-        assert dga.cohomology_basis(deg).is_zero_class(vec)
+        assert not dga.cohomology_basis(deg).reduce(vec)
 
 
 def test_cohomology_window_map():
@@ -925,3 +926,115 @@ def test_reduce_family_value_rejects_a_value_off_the_cycles():
     e1 = dga.one_form(1)
     got = engine._reduce_family_value({m: t0 * c for m, c in e1.items()})
     assert got == {(dga.deg(1, 1), 0): t0}
+
+
+# ---- one family check per sampled product, window-level caches -------------
+
+def test_sampled_product_rejects_a_tampered_family(monkeypatch):
+    """A sampled product checks its family once, symbolically.  Entry (2, 3)
+    of a 4-fold product is read by no term of the value, so a family broken
+    there still has a closed value; the check must catch it anyway."""
+    dga, e1, e2 = _wplus_gens()
+    engine = MasseyEngine(dga, budget=8, homogeneous_aux=False)
+    word = [e1, e2, e1, e1]
+    assert engine.massey(word).status == "sampled"
+    find = engine.find_defining_system
+
+    def tampered(classes, max_stage=None):
+        fam = find(classes, max_stage)
+        # e^3 has the nominal degree of slot (2, 3), and d e^3 != 0
+        fam.entries[(2, 3)] = axpy(dict(fam.entries.get((2, 3), {})), 1,
+                                   pc_const(dga.one_form(3)).items())
+        return fam
+    monkeypatch.setattr(engine, "find_defining_system", tampered)
+    with pytest.raises(NotADefiningSystem, match="escapes the corner"):
+        engine.massey(word)
+
+
+def _concrete_samples(fam, coords, field):
+    """Sample classes as a concrete ``related_cocycle`` per sampled
+    connection: the origin, then +-1 on each of the first six free
+    variables, one per distinct coordinate vector."""
+    out, seen = [], set()
+    for assign in [{}] + [{v: field.of(s)} for v in fam.free_vars()[:6]
+                          for s in (1, -1)]:
+        sig = frozenset((key, y) for key, p in coords.items()
+                        if (y := p.evaluate(assign, field)) != 0)
+        if sig not in seen:
+            seen.add(sig)
+            out.append(related_cocycle(fam.at(assign)))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_sample_classes_are_concrete_related_cocycles(field):
+    dga, e1, e2 = _wplus_gens(field=field)
+    sampled = 0
+    for budget in (8, 40):
+        engine = MasseyEngine(dga, budget=budget, homogeneous_aux=False)
+        for word in itertools.chain(*(itertools.product((e1, e2), repeat=n)
+                                      for n in (4, 5))):
+            out = engine.massey(list(word))
+            if out.status != "sampled":
+                continue
+            fam = engine.find_defining_system(list(word))
+            want = _concrete_samples(fam, out.value_coords, field)
+            assert [c.rep for c in out.classes] == want
+            assert out.representative.rep == want[0]
+            sampled += len(want) > 1
+    assert sampled >= 4
+
+
+def _outcome_key(out):
+    """Everything an outcome reports, with no reference to its window."""
+    return (out.status, out.triviality, out.complete, out.inconclusive,
+            None if out.representative is None else out.representative.rep,
+            [c.rep for c in out.classes], out.value_coords)
+
+
+def test_shared_window_outcomes_equal_fresh_window_outcomes(monkeypatch):
+    """What one search leaves on a window (bases, solvers, the cached entry
+    degrees) changes no later search: W+ words of lengths 4-6 at budgets
+    0, 8 and 40 on one window, and criterion-8 products through the shared
+    m0 windows, give what a fresh window gives for each search."""
+
+    def wplus_word(dga, word, budget):
+        gens = {g: dga.class_of(dga.one_form(g)) for g in (1, 2)}
+        gens.update((w, _h2_class(dga, w)) for w in (5, 7) if dga.q_max > 3)
+        engine = MasseyEngine(dga, budget=budget, homogeneous_aux=False)
+        try:
+            return _outcome_key(engine.massey([gens[g] for g in word]))
+        except WindowTooSmall:
+            return "WindowTooSmall"
+
+    # words in e1, e2; then words with one H^2 class (weight 5 or 7), whose
+    # entries range over 2-forms as well
+    words = [(14, 3, word) for length in (4, 5, 6)
+             for word in itertools.product((1, 2), repeat=length)]
+    words += [(12, 4, word) for length in (3, 4) for c in (5, 7)
+              for word in sorted(set(itertools.permutations(
+                  (c, 1, 1, 2)[:length])))]
+    shared = {}
+    statuses = set()
+    for budget in (0, 8, 40):
+        for w_max, q_max, word in words:
+            if (w_max, q_max) not in shared:
+                shared[w_max, q_max] = w_window(w_max, q_max)
+            got = wplus_word(shared[w_max, q_max], word, budget)
+            want = wplus_word(w_window(w_max, q_max), word, budget)
+            assert got == want, (word, budget)
+            statuses.add(got[0] if isinstance(got, tuple) else got)
+    assert {"affine", "sampled", "undefined"} <= statuses
+
+    rng = random.Random(8)
+    cases = [{"family": fam, "n": n, "alpha": Fraction(rng.randint(1, 4)),
+              "beta": Fraction(rng.randint(-4, 4)),
+              "l": rng.randint(0, n - 1)}
+             for n in (3, 4) for fam in "ABC" for _ in range(4)]
+    cases += [{"family": "D", "n": 4, "alpha": Fraction(rng.randint(-4, 4)),
+               "beta": Fraction(rng.randint(-4, 4))} for _ in range(4)]
+    got = [_outcome_key(classify_1d_massey(c)) for c in cases]
+    for case, key in zip(cases, got):
+        monkeypatch.setattr(lie, "_m0_window_cache", {})
+        assert _outcome_key(classify_1d_massey(case)) == key, case
+    assert {key[0] for key in got} == {"affine", "sampled"}

@@ -74,7 +74,7 @@ def test_koszul_multiplication_trivial_anr():
                     continue
                 for deg, comp in alg.components(prod).items():
                     vec = alg.to_vector(comp, deg)
-                    assert alg.cohomology_basis(deg).is_zero_class(vec)
+                    assert not alg.cohomology_basis(deg).reduce(vec)
 
 
 def test_polarization_power_of_variable():
