@@ -318,21 +318,18 @@ class MasseyEngine:
 
     # -- degree bookkeeping ------------------------------------------------
     def _profile(self, classes) -> dict:
-        """Nominal degree of every slot (i, j): q = sum (q_r - 1) + 1 and
-        aux = sum aux_r over r = i..j, read off prefix sums of the input
-        degrees.  Cached per degree sequence."""
+        """Nominal degree of every slot (i, j), as running sums along each
+        row: deg (i, j) = deg (i, j - 1) + deg a_j - 1 in q, so q is
+        sum (q_r - 1) + 1 and aux is sum aux_r over r = i..j.  Cached per
+        degree sequence."""
         key = tuple(cls.degree for cls in classes)
         prof = self._profiles.get(key)
         if prof is None:
-            qs, auxs = [0], [(0,) * self.dga.aux_len]
-            for deg in key:
-                qs.append(qs[-1] + deg.q - 1)
-                auxs.append(tuple(a + b for a, b in zip(auxs[-1], deg.aux)))
-            prof = self._profiles[key] = {
-                (i, j): MultiDegree(qs[j] - qs[i - 1] + 1, tuple(
-                    b - a for a, b in zip(auxs[i - 1], auxs[j])))
-                for i in range(1, len(key) + 1)
-                for j in range(i, len(key) + 1)}
+            prof = self._profiles[key] = {}
+            for i, deg in enumerate(key, start=1):
+                prof[(i, i)] = deg
+                for j in range(i + 1, len(key) + 1):
+                    deg = prof[(i, j)] = deg.shift(-1) + key[j - 1]
         return prof
 
     def _materialized(self, deg: MultiDegree) -> bool:
