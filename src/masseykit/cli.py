@@ -134,11 +134,12 @@ def cmd_betti(args) -> int:
 def cmd_massey(args) -> int:
     K = SimplicialComplex.from_json(_read_input(args.infile))
     supports = _parse_supports(args.supports)
-    dims = [int(v) for v in args.dims.split(";")] if args.dims else None
-    classes = []
-    for idx, I in enumerate(supports):
-        q = dims[idx] if dims else None
-        classes.append(generator_class(K, I, args.field, q=q))
+    dims = [int(v) for v in args.dims.split(";")] if args.dims \
+        else [None] * len(supports)
+    if len(dims) != len(supports):
+        raise InvalidInput("need one degree per support")
+    classes = [generator_class(K, I, args.field, q=q)
+               for I, q in zip(supports, dims)]
     outcome = zk_massey(K, classes, args.field, budget=args.budget)
     payload = _outcome_json(outcome)
     payload.update({"schema": SCHEMA, "command": "massey",

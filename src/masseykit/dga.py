@@ -73,7 +73,7 @@ def merge_sorted(base: tuple, extra: tuple):
 
 
 class DGAlgebra:
-    """Common machinery; concrete windows implement the five hooks below."""
+    """Common machinery; concrete windows implement the six hooks below."""
 
     field: Field
 
@@ -93,6 +93,10 @@ class DGAlgebra:
 
     def mul_mono(self, m1, m2) -> list:
         """List of (monomial, coefficient); empty when the product vanishes."""
+        raise NotImplementedError
+
+    def window_degrees(self) -> list:
+        """Every degree the window materializes."""
         raise NotImplementedError
 
     # ---- cochain operations -------------------------------------------

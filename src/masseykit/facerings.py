@@ -12,7 +12,7 @@ of the input supports by additivity, which keeps every search finite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .dga import CohomologyClass, DGAlgebra, MultiDegree
 from .errors import CapExceeded, InvalidInput, OverlappingSupports
@@ -105,8 +105,8 @@ class RKAlgebra(DGAlgebra):
         sigma = tuple(sorted(s1 + s2))
         if sigma not in self._faces:
             return []
-        inv = sum(1 for a in J1 for b in J2 if a > b)
-        sign = self.field.one() if inv % 2 == 0 else -self.field.one()
+        one = self.field.one()
+        sign = one if _inv(J1, J2) % 2 == 0 else -one
         return [((sigma, tuple(sorted(J1 + J2))), sign)]
 
     # ---- transport between simplicial cochains and R(K) --------------------
@@ -162,16 +162,13 @@ def _check_cap(K: SimplicialComplex) -> None:
 def rk_cohomology(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     """BettiTable computed from the R(K) model, by ranks of its own
     differential; dims must agree with the Hochster route per multidegree."""
-    _check_cap(K)
     alg = RKAlgebra(K, field)
     table = BettiTable(field.tag)
-    for r in range(0, K.m + 1):
-        for I in itertools.combinations(range(1, K.m + 1), r):
-            aux = alg._aux_of(I)
-            for q in range(r, 2 * r + 1):
-                dim = alg.cohomology_dim(MultiDegree(q, aux))
-                if dim:
-                    table.entries[(2 * r - q, I)] = dim
+    for deg in alg.window_degrees():
+        dim = alg.cohomology_dim(deg)
+        if dim:
+            I = alg.support_of(deg)
+            table.entries[(2 * len(I) - deg.q, I)] = dim
     return table
 
 
@@ -218,18 +215,23 @@ def zk_cup(K: SimplicialComplex, x: ZkClass, y: ZkClass,
     return ZkClass(I, q, out)
 
 
-def zk_class_is_zero(K: SimplicialComplex, cls: ZkClass,
-                     field: Field = QQ) -> bool:
-    return not reduced_cache(K, cls.I, field).reduce(cls.q, cls.cochain)
-
-
-def _product_can_live(K, x: ZkClass, y: ZkClass, field) -> bool:
-    """Cheap prune: the product of x and y lands in a zero group unless the
-    reduced cohomology of the union is nonzero in the stacked degree."""
-    if set(x.I) & set(y.I):
-        return False
-    union = tuple(sorted(set(x.I) | set(y.I)))
-    return reduced_cache(K, union, field).dim(x.q + y.q + 1) != 0
+def _nonzero_products(K: SimplicialComplex, level: list, basis: list,
+                      field: Field):
+    """Yield (x, y, x*y, coordinates of x*y) for every x in ``level`` and y
+    in ``basis`` whose product is a nonzero class.  A pair is skipped
+    without forming the product when the supports overlap or the reduced
+    cohomology of the union is zero in the stacked degree."""
+    for x in level:
+        for y in basis:
+            if set(x.I) & set(y.I):
+                continue
+            rc = reduced_cache(K, set(x.I) | set(y.I), field)
+            if not rc.dim(x.q + y.q + 1):
+                continue
+            prod = zk_cup(K, x, y, field)
+            red = rc.reduce(prod.q, prod.cochain)
+            if red:
+                yield x, y, prod, red
 
 
 def cup_length(K: SimplicialComplex, field: Field = QQ) -> int:
@@ -242,20 +244,12 @@ def cup_length(K: SimplicialComplex, field: Field = QQ) -> int:
     while True:
         nxt = []
         seen: dict = {}
-        for c in level:
-            for b in basis:
-                if not _product_can_live(K, c, b, field):
-                    continue
-                prod = zk_cup(K, c, b, field)
-                red = reduced_cache(K, prod.I, field).reduce(prod.q,
-                                                             prod.cochain)
-                if not red:
-                    continue
-                key = (prod.I, prod.q)
-                if key not in seen:
-                    seen[key] = EchelonSolver(field, 0, [])  # add only
-                if seen[key].add(red):
-                    nxt.append(prod)
+        for _x, _y, prod, red in _nonzero_products(K, level, basis, field):
+            key = (prod.I, prod.q)
+            if key not in seen:
+                seen[key] = EchelonSolver(field, 0, [])  # add only
+            if seen[key].add(red):
+                nxt.append(prod)
         if not nxt:
             return length
         level = nxt
@@ -263,6 +257,12 @@ def cup_length(K: SimplicialComplex, field: Field = QQ) -> int:
 
 
 # ---- multidegree-restricted Massey products --------------------------------
+
+def _disjoint(supports: list) -> bool:
+    """No vertex lies in two of the supports."""
+    return sum(len(set(I)) for I in supports) == \
+        len(set().union(*supports))
+
 
 def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
               budget: int = 8) -> MasseyOutcome:
@@ -277,9 +277,8 @@ def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
     by ``mainlemma_check``.
     """
     supports = [tuple(sorted(c.I)) for c in classes]
-    for a, b in itertools.combinations(range(len(supports)), 2):
-        if set(supports[a]) & set(supports[b]):
-            raise OverlappingSupports("class supports must be disjoint")
+    if not _disjoint(supports):
+        raise OverlappingSupports("class supports must be disjoint")
     V = [v for I in supports for v in I]
     if len(V) > RK_CAP:
         raise CapExceeded(f"{len(V)} vertices exceed the cap {RK_CAP}")
@@ -294,12 +293,9 @@ def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
         chain_classes.append(CohomologyClass(alg, deg, rk))
     out = engine.massey(chain_classes)
     if out.status == "affine" and not out.indeterminacy:
-        out = MasseyOutcome(
-            "strict", out.n, out.triviality,
-            representative=out.representative, classes=out.classes,
-            indeterminacy=[], witness=out.witness, complete=out.complete,
-            certificate=engine.strictness_certificate(chain_classes),
-            value_coords=out.value_coords)
+        out = replace(
+            out, status="strict",
+            certificate=engine.strictness_certificate(chain_classes))
     return out
 
 
@@ -311,19 +307,17 @@ def mainlemma_check(K: SimplicialComplex, supports: list, dims: list,
     stacked degree (cond1) resp. one below it (cond2)."""
     k = len(supports)
     supports = [tuple(sorted(I)) for I in supports]
-    for a, b in itertools.combinations(range(k), 2):
-        if set(supports[a]) & set(supports[b]):
-            raise OverlappingSupports("supports must be pairwise disjoint")
+    if not _disjoint(supports):
+        raise OverlappingSupports("supports must be pairwise disjoint")
     if len(dims) != k:
         raise InvalidInput("need one degree per support")
     cond1 = True
     cond2 = True
     for r in range(1, k - 1):
         for s in range(1, k - r + 1):
-            union = tuple(sorted(v for I in supports[s - 1:s + r]
-                                 for v in I))
             d = sum(dims[s - 1:s + r]) + 1
-            rc = reduced_cache(K, union, field)
+            rc = reduced_cache(K, [v for I in supports[s - 1:s + r]
+                                   for v in I], field)
             if rc.dim(d) != 0:
                 cond1 = False
             if rc.dim(d - 1) != 0:
@@ -345,48 +339,72 @@ def generator_class(K: SimplicialComplex, I, field: Field = QQ,
     return ZkClass(I, qq, rep)
 
 
+def _disjoint_tuples(supports: list, n: int, room: int, used: int = 0):
+    """Ordered n-tuples of pairwise-disjoint supports, in lexicographic
+    order of their positions in the list (the order of ``itertools``).
+    ``room`` counts the vertices outside the mask ``used``.  A support
+    with a class has at least 2 vertices, so no tuple is sought when
+    fewer than 2n vertices are left."""
+    if n == 0:
+        yield ()
+        return
+    if 2 * n > room:
+        return
+    for I in supports:
+        mask = _mask(I)
+        if not mask & used:
+            for rest in _disjoint_tuples(supports, n - 1, room - len(I),
+                                         used | mask):
+                yield (I,) + rest
+
+
+def _disjoint_products(K: SimplicialComplex, by_support: dict,
+                       supports: list, n: int, field: Field, budget: int,
+                       screen: bool):
+    """Yield (supports, classes, outcome) for every ordered n-tuple of
+    pairwise-disjoint supports and every choice of one class per support.
+    With ``screen``, a choice is skipped when its value group, the reduced
+    cohomology of the union in the stacked degree, is zero."""
+    for sups in _disjoint_tuples(supports, n, K.m):
+        rc = reduced_cache(K, [v for I in sups for v in I], field)
+        for classes in itertools.product(*(by_support[I] for I in sups)):
+            if screen and not rc.dim(sum(c.q for c in classes) + 1):
+                continue
+            yield sups, classes, zk_massey(K, list(classes), field,
+                                           budget=budget)
+
+
 def iter_triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
                             budget: int = 8, support_mode: str = "edges",
                             stop_on_nontrivial: bool = False):
     """Yield ordered triples of classes on pairwise-disjoint supports with the
     outcome of their triple product.
 
-    ``support_mode``: "edges" scans the degree-zero generators of missing
-    edges only; "h0" widens the scan to degree-zero classes on disconnected
-    induced subcomplexes with up to ``MAX_SUPPORT`` vertices (products of
-    3-dimensional classes alone can be trivial throughout even when larger
-    supports carry nontrivial products).  Definedness is pre-screened by the
-    vanishing of the consecutive products and the value group.
+    The supports are the vertex sets I with a disconnected K_I: "edges"
+    takes those of 2 vertices, the missing edges; "h0" those of 2 to
+    ``MAX_SUPPORT`` vertices (products of 3-dimensional classes alone can
+    be trivial throughout even when larger supports carry nontrivial
+    products).  Each class is a degree-zero class of its K_I.  In "h0" a
+    triple is skipped when its value group, the reduced H^1 of the union,
+    is zero.
     """
     _check_cap(K)
-    if support_mode == "edges":
-        supports = [e for e in itertools.combinations(range(1, K.m + 1), 2)
-                    if not K.is_face(e)]
-    elif support_mode == "h0":
-        supports = []
-        for r in range(2, MAX_SUPPORT + 1):
-            for I in itertools.combinations(range(1, K.m + 1), r):
-                if reduced_cache(K, I, field).dim(0):
-                    supports.append(I)
-    else:
+    if support_mode not in ("edges", "h0"):
         raise InvalidInput(f"unknown support mode {support_mode!r}")
+    top = 2 if support_mode == "edges" else MAX_SUPPORT
+    supports = [I for r in range(2, top + 1)
+                for I in itertools.combinations(range(1, K.m + 1), r)
+                if reduced_cache(K, I, field).dim(0)]
     by_support = {I: [ZkClass(I, 0, c)
                       for c in reduced_cache(K, I, field).classes(0)]
                   for I in supports}
-    for I1, I2, I3 in itertools.permutations(supports, 3):
-        if set(I1) & set(I2) or set(I1) & set(I3) or set(I2) & set(I3):
-            continue
-        union = tuple(sorted(set(I1) | set(I2) | set(I3)))
-        rc_union = reduced_cache(K, union, field)
-        for classes in itertools.product(by_support[I1], by_support[I2],
-                                         by_support[I3]):
-            if support_mode != "edges" and rc_union.dim(1) == 0:
-                continue
-            outcome = zk_massey(K, list(classes), field, budget=budget)
-            yield I1, I2, I3, outcome
-            if stop_on_nontrivial and outcome.defined and \
-                    outcome.triviality == "nontrivial":
-                return
+    for sups, _classes, outcome in _disjoint_products(
+            K, by_support, supports, 3, field, budget,
+            screen=support_mode != "edges"):
+        yield (*sups, outcome)
+        if stop_on_nontrivial and outcome.defined and \
+                outcome.triviality == "nontrivial":
+            return
 
 
 def triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
@@ -414,65 +432,32 @@ def golod_test(K: SimplicialComplex, field: Field = QQ,
     """Trivial multiplication plus trivial defined Massey products up to the
     order cap.  A nonzero product or a nontrivial defined Massey product is
     a definitive counterexample; full Golodness is never certified."""
-    _check_cap(K)
     if order_cap is None:
         order_cap = min(K.m - 1, 5)
     basis = zk_classes(K, field)
-    for x in basis:
-        for y in basis:
-            if not _product_can_live(K, x, y, field):
-                continue
-            prod = zk_cup(K, x, y, field)
-            if prod is not None and not zk_class_is_zero(K, prod, field):
-                return GolodVerdict("not-golod", order_cap,
-                                    ("product", x, y),
-                                    multiplication_trivial=False)
+    hit = next(_nonzero_products(K, basis, basis, field), None)
+    if hit is not None:
+        return GolodVerdict("not-golod", order_cap, ("product", *hit[:2]),
+                            multiplication_trivial=False)
     by_support: dict = {}
     for c in basis:
         by_support.setdefault(c.I, []).append(c)
     supports = sorted(by_support)
     unknown = False
-
-    def disjoint_tuples(n):
-        out = []
-
-        def rec(prefix, used):
-            if len(prefix) == n:
-                out.append(tuple(prefix))
-                return
-            if (n - len(prefix)) * 2 > K.m - len(used):
-                return
-            for I in supports:
-                if used & set(I):
-                    continue
-                prefix.append(I)
-                rec(prefix, used | set(I))
-                prefix.pop()
-
-        rec([], set())
-        return out
-
     for n in range(3, order_cap + 1):
-        for sups in disjoint_tuples(n):
-            union = tuple(sorted(v for I in sups for v in I))
-            rc = reduced_cache(K, union, field)
-            for combo in itertools.product(*(by_support[I] for I in sups)):
-                # the value group must be nonzero for a nontrivial product
-                d_val = sum(c.q for c in combo) + 1
-                if rc.dim(d_val) == 0:
-                    continue
-                outcome = zk_massey(K, list(combo), field, budget=budget)
-                if not outcome.defined:
-                    # an unproven `undefined` may be defined at a larger
-                    # budget, so it cannot support golod-up-to-cap
-                    unknown = unknown or outcome.inconclusive
-                    continue
-                if outcome.triviality == "nontrivial":
-                    return GolodVerdict("not-golod", order_cap,
-                                        ("massey", list(combo), outcome),
-                                        massey_trivial_up_to_cap=False)
-                if outcome.triviality == "unknown":
-                    unknown = True
+        for _sups, combo, outcome in _disjoint_products(
+                K, by_support, supports, n, field, budget, screen=True):
+            if not outcome.defined:
+                # an unproven `undefined` may be defined at a larger
+                # budget, so it cannot support golod-up-to-cap
+                unknown = unknown or outcome.inconclusive
+                continue
+            if outcome.triviality == "nontrivial":
+                return GolodVerdict("not-golod", order_cap,
+                                    ("massey", list(combo), outcome),
+                                    massey_trivial_up_to_cap=False)
+            if outcome.triviality == "unknown":
+                unknown = True
     if unknown:
         return GolodVerdict("unknown", order_cap)
     return GolodVerdict("golod-up-to-cap", order_cap)

@@ -261,12 +261,16 @@ def d1(x: dict) -> dict:
     return out
 
 
-def d1_power(x: dict, k: int) -> dict:
+def _power(op, x: dict, k: int) -> dict:
     for _ in range(k):
         if not x:
             return {}
-        x = d1(x)
+        x = op(x)
     return x
+
+
+def d1_power(x: dict, k: int) -> dict:
+    return _power(d1, x, k)
 
 
 def _tail(prefix: dict, start: int, out: dict) -> dict:
@@ -291,11 +295,7 @@ def d_minus1(x: dict) -> dict:
 
 
 def d_minus1_power(x: dict, k: int) -> dict:
-    for _ in range(k):
-        if not x:
-            return {}
-        x = d_minus1(x)
-    return x
+    return _power(d_minus1, x, k)
 
 
 def omega_of(phi: dict, m: int) -> dict:
@@ -355,6 +355,20 @@ def omega(*indices) -> OmegaCocycle:
     return OmegaCocycle(tuple(indices))
 
 
+def _filiform_connection(dga: CEAlgebra, n: int, last: dict, column):
+    """The shape both explicit m0 defining systems share: e^2 at (1, 1),
+    e^1 on the inner diagonal, first row (-1)^{j+1} e^{j+1}, ``last`` at
+    (n, n) and ``column(i)`` at (i, n) for 1 < i < n."""
+    from .massey import FormalConnection
+
+    entries = {(1, 1): dga.one_form(2), (n, n): last}
+    for i in range(2, n):
+        entries[(i, i)] = dga.one_form(1)
+        entries[(1, i)] = dga.one_form((i + 1, 1 if i % 2 else -1))
+        entries[(i, n)] = column(i)
+    return FormalConnection(dga, n, entries)
+
+
 def staircase_connection(dga: CEAlgebra, k: int):
     """Explicit defining system for <e^2, e^1 x (2k-3), e^2> over m0.
 
@@ -405,47 +419,24 @@ def staircase_connection(dga: CEAlgebra, k: int):
     omega normalized by +1 on e^k ^ e^{k+1}, as here, the value is
     2 (-1)^k omega(k).
     """
-    from .massey import FormalConnection
-
     if k < 2:
         raise InvalidInput("need k >= 2")
     n = 2 * k - 1
-    f = dga.field
-    entries: dict = {}
-    entries[(1, 1)] = dga.one_form(2)
-    entries[(n, n)] = dga.one_form(2)
-    for i in range(2, n):
-        entries[(i, i)] = dga.one_form(1)
-    for j in range(2, n):
-        sign = 1 if (j + 1) % 2 == 0 else -1
-        entries[(1, j)] = dga.one_form((j + 1, sign))
-    for i in range(2, n):
-        entries[(i, n)] = dga.one_form(n + 2 - i)
-    return FormalConnection(dga, n, entries)
+    return _filiform_connection(dga, n, dga.one_form(2),
+                                lambda i: dga.one_form(n + 2 - i))
 
 
 def omega_tail_connection(dga: CEAlgebra, i1: int, tail: OmegaCocycle):
     """Explicit defining system for <e^2, e^1 x (i1-2), omega(...)>: first row
     (-1)^{j+1} e^{j+1}, inner diagonal e^1, last column with shift-operator
     powers applied to the closing cocycle."""
-    from .massey import FormalConnection
-
     if i1 < 3:
         raise InvalidInput("need i1 >= 3")
-    n = i1
     f = dga.field
-    entries: dict = {}
-    entries[(1, 1)] = dga.one_form(2)
-    for i in range(2, n):
-        entries[(i, i)] = dga.one_form(1)
-    entries[(n, n)] = {m: f.of(c) for m, c in tail.form.items()}
-    for j in range(2, n):
-        sign = 1 if (j + 1) % 2 == 0 else -1
-        entries[(1, j)] = dga.one_form((j + 1, sign))
-    for i in range(2, n):
-        pw = d_minus1_power(tail.form, n - i)
-        entries[(i, n)] = {m: f.of(c) for m, c in pw.items()}
-    return FormalConnection(dga, n, entries)
+    return _filiform_connection(
+        dga, i1, {m: f.of(c) for m, c in tail.form.items()},
+        lambda i: {m: f.of(c)
+                   for m, c in d_minus1_power(tail.form, i1 - i).items()})
 
 
 def five_fold_connection(dga: CEAlgebra, t=0):
@@ -529,20 +520,20 @@ def family_scalars(tag: str, n: int, params: dict) -> list:
 _m0_window_cache: dict = {}
 
 
-def m0_window(w_max: int, field: Field = QQ, q_max: int = 3) -> CEAlgebra:
-    """Shared m0 windows: the cached elimination data makes repeated searches
-    (classification sweeps) cheap."""
-    key = (w_max, q_max, field)
+def m0_window(w_max: int, field: Field = QQ) -> CEAlgebra:
+    """Shared m0 windows up to q = 3: the cached elimination data makes
+    repeated searches (classification sweeps) cheap."""
+    key = (w_max, field)
     got = _m0_window_cache.get(key)
     if got is None:
-        got = ce_window(m0(w_max), q_max, w_max, field)
+        got = ce_window(m0(w_max), 3, w_max, field)
         _m0_window_cache[key] = got
     return got
 
 
-def classify_1d_massey(spec, field: Field = QQ, budget: int = 16,
-                       w_max: int | None = None):
-    """Massey outcome for products of classes alpha e^1 + beta e^2 over m0.
+def classify_1d_massey(spec, field: Field = QQ):
+    """Massey outcome for products of classes alpha e^1 + beta e^2 over m0,
+    searched at budget 16 in the window of weights up to 2n + 4.
 
     ``spec`` is either a list of (alpha, beta) pairs or a dict
     {"family": tag, "n": n, ...family parameters...}.
@@ -555,13 +546,10 @@ def classify_1d_massey(spec, field: Field = QQ, budget: int = 16,
                                   if k not in ("family", "n")})
     else:
         scalars = list(spec)
-    n = len(scalars)
-    if w_max is None:
-        w_max = 2 * n + 4
-    dga = m0_window(w_max, field)
+    dga = m0_window(2 * len(scalars) + 4, field)
     scalars = [(field.of(a), field.of(b)) for a, b in scalars]
     classes = one_dim_classes(dga, scalars)
-    engine = MasseyEngine(dga, budget=budget, homogeneous_aux=False)
+    engine = MasseyEngine(dga, budget=16, homogeneous_aux=False)
     return engine.massey(classes)
 
 

@@ -101,28 +101,28 @@ class EchelonSolver:
     def free_cols(self) -> list[int]:
         return [c for c in range(self.n_cols) if c not in self._by_col]
 
-    def _dot(self, t: dict, b: dict, zero):
-        acc = zero
+    def _dot(self, t: dict, b: dict):
+        """t . b, or 0 when no index meets.  The sum starts from its first
+        product, so it has the type of b's entries (``Poly`` too)."""
+        acc = None
         for i, c in t.items():
             bi = b.get(i)
             if bi is not None:
-                acc = acc + c * bi
-        return acc
+                acc = c * bi if acc is None else acc + c * bi
+        return 0 if acc is None else acc
 
-    def obstructions(self, b: dict, zero=None) -> list:
+    def obstructions(self, b: dict) -> list:
         """T_null . b; all must vanish for M x = b to be solvable."""
-        z = self.field.zero() if zero is None else zero
-        return [self._dot(t, b, z) for t in self.null_ts]
+        return [self._dot(t, b) for t in self.null_ts]
 
-    def particular(self, b: dict, zero=None) -> dict:
+    def particular(self, b: dict) -> dict:
         """One solution of M x = b with free coordinates set to zero.
 
         Does not test consistency; call ``obstructions`` first.
         """
-        z = self.field.zero() if zero is None else zero
         out = {}
         for pcol, _erow, t in self.piv:
-            y = self._dot(t, b, z)
+            y = self._dot(t, b)
             if y != 0:
                 out[pcol] = y
         return out

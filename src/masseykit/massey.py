@@ -70,21 +70,21 @@ def mc_sum(dga: DGAlgebra, entries: dict, i: int, j: int) -> dict:
     return acc
 
 
+def _mu(conn: FormalConnection, i: int, j: int) -> dict:
+    """The defect entry mu(i, j)."""
+    return axpy(conn.dga.d(conn.entry(i, j)), -1,
+                mc_sum(conn.dga, conn.entries, i, j).items())
+
+
 def mc_defect(conn: FormalConnection) -> dict:
     """All defect entries mu(i, j), including the corner."""
-    dga = conn.dga
     out = {}
     for i in range(1, conn.n + 1):
         for j in range(i, conn.n + 1):
-            mu = axpy(dga.d(conn.entry(i, j)), -1,
-                      mc_sum(dga, conn.entries, i, j).items())
+            mu = _mu(conn, i, j)
             if mu:
                 out[(i, j)] = mu
     return out
-
-
-def in_corner_ideal(mu: dict, n: int) -> bool:
-    return all((i, j) == (1, n) for (i, j) in mu)
 
 
 def is_k_step(mu: dict, k: int) -> bool:
@@ -93,7 +93,11 @@ def is_k_step(mu: dict, k: int) -> bool:
 
 
 def is_defining_system(conn: FormalConnection) -> bool:
-    return in_corner_ideal(mc_defect(conn), conn.n)
+    """Every defect entry but the corner vanishes; the corner is not
+    computed."""
+    n = conn.n
+    return not any(_mu(conn, i, j) for i in range(1, n + 1)
+                   for j in range(i, n + 1) if (i, j) != (1, n))
 
 
 def related_cocycle(conn: FormalConnection) -> dict:
@@ -347,14 +351,10 @@ class MasseyEngine:
         if self.homogeneous_aux:
             return [nominal] if self._materialized(nominal) and \
                 dga.basis(nominal) else []
-        if not hasattr(dga, "_entry_degs"):
-            if not hasattr(dga, "window_degrees"):
-                raise InvalidInput("window does not enumerate degrees; "
-                                   "inhomogeneous search unavailable")
-            dga._entry_degs = {}
-        got = dga._entry_degs.get(nominal.q)
+        cache = dga.__dict__.setdefault("_entry_degs", {})
+        got = cache.get(nominal.q)
         if got is None:
-            got = dga._entry_degs[nominal.q] = sorted(
+            got = cache[nominal.q] = sorted(
                 (deg for deg in dga.window_degrees()
                  if deg.q == nominal.q and self._materialized(deg)
                  and dga.basis(deg)),
@@ -437,9 +437,8 @@ class MasseyEngine:
                     solver = dga.d_solver(deg.d_source())
                     vec = dga.to_vector(comp, deg)
                     comp_data.append((deg, solver, vec))
-                    constraints.extend(
-                        obs for obs in solver.obstructions(vec, Poly())
-                        if not obs.is_zero())
+                    constraints.extend(obs for obs in solver.obstructions(vec)
+                                       if obs != 0)
                 if constraints:
                     new_subst, pinned = self._resolve_constraints(constraints)
                     if pinned:
@@ -455,8 +454,8 @@ class MasseyEngine:
                             for deg, solver, vec in comp_data]
                 entry: dict = {}
                 for deg, solver, vec in comp_data:
-                    axpy(entry, 1, dga.from_vector(solver.particular(
-                        vec, Poly()), deg.d_source()).items())
+                    axpy(entry, 1, dga.from_vector(
+                        solver.particular(vec), deg.d_source()).items())
                 # kernel freedom: cohomology directions only (see above)
                 if self.homogeneous_aux and \
                         not self._materialized(prof[(i, j)]):

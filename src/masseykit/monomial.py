@@ -50,24 +50,22 @@ class MonomialQuotient:
         return any(all(g[i] <= exp[i] for i in range(self.n_vars))
                    for g in self.generators)
 
-    def standard_monomials(self, cap: int = BASIS_CAP) -> list:
+    def standard_monomials(self) -> list:
         """Basis of the quotient; raises when it is not finite-dimensional."""
         # finite dimension needs a pure-power generator in every variable
-        for i in range(self.n_vars):
-            if not any(all(g[j] == 0 for j in range(self.n_vars) if j != i)
-                       and g[i] > 0 for g in self.generators):
-                raise InvalidInput(
-                    "quotient is not finite-dimensional as a vector space")
         bounds = []
         for i in range(self.n_vars):
             powers = [g[i] for g in self.generators
                       if all(g[j] == 0 for j in range(self.n_vars) if j != i)]
+            if not any(powers):
+                raise InvalidInput(
+                    "quotient is not finite-dimensional as a vector space")
             bounds.append(min(powers))
         out = []
         for exp in itertools.product(*(range(b) for b in bounds)):
             if not self.in_ideal(exp):
                 out.append(exp)
-            if len(out) > cap:
+            if len(out) > BASIS_CAP:
                 raise CapExceeded("quotient basis exceeds the cap")
         return sorted(out)
 

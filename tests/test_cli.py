@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "masseykit.cli"]
 
 
@@ -198,6 +200,19 @@ def test_negative_budget_exit_2():
     res = run_cli(commands["triple-scan"] + ["--budget", "0"], stdin=gen)
     assert res.returncode == 0
     assert res.stdout.strip()
+
+
+@pytest.mark.parametrize("dims", ["0;0", "0;0;0;0"],
+                         ids=["too_few", "too_many"])
+def test_massey_dims_one_per_support_exit_2(dims):
+    """--dims gives one degree per support; another count is bad input."""
+    gen = run_cli(["generate", "polygon", "--m", "6"]).stdout
+    res = run_cli(["massey", "--supports", "1,3;2,5;4,6", "--dims", dims],
+                  stdin=gen)
+    assert res.returncode == 2
+    assert "need one degree per support" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not res.stdout
 
 
 def test_cap_exceeded_exit_3():
