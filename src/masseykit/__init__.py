@@ -12,7 +12,7 @@ from .lie import (CEAlgebra, GradedLie, OmegaCocycle, ce_window,
                   m0_product, omega, witt_plus)
 from .simplicial import (BettiTable, SimplicialComplex, from_facets,
                          hochster_table, induced, is_chordal, is_flag, join,
-                         reduced_cohomology, skeleton1)
+                         skeleton1)
 from .facerings import (RKAlgebra, ZkClass, cup_length, generator_class,
                         golod_test, mainlemma_check, rk_cohomology,
                         triple_massey_scan, zk_cup, zk_massey)
@@ -32,8 +32,7 @@ __all__ = [
     "classify_1d_massey", "d1", "d_minus1", "goncharova_table", "m0",
     "m0_product", "omega", "witt_plus",
     "BettiTable", "SimplicialComplex", "from_facets", "hochster_table",
-    "induced", "is_chordal", "is_flag", "join", "reduced_cohomology",
-    "skeleton1",
+    "induced", "is_chordal", "is_flag", "join", "skeleton1",
     "RKAlgebra", "ZkClass", "cup_length", "generator_class", "golod_test",
     "mainlemma_check", "rk_cohomology", "triple_massey_scan", "zk_cup",
     "zk_massey",

@@ -3,13 +3,15 @@ emit machine-readable reports.
 
 Reports are JSON (schema 1) with sorted keys and exact scalars rendered as
 strings; scan subcommands stream one JSON object per line.  Exit codes:
-0 success, 2 bad input, 3 cap exceeded, 1 internal inconsistency.
+0 success (also when the reader closes stdout early, as ``| head`` does),
+2 bad input, 3 cap exceeded, 1 internal inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,24 +44,30 @@ def _read_input(path: str | None):
         return fh.read()
 
 
-def _emit(payload, out_path: str | None, stream=None):
+def _emit(payload, out_path: str | None):
     text = json.dumps(payload, sort_keys=True, indent=2) \
         if not isinstance(payload, str) else payload
     if out_path in (None, "-"):
-        (stream or sys.stdout).write(text + "\n")
+        sys.stdout.write(text + "\n")
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
-def _parse_supports(text: str) -> list:
-    out = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        out.append(tuple(int(v) for v in part.replace(",", " ").split()))
-    return out
+def _supports_and_dims(args, m: int, default_dim) -> tuple[list, list]:
+    """``--supports`` ("1,4;2,5;3,6") and ``--dims`` ("0;0;0", else
+    default_dim per support), checked against a complex on m vertices:
+    every vertex lies in 1..m and there is one degree per support."""
+    supports = [tuple(int(v) for v in part.replace(",", " ").split())
+                for part in args.supports.split(";") if part.strip()]
+    bad = [v for I in supports for v in I if not 1 <= v <= m]
+    if bad:
+        raise InvalidInput(f"support vertex {bad[0]} is not in 1..{m}")
+    dims = [int(v) for v in args.dims.split(";")] if args.dims \
+        else [default_dim] * len(supports)
+    if len(dims) != len(supports):
+        raise InvalidInput("need one degree per support")
+    return supports, dims
 
 
 def _outcome_json(outcome) -> dict:
@@ -133,11 +141,7 @@ def cmd_betti(args) -> int:
 
 def cmd_massey(args) -> int:
     K = SimplicialComplex.from_json(_read_input(args.infile))
-    supports = _parse_supports(args.supports)
-    dims = [int(v) for v in args.dims.split(";")] if args.dims \
-        else [None] * len(supports)
-    if len(dims) != len(supports):
-        raise InvalidInput("need one degree per support")
+    supports, dims = _supports_and_dims(args, K.m, None)
     classes = [generator_class(K, I, args.field, q=q)
                for I, q in zip(supports, dims)]
     outcome = zk_massey(K, classes, args.field, budget=args.budget)
@@ -224,9 +228,7 @@ def cmd_triple_scan(args) -> int:
 
 def cmd_mainlemma(args) -> int:
     K = SimplicialComplex.from_json(_read_input(args.infile))
-    supports = _parse_supports(args.supports)
-    dims = [int(v) for v in args.dims.split(";")] if args.dims \
-        else [0] * len(supports)
+    supports, dims = _supports_and_dims(args, K.m, 0)
     res = mainlemma_check(K, supports, dims, args.field)
     payload = {"schema": SCHEMA, "command": "mainlemma",
                "supports": [list(I) for I in supports], "dims": dims,
@@ -390,6 +392,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit has somewhere to write and stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import MixedDegree, WindowTooSmall
 from .fields import Field
-from .linalg import EchelonSolver, QuotientBasis, axpy, lead_columns
+from .linalg import EchelonSolver, QuotientBasis, axpy, cached, lead_columns
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,14 @@ def merge_sorted(base: tuple, extra: tuple):
 
 
 class DGAlgebra:
-    """Common machinery; concrete windows implement the six hooks below."""
+    """Common machinery; concrete windows implement the six hooks below.
+    Per-degree caches live on the window, made in ``__init__`` and filled
+    through ``linalg.cached``; ``_entry_degs`` is ``MasseyEngine``'s."""
 
-    field: Field
+    def __init__(self, field: Field):
+        self.field = field
+        self._bases, self._idx, self._dsolve, self._coh = {}, {}, {}, {}
+        self._drank, self._dleads, self._entry_degs = {}, {}, {}
 
     # ---- hooks ---------------------------------------------------------
     def in_window(self, deg: MultiDegree) -> bool:
@@ -160,17 +165,8 @@ class DGAlgebra:
             raise WindowTooSmall(f"degree {deg} outside the materialized window")
 
     def index(self, deg: MultiDegree) -> dict:
-        cache = self._index_cache()
-        got = cache.get(deg)
-        if got is None:
-            got = {m: i for i, m in enumerate(self.basis(deg))}
-            cache[deg] = got
-        return got
-
-    def _index_cache(self) -> dict:
-        if not hasattr(self, "_idx"):
-            self._idx = {}
-        return self._idx
+        return cached(self._idx, deg, lambda: {
+            m: i for i, m in enumerate(self.basis(deg))})
 
     def to_vector(self, cochain: dict, deg: MultiDegree) -> dict:
         idx = self.index(deg)
@@ -212,14 +208,8 @@ class DGAlgebra:
 
     def d_solver(self, deg: MultiDegree) -> EchelonSolver:
         """Elimination data for d restricted to the given degree."""
-        if not hasattr(self, "_dsolve"):
-            self._dsolve = {}
-        got = self._dsolve.get(deg)
-        if got is None:
-            rows = self.d_rows(deg)
-            got = self._dsolve[deg] = EchelonSolver(
-                self.field, len(self.basis(deg)), rows)
-        return got
+        return cached(self._dsolve, deg, lambda: EchelonSolver(
+            self.field, len(self.basis(deg)), self.d_rows(deg)))
 
     def d_rank(self, deg: MultiDegree) -> int:
         """Rank of d from deg to deg + 1; no transform rows.
@@ -232,10 +222,9 @@ class DGAlgebra:
         combination of rows with larger labels.  By descending induction
         every cleared row lies in the span of the kept rows, so the span,
         its rank and its lead set are those of all of d_deg, and the degree
-        below clears exactly with them.  Ranks are cached; the lead set of a
-        degree asked for here is kept until the degree below takes it."""
-        if not hasattr(self, "_drank"):
-            self._drank, self._dleads = {}, {}
+        below clears exactly with them.  Ranks are cached on the window;
+        the lead set of a degree asked for here is kept there until the
+        degree below takes it."""
         if deg not in self._drank:
             self._dleads[deg] = self._d_leads(deg) or ()
         return self._drank[deg]
@@ -261,15 +250,9 @@ class DGAlgebra:
         return [img for img in self.d_images(prev) if img]
 
     def cohomology_basis(self, deg: MultiDegree) -> QuotientBasis:
-        if not hasattr(self, "_coh"):
-            self._coh = {}
-        got = self._coh.get(deg)
-        if got is not None:
-            return got
-        got = QuotientBasis(self.field, len(self.basis(deg)),
-                            self.cycles(deg), self.boundaries(deg))
-        self._coh[deg] = got
-        return got
+        return cached(self._coh, deg, lambda: QuotientBasis(
+            self.field, len(self.basis(deg)), self.cycles(deg),
+            self.boundaries(deg)))
 
     def cohomology_dim(self, deg: MultiDegree) -> int:
         """dim H at deg as n - rank d_deg - rank d_(deg-1).  Raises

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .dga import CohomologyClass, DGAlgebra, MultiDegree
 from .errors import CapExceeded, InvalidInput, OverlappingSupports
 from .fields import QQ, Field
-from .linalg import EchelonSolver, axpy
+from .linalg import EchelonSolver, axpy, cached
 from .massey import MasseyEngine, MasseyOutcome
 from .simplicial import (BettiTable, SimplicialComplex, _mask, faces_within,
                          reduced_cache)
@@ -31,11 +31,10 @@ class RKAlgebra(DGAlgebra):
     faces, not K, so that ``rk_window``'s cache on K is no cycle."""
 
     def __init__(self, K: SimplicialComplex, field: Field = QQ):
-        self.field = field
+        super().__init__(field)
         self.aux_len = K.m
         self._levels = K.face_table()
         self._faces = {t for level in self._levels for t, _f in level}
-        self._bases: dict = {}
 
     # ---- degrees ----------------------------------------------------------
     def in_window(self, deg: MultiDegree) -> bool:
@@ -64,20 +63,17 @@ class RKAlgebra(DGAlgebra):
 
     def basis(self, deg: MultiDegree) -> list:
         self._require(deg)
-        got = self._bases.get(deg)
-        if got is not None:
-            return got
-        if any(v >= 2 for v in deg.aux):
-            got = []
-        else:
+
+        def build():
+            if any(v >= 2 for v in deg.aux):
+                return []
             S = self.support_of(deg)
             sset = set(S)
             # the faces sigma have deg.q - |S| vertices
-            got = sorted((sigma, tuple(sorted(sset - set(sigma))))
-                         for sigma, _f in faces_within(
-                             self._levels, deg.q - len(S), _mask(S)))
-        self._bases[deg] = got
-        return got
+            return sorted((sigma, tuple(sorted(sset - set(sigma))))
+                          for sigma, _f in faces_within(
+                              self._levels, deg.q - len(S), _mask(S)))
+        return cached(self._bases, deg, build)
 
     def degree_of_mono(self, mono) -> MultiDegree:
         sigma, J = mono
@@ -129,15 +125,13 @@ class RKAlgebra(DGAlgebra):
 
 
 def rk_window(K: SimplicialComplex, field: Field = QQ) -> RKAlgebra:
-    """The R(K) window of K over the field, built once and cached on K.
+    """The R(K) window of K over the field, built once and cached on K
+    (``K._rk_cache``).
 
     Bases, d-solvers and quotient bases depend only on (K, field, degree),
     so every product over K shares one window."""
-    cache = K.__dict__.setdefault("_rk_cache", {})
-    got = cache.get(field)
-    if got is None:
-        got = cache[field] = RKAlgebra(K, field)
-    return got
+    return cached(K.__dict__.setdefault("_rk_cache", {}), field,
+                  lambda: RKAlgebra(K, field))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .dga import CohomologyClass, DGAlgebra, MultiDegree, merge_sorted
 from .errors import DomainError, InvalidInput, MixedDegree, WindowTooSmall
 from .fields import QQ, Field
-from .linalg import axpy
+from .linalg import axpy, cached
 
 
 @dataclass
@@ -129,11 +129,11 @@ class CEAlgebra(DGAlgebra):
     def __init__(self, lie: GradedLie, q_max: int, w_max: int, field: Field = QQ):
         if w_max > lie.truncation_weight:
             raise InvalidInput("window weight exceeds the algebra truncation")
+        super().__init__(field)
         self.lie = lie
         self.q_max = q_max
         self.q_store = q_max + 1
         self.w_max = w_max
-        self.field = field
         self._gens = [g for g in lie.generators if lie.weights[g] <= w_max]
         # e^k |-> terms of d e^k, from the reversed bracket table
         self._dgen: dict = {g: [] for g in self._gens}
@@ -141,7 +141,6 @@ class CEAlgebra(DGAlgebra):
             for k, c in terms:
                 if k in self._dgen:
                     self._dgen[k].append(((i, j), field.of(c)))
-        self._basis_cache: dict = {}
 
     aux_len = 1
 
@@ -152,12 +151,8 @@ class CEAlgebra(DGAlgebra):
 
     def basis(self, deg: MultiDegree) -> list:
         self._require(deg)
-        got = self._basis_cache.get(deg)
-        if got is None:
-            (w,) = deg.aux
-            got = self._enumerate(deg.q, w)
-            self._basis_cache[deg] = got
-        return got
+        return cached(self._bases, deg,
+                      lambda: self._enumerate(deg.q, deg.aux[0]))
 
     def _enumerate(self, q: int, w: int) -> list:
         out = []
@@ -521,14 +516,11 @@ _m0_window_cache: dict = {}
 
 
 def m0_window(w_max: int, field: Field = QQ) -> CEAlgebra:
-    """Shared m0 windows up to q = 3: the cached elimination data makes
-    repeated searches (classification sweeps) cheap."""
-    key = (w_max, field)
-    got = _m0_window_cache.get(key)
-    if got is None:
-        got = ce_window(m0(w_max), 3, w_max, field)
-        _m0_window_cache[key] = got
-    return got
+    """Shared m0 windows up to q = 3, cached in the module-global
+    ``_m0_window_cache``: the cached elimination data makes repeated
+    searches (classification sweeps) cheap."""
+    return cached(_m0_window_cache, (w_max, field),
+                  lambda: ce_window(m0(w_max), 3, w_max, field))
 
 
 def classify_1d_massey(spec, field: Field = QQ):

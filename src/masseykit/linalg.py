@@ -36,6 +36,17 @@ def axpy(out: dict, c, pairs) -> dict:
     return out
 
 
+def cached(cache: dict, key, build):
+    """cache[key], calling build() and storing its result only on a miss
+    (None marks a miss).  The one get-or-build step of every per-object
+    cache; build is called, never stored, so a closure over the owner of
+    the cache does not keep the owner alive."""
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = build()
+    return got
+
+
 class EchelonSolver:
     """Gauss-Jordan elimination of a matrix given by rows, with transform tracking.
 

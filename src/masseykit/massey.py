@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 from .dga import CohomologyClass, DGAlgebra, MultiDegree
 from .errors import (InvalidInput, NotADefiningSystem, SingularMatrix,
                      Undecided, WindowTooSmall)
-from .linalg import EchelonSolver, axpy
+from .linalg import EchelonSolver, axpy, cached
 from .params import Poly
 
 
@@ -324,17 +324,18 @@ class MasseyEngine:
     def _profile(self, classes) -> dict:
         """Nominal degree of every slot (i, j), as running sums along each
         row: deg (i, j) = deg (i, j - 1) + deg a_j - 1 in q, so q is
-        sum (q_r - 1) + 1 and aux is sum aux_r over r = i..j.  Cached per
-        degree sequence."""
+        sum (q_r - 1) + 1 and aux is sum aux_r over r = i..j.  Cached on
+        the engine per degree sequence."""
         key = tuple(cls.degree for cls in classes)
-        prof = self._profiles.get(key)
-        if prof is None:
-            prof = self._profiles[key] = {}
+
+        def build():
+            prof = {}
             for i, deg in enumerate(key, start=1):
                 prof[(i, i)] = deg
                 for j in range(i + 1, len(key) + 1):
                     deg = prof[(i, j)] = deg.shift(-1) + key[j - 1]
-        return prof
+            return prof
+        return cached(self._profiles, key, build)
 
     def _materialized(self, deg: MultiDegree) -> bool:
         """deg and deg + 1 lie in the window (cohomology at deg is defined)."""
@@ -346,20 +347,16 @@ class MasseyEngine:
         with ``homogeneous_aux``, else every window degree of the same
         cohomological degree, sorted by auxiliary degree.  The second list
         is the same for every product on the window, so it is built once
-        per q and cached there."""
+        per q and cached on the window (``dga._entry_degs``)."""
         dga = self.dga
         if self.homogeneous_aux:
             return [nominal] if self._materialized(nominal) and \
                 dga.basis(nominal) else []
-        cache = dga.__dict__.setdefault("_entry_degs", {})
-        got = cache.get(nominal.q)
-        if got is None:
-            got = cache[nominal.q] = sorted(
-                (deg for deg in dga.window_degrees()
-                 if deg.q == nominal.q and self._materialized(deg)
-                 and dga.basis(deg)),
-                key=lambda d: d.aux)
-        return got
+        return cached(dga._entry_degs, nominal.q, lambda: sorted(
+            (deg for deg in dga.window_degrees()
+             if deg.q == nominal.q and self._materialized(deg)
+             and dga.basis(deg)),
+            key=lambda d: d.aux))
 
     # -- the solver ---------------------------------------------------------
     def find_defining_system(self, classes, max_stage: int | None = None):

@@ -101,12 +101,11 @@ class KoszulAlgebra(DGAlgebra):
     auxiliary degree the total x-exponent vector."""
 
     def __init__(self, ring: MonomialQuotient, field: Field = QQ):
+        super().__init__(field)
         self.ring = ring
-        self.field = field
         self.aux_len = ring.n_vars
         self._amonos = ring.standard_monomials()
         self._aset = set(self._amonos)
-        self._bases: dict = {}
         n = ring.n_vars
         for a in self._amonos:
             for r in range(n + 1):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, InvalidInput
 from .fields import QQ, Field
-from .linalg import EchelonSolver, QuotientBasis, lead_columns
+from .linalg import EchelonSolver, QuotientBasis, cached, lead_columns
 
 HOCHSTER_CAP = 14
 
@@ -250,8 +250,7 @@ class ReducedCohomology:
         self._ranks: dict | None = None
 
     def quotient(self, q: int) -> QuotientBasis:
-        got = self._qb.get(q)
-        if got is None:
+        def build():
             one = self.field.one()
             below, faces, above = ([f for _t, f in faces_within(
                 self._levels, q + s, self._mask)] for s in range(3))
@@ -264,9 +263,8 @@ class ReducedCohomology:
                 for g, c in row.items():
                     images[g][i] = one * c
             boundaries = [img for img in images.values() if img]
-            got = self._qb[q] = QuotientBasis(self.field, len(src), cycles,
-                                              boundaries)
-        return got
+            return QuotientBasis(self.field, len(src), cycles, boundaries)
+        return cached(self._qb, q, build)
 
     def dim(self, q: int) -> int:
         """dim H~^q(K_I) = n_q - rank d_q - rank d_{q-1}: n_q counts the
@@ -313,27 +311,12 @@ class ReducedCohomology:
         return self.quotient(q).reduce({idx[t]: c for t, c in cochain.items()})
 
 
-def reduced_cohomology(K: SimplicialComplex, q: int, field: Field = QQ,
-                       within=None) -> ReducedCohomology:
-    """Reduced cohomology data of K (or K_I) with the given degree warmed."""
-    rc = ReducedCohomology(K, within, field)
-    rc.quotient(q)
-    return rc
-
-
 def reduced_cache(K: SimplicialComplex, within, field: Field = QQ) -> ReducedCohomology:
-    """Per-complex cache of induced-subcomplex cohomology data; the heavy
-    sweeps hit the same (K, I, field) triples repeatedly."""
-    cache = getattr(K, "_rc_cache", None)
-    if cache is None:
-        cache = {}
-        K._rc_cache = cache
+    """Induced-subcomplex cohomology data, cached on K (``K._rc_cache``);
+    the heavy sweeps hit the same (K, I, field) triples repeatedly."""
     key = (tuple(sorted(within)) if within is not None else None, field)
-    got = cache.get(key)
-    if got is None:
-        got = ReducedCohomology(K, within, field)
-        cache[key] = got
-    return got
+    return cached(K.__dict__.setdefault("_rc_cache", {}), key,
+                  lambda: ReducedCohomology(K, within, field))
 
 
 @dataclass

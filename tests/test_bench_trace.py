@@ -39,3 +39,7 @@ def test_tracer_installs_and_counts_a_wplus_triple():
     assert layers["massey.params.class"] > 0
     assert layers["massey.find_defining_system.calls"] == 1
     assert layers[f"massey.outcomes.{got['triviality']}"] == 1
+    # builds are counted by probing the window's caches (_coh, _dsolve) by
+    # name: a renamed cache would count every call as a build
+    for name in ("dga.cohomology_basis", "dga.d_solver"):
+        assert 0 < layers[f"{name}.builds"] < layers[f"{name}.calls"], name

@@ -215,6 +215,34 @@ def test_massey_dims_one_per_support_exit_2(dims):
     assert not res.stdout
 
 
+@pytest.mark.parametrize("command", ["massey", "mainlemma"])
+@pytest.mark.parametrize("vertex", ["9", "0"])
+def test_support_vertex_out_of_range_exit_2(command, vertex):
+    """Every support vertex lies in 1..m; another is bad input, named in
+    the message, for both commands that read --supports."""
+    gen = run_cli(["generate", "polygon", "--m", "6"]).stdout
+    res = run_cli([command, "--supports", f"1,3;2,5;4,{vertex}"], stdin=gen)
+    assert res.returncode == 2
+    assert f"support vertex {vertex} is not in 1..6" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not res.stdout
+
+
+def test_closed_stdout_exits_0_silently(tmp_path):
+    """A reader that stops early, as ``triple-scan ... | head -1`` does,
+    ends the scan with exit 0 and nothing on stderr."""
+    octagon = tmp_path / "octagon.json"
+    octagon.write_text(run_cli(["generate", "polygon", "--m", "8"]).stdout)
+    proc = subprocess.Popen(CLI + ["triple-scan", "--in", str(octagon)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    assert json.loads(proc.stdout.readline())["supports"]
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+
+
 def test_cap_exceeded_exit_3():
     big = json.dumps({"m": 15, "minimal_nonfaces": [[1, 2]]})
     res = run_cli(["betti"], stdin=big)
