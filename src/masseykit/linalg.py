@@ -241,8 +241,8 @@ class QuotientBasis:
     ``representatives``.  The boundaries lie in the cycle space exactly when
     that pass has the rank of the cycles alone.  Reductions read a vector in
     the row space of [boundary_basis | representatives] (``coordinates``);
-    that solver is built on the first reduction, since most bases only
-    answer ``dim``."""
+    that solver is built on the first reduction and kept on the basis
+    (``_solver``), since most bases only answer ``dim``."""
 
     def __init__(self, field: Field, ambient_dim: int,
                  cycles: list[dict], boundaries: list[dict]):

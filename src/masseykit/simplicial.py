@@ -75,9 +75,9 @@ class SimplicialComplex:
 
     def face_table(self) -> list:
         """Entry k: the (vertex tuple, mask) pairs of the k-vertex faces in
-        lexicographic order, enumerated once.  A face f grows only by a
-        vertex v above its top one, and f + v is a face unless it contains a
-        minimal non-face topped by v."""
+        lexicographic order, enumerated once and kept on K (``_faces``).  A
+        face f grows only by a vertex v above its top one, and f + v is a
+        face unless it contains a minimal non-face topped by v."""
         if self._faces is None:
             below: list = [[] for _ in range(self.m + 1)]
             for nf, nm in zip(self.minimal_nonfaces, self._nf_masks):
@@ -272,15 +272,15 @@ class ReducedCohomology:
         row per (q+1)-face.  No kernel or quotient basis is built.
 
         The first call sweeps from the top face size down to d_{-2} (the
-        empty face) and caches (rows, rank) per degree, both 0 outside.  It
-        clears: the rows of d_q whose faces are leads of the row span of
-        d_{q+1} (``lead_columns``) are dropped before its rank is taken.
-        This is exact.  d_{q+1} d_q = 0, so a vector v of the row span of
-        d_{q+1} with smallest key sigma writes row sigma of d_q as a
-        combination of rows with larger labels.  By descending induction
-        every cleared row lies in the span of the kept rows, so the span,
-        its rank and its lead set are those of all of d_q, and the next
-        degree's clearing is exact too."""
+        empty face) and caches (rows, rank) per degree on this object
+        (``_ranks``), both 0 outside.  It clears: the rows of d_q whose
+        faces are leads of the row span of d_{q+1} (``lead_columns``) are
+        dropped before its rank is taken.  This is exact.  d_{q+1} d_q = 0,
+        so a vector v of the row span of d_{q+1} with smallest key sigma
+        writes row sigma of d_q as a combination of rows with larger labels.
+        By descending induction every cleared row lies in the span of the
+        kept rows, so the span, its rank and its lead set are those of all
+        of d_q, and the next degree's clearing is exact too."""
         if self._ranks is None:
             self._ranks, cleared = {}, set()
             for size in range(min(len(self.within), len(self._levels) - 1),

@@ -233,14 +233,13 @@ def test_closed_stdout_exits_0_silently(tmp_path):
     ends the scan with exit 0 and nothing on stderr."""
     octagon = tmp_path / "octagon.json"
     octagon.write_text(run_cli(["generate", "polygon", "--m", "8"]).stdout)
-    proc = subprocess.Popen(CLI + ["triple-scan", "--in", str(octagon)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True)
-    assert json.loads(proc.stdout.readline())["supports"]
-    proc.stdout.close()
-    assert proc.wait(timeout=120) == 0
-    assert proc.stderr.read() == ""
-    proc.stderr.close()
+    with subprocess.Popen(CLI + ["triple-scan", "--in", str(octagon)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        assert json.loads(proc.stdout.readline())["supports"]
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == ""
 
 
 def test_cap_exceeded_exit_3():
