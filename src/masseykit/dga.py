@@ -20,14 +20,15 @@ exponent vectors for Koszul complexes of monomial quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MixedDegree, WindowTooSmall
 from .fields import Field
 from .linalg import EchelonSolver, QuotientBasis, axpy, cached, lead_columns
 
 
-@dataclass(frozen=True)
-class MultiDegree:
+class MultiDegree(NamedTuple):
+    """(q, aux); hashes and compares as the plain tuple, in C."""
     q: int
     aux: tuple
 

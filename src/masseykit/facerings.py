@@ -39,7 +39,7 @@ class RKAlgebra(DGAlgebra):
     # ---- degrees ----------------------------------------------------------
     def in_window(self, deg: MultiDegree) -> bool:
         # an aux entry >= 2 is materialized as the zero space
-        return all(v >= 0 for v in deg.aux)
+        return min(deg.aux, default=0) >= 0
 
     def window_degrees(self) -> list:
         if self.aux_len > RK_CAP:
@@ -62,9 +62,8 @@ class RKAlgebra(DGAlgebra):
         return tuple(i + 1 for i, v in enumerate(deg.aux) if v)
 
     def basis(self, deg: MultiDegree) -> list:
-        self._require(deg)
-
         def build():
+            self._require(deg)
             if any(v >= 2 for v in deg.aux):
                 return []
             S = self.support_of(deg)

@@ -150,9 +150,10 @@ class CEAlgebra(DGAlgebra):
         return 0 <= deg.q <= self.q_store and 0 <= w <= self.w_max
 
     def basis(self, deg: MultiDegree) -> list:
-        self._require(deg)
-        return cached(self._bases, deg,
-                      lambda: self._enumerate(deg.q, deg.aux[0]))
+        def build():
+            self._require(deg)
+            return self._enumerate(deg.q, deg.aux[0])
+        return cached(self._bases, deg, build)
 
     def _enumerate(self, q: int, w: int) -> list:
         out = []

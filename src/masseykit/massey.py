@@ -632,8 +632,14 @@ class MasseyEngine:
 
     def _triple_indeterminacy(self, classes, value_deg) -> list:
         """Basis of the direction space a1 . H + H . a3 of the affine value
-        set of a triple product."""
+        set of a triple product.  Empty at once when H is zero in every
+        entry degree of the value: each product has q = value_deg.q, and a
+        component off those degrees is zero (empty basis) or raises
+        ``WindowTooSmall`` (skipped), so the search would find nothing."""
         dga = self.dga
+        if not any(dga.cohomology_dim(d)
+                   for d in self._entry_aux_degrees(value_deg)):
+            return []
         a1, a3 = classes[0], classes[2]
         dirs: list = []
         seen = EchelonSolver(dga.field, 0, [])  # width unread: add only

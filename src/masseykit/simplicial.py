@@ -313,10 +313,16 @@ class ReducedCohomology:
 
 def reduced_cache(K: SimplicialComplex, within, field: Field = QQ) -> ReducedCohomology:
     """Induced-subcomplex cohomology data, cached on K (``K._rc_cache``);
-    the heavy sweeps hit the same (K, I, field) triples repeatedly."""
+    the heavy sweeps hit the same (K, I, field) triples repeatedly.  The
+    vertices are checked on a miss, so a hit pays nothing."""
     key = (tuple(sorted(within)) if within is not None else None, field)
-    return cached(K.__dict__.setdefault("_rc_cache", {}), key,
-                  lambda: ReducedCohomology(K, within, field))
+
+    def build():
+        bad = [v for v in key[0] or () if not 1 <= v <= K.m]
+        if bad:
+            raise InvalidInput(f"support vertex {bad[0]} is not in 1..{K.m}")
+        return ReducedCohomology(K, within, field)
+    return cached(K.__dict__.setdefault("_rc_cache", {}), key, build)
 
 
 @dataclass

@@ -45,6 +45,31 @@ def test_bar_rejects_mixed_degree():
         dga.bar(mixed)
 
 
+def test_multidegree_hashes_and_prints_as_its_fields():
+    """Set and dict orders and the ``str`` signatures of sampled classes
+    read these."""
+    deg = MultiDegree(2, (0, 1))
+    assert hash(deg) == hash((2, (0, 1)))
+    assert repr(deg) == "MultiDegree(q=2, aux=(0, 1))"
+    assert deg + MultiDegree(1, (1, 1)) == MultiDegree(3, (1, 2))
+    for got in (deg + deg, deg.shift(1), deg.d_target(), deg.d_source()):
+        assert type(got) is MultiDegree
+    assert (deg.shift(-1), deg.d_target()) == ((1, (0, 1)), (3, (0, 1)))
+
+
+@pytest.mark.parametrize("make, deg", [
+    (lambda: ce_window(witt_plus(8), 3, 8), MultiDegree(1, (9,))),
+    (lambda: RKAlgebra(polygon(6), QQ), MultiDegree(2, (1, -1, 0, 0, 0, 0)))],
+    ids=["ce-weight", "rk-negative-aux"])
+def test_basis_outside_the_window_raises_every_time(make, deg):
+    """The window check runs when a basis is built; a degree that fails it
+    is never cached."""
+    dga = make()
+    for _ in range(2):
+        with pytest.raises(WindowTooSmall):
+            dga.basis(deg)
+
+
 def test_cup_with_zero():
     dga = ce_window(witt_plus(8), 3, 8)
     x = dga.class_of(dga.one_form(1))

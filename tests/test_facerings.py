@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from masseykit import facerings
-from masseykit.errors import CapExceeded, OverlappingSupports
+from masseykit.errors import CapExceeded, InvalidInput, OverlappingSupports
 from masseykit.fields import GF, QQ
 from masseykit.facerings import (RK_CAP, RKAlgebra, cup_length,
                                  generator_class, golod_test,
@@ -218,6 +218,20 @@ def test_mainlemma_rejects_overlap():
     K = polygon(6)
     with pytest.raises(OverlappingSupports):
         mainlemma_check(K, [(1, 2), (2, 3)], [0, 0])
+
+
+@pytest.mark.parametrize("vertex", [9, 0])
+def test_library_rejects_a_support_vertex_out_of_range(vertex):
+    """A support vertex outside 1..m is bad input for the library calls too,
+    not a silent answer (9) or a shift error (0); a failed check caches
+    nothing, so it raises again."""
+    K = polygon(6)
+    msg = f"support vertex {vertex} is not in 1..6"
+    for _ in range(2):
+        with pytest.raises(InvalidInput, match=msg):
+            mainlemma_check(K, [(1, 3), (2, 5), (4, vertex)], [0, 0, 0], QQ)
+        with pytest.raises(InvalidInput, match=msg):
+            generator_class(K, (vertex, 3))
 
 
 def test_zk_massey_zero_classes_strict_trivial():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from masseykit import facerings, lie
-from masseykit.dga import CohomologyClass, MultiDegree, c_scale
+from masseykit.dga import CohomologyClass, MultiDegree, c_scale, cup
 from masseykit.errors import (NotADefiningSystem, SingularMatrix, Undecided,
                               WindowTooSmall)
 from masseykit.facerings import (generator_class, iter_triple_massey_scan,
@@ -880,6 +880,56 @@ def test_gauge_reduced_search_face_ring_scans(monkeypatch, make, mode):
                                         classes)
               for dga, classes in recorded]
     assert any(new < old for new, old in counts)
+
+
+def _scan_products(monkeypatch, K, field):
+    """(engine, classes, outcome) of every product of the edge scan of K."""
+    recorded = []
+
+    class Recording(MasseyEngine):
+        def massey(self, classes):
+            out = super().massey(classes)
+            recorded.append((self, classes, out))
+            return out
+    monkeypatch.setattr(facerings, "MasseyEngine", Recording)
+    list(iter_triple_massey_scan(K, field))
+    monkeypatch.undo()
+    return recorded
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("make, want", [
+    (lambda: qn(3), (40, 56, 16)), (lambda: polygon(6), (0, 24, 24)),
+    (lambda: polygon(7), (210, 0, 0))], ids=["q3", "polygon6", "polygon7"])
+def test_triple_indeterminacy_is_the_span_of_the_products(monkeypatch, field,
+                                                          make, want):
+    """The indeterminacy of every defined product of an edge scan has the
+    rank of the span of x1 . z and z . x3 over the cohomology bases of both
+    factor degrees.  Pinned: the products with a zero and a nonzero value
+    group, and those with a nonzero indeterminacy."""
+    counts = [0, 0]
+    spans = 0
+    for engine, (x1, x2, x3), out in _scan_products(monkeypatch, make(),
+                                                    field):
+        if not out.defined:
+            continue
+        dga = engine.dga
+        value_deg = (x1.degree + x2.degree + x3.degree).shift(-1)
+        counts[bool(dga.cohomology_dim(value_deg))] += 1
+        rows = []
+        for zdeg, make_prod in (((x2.degree + x3.degree).shift(-1),
+                                 lambda z: cup(x1, z)),
+                                ((x1.degree + x2.degree).shift(-1),
+                                 lambda z: cup(z, x3))):
+            for rep in dga.cohomology_basis(zdeg).representatives:
+                z = CohomologyClass(dga, zdeg, dga.from_vector(rep, zdeg))
+                rows.append({i: c for (_d, i), c
+                             in make_prod(z).coords().items()})
+        got = rank(rows, dga.field)
+        assert len(out.indeterminacy) == got, (x1.degree, x2.degree,
+                                              x3.degree)
+        spans += got > 0
+    assert (*counts, spans) == want
 
 
 def _h2_class(dga, w):
