@@ -866,24 +866,16 @@ def _compare_with_full_kernel(engine, classes, k=None):
 def test_gauge_reduced_search_face_ring_scans(monkeypatch, make, mode):
     """Every product of the triple scan, searched again at a budget both
     parameter sets fit in: the value sets agree, with fewer parameters."""
-    recorded = []
-
-    class Recording(MasseyEngine):
-        def massey(self, classes):
-            recorded.append((self.dga, classes))
-            return super().massey(classes)
-    monkeypatch.setattr(facerings, "MasseyEngine", Recording)
-    list(iter_triple_massey_scan(make(), QQ, support_mode=mode))
-    monkeypatch.undo()
+    recorded = _scan_products(monkeypatch, make(), QQ, mode)
     assert recorded
-    counts = [_compare_with_full_kernel(MasseyEngine(dga, budget=10**6),
-                                        classes)
-              for dga, classes in recorded]
+    counts = [_compare_with_full_kernel(MasseyEngine(engine.dga,
+                                                     budget=10**6), classes)
+              for engine, classes, _out in recorded]
     assert any(new < old for new, old in counts)
 
 
-def _scan_products(monkeypatch, K, field):
-    """(engine, classes, outcome) of every product of the edge scan of K."""
+def _scan_products(monkeypatch, K, field, mode="edges"):
+    """(engine, classes, outcome) of every product of the triple scan."""
     recorded = []
 
     class Recording(MasseyEngine):
@@ -892,7 +884,7 @@ def _scan_products(monkeypatch, K, field):
             recorded.append((self, classes, out))
             return out
     monkeypatch.setattr(facerings, "MasseyEngine", Recording)
-    list(iter_triple_massey_scan(K, field))
+    list(iter_triple_massey_scan(K, field, support_mode=mode))
     monkeypatch.undo()
     return recorded
 
