@@ -24,7 +24,7 @@ from .lie import GradedLie, ce_window, goncharova_table
 from .massey import MasseyEngine
 from .monomial import (MonomialQuotient, koszul_homology,
                        minimal_resolution_betti, serre_bound, serre_equality)
-from .simplicial import SimplicialComplex, hochster_table
+from .simplicial import SimplicialComplex, check_vertices, hochster_table
 
 SCHEMA = 1
 
@@ -60,9 +60,7 @@ def _supports_and_dims(args, m: int, default_dim) -> tuple[list, list]:
     every vertex lies in 1..m and there is one degree per support."""
     supports = [tuple(int(v) for v in part.replace(",", " ").split())
                 for part in args.supports.split(";") if part.strip()]
-    bad = [v for I in supports for v in I if not 1 <= v <= m]
-    if bad:
-        raise InvalidInput(f"support vertex {bad[0]} is not in 1..{m}")
+    check_vertices(m, (v for I in supports for v in I))
     dims = [int(v) for v in args.dims.split(";")] if args.dims \
         else [default_dim] * len(supports)
     if len(dims) != len(supports):

@@ -19,8 +19,8 @@ from .errors import CapExceeded, InvalidInput, OverlappingSupports
 from .fields import QQ, Field
 from .linalg import EchelonSolver, axpy, cached
 from .massey import MasseyEngine, MasseyOutcome
-from .simplicial import (BettiTable, SimplicialComplex, _mask, faces_within,
-                         reduced_cache)
+from .simplicial import (BettiTable, SimplicialComplex, _mask, check_vertices,
+                         faces_within, reduced_cache)
 
 RK_CAP = 14
 MAX_SUPPORT = 4  # vertices of a support in the "h0" triple scan
@@ -270,6 +270,7 @@ def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
     by ``mainlemma_check``.
     """
     supports = [tuple(sorted(c.I)) for c in classes]
+    check_vertices(K.m, (v for I in supports for v in I))
     if not _disjoint(supports):
         raise OverlappingSupports("class supports must be disjoint")
     V = [v for I in supports for v in I]
@@ -300,6 +301,7 @@ def mainlemma_check(K: SimplicialComplex, supports: list, dims: list,
     stacked degree (cond1) resp. one below it (cond2)."""
     k = len(supports)
     supports = [tuple(sorted(I)) for I in supports]
+    check_vertices(K.m, (v for I in supports for v in I))
     if not _disjoint(supports):
         raise OverlappingSupports("supports must be pairwise disjoint")
     if len(dims) != k:

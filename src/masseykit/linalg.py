@@ -5,8 +5,10 @@ loops eliminate.  ``EchelonSolver.add`` is the one Gauss-Jordan step, with
 transform rows: it reduces a row against the stored pivot rows, makes its
 lowest remaining nonzero column a pivot and clears that column from the
 stored rows.  Rows are taken in order, so repeated runs produce identical
-output.  ``lead_columns`` is the rank path: fraction-free over ints, no
-transform rows.  ``QuotientBasis`` selects its bases with one
+output.  ``extend_pivots`` is the rank path: fraction-free over ints, no
+transform rows, and resumable, since it extends a pivot dict of earlier
+rows into a new one and leaves the old one as it was (``lead_columns``
+starts it from nothing).  ``QuotientBasis`` selects its bases with one
 ``EchelonSolver`` pass and reduces a cycle by reading it in the row space
 of another (``EchelonSolver.coordinates``).
 """
@@ -185,7 +187,16 @@ def rank(rows: list, field: Field) -> int:
 def lead_columns(rows: list, field: Field) -> set:
     """The leads of the span of sparse rows: every column that is the
     smallest key of some nonzero vector of the span.  The set depends on
-    the span only, and its size is the rank.
+    the span only, and its size is the rank."""
+    return set(extend_pivots({}, rows, field))
+
+
+def extend_pivots(start: dict, rows, field: Field) -> dict:
+    """The rank loop, resumable: ``start`` is a dict {lead column: stored
+    row} returned by an earlier call (or {}), and the result is a new such
+    dict for the span of start's rows and ``rows``; its keys are the leads
+    of that span.  Neither ``start`` nor its rows are changed, so one state
+    can be extended in several ways.
 
     Plain ints, no transform rows: each row is cleared of denominators
     (over GF(p): taken to residues; an all-int row over Q is only copied),
@@ -194,7 +205,7 @@ def lead_columns(rows: list, field: Field) -> set:
     scaled row is divided by the gcd of its entries over Q and reduced mod
     p over GF(p)."""
     p = field.p
-    pivots: dict = {}  # lead column -> stored row
+    pivots = dict(start)
     for row in rows:
         if p is None and all(type(x) is int for x in row.values()):
             cur = {k: x for k, x in row.items() if x}
@@ -229,7 +240,7 @@ def lead_columns(rows: list, field: Field) -> set:
                 cur = {k: x // g for k, x in cur.items()}
             elif c != 1:
                 cur = {k: r for k, x in cur.items() if (r := x % p)}
-    return set(pivots)
+    return pivots
 
 
 class QuotientBasis:

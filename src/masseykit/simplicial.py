@@ -8,10 +8,13 @@ arithmetic keeps the face tests cheap.
 
 The faces are enumerated once per complex, on first use, as bitmasks
 grouped by size; the faces of an induced subcomplex K_I are the masks
-contained in I.  Dimensions of reduced cohomology are rank-only, cleared
-across degrees (``ReducedCohomology.dim``): no kernel or quotient basis is
-built for them.  ``ReducedCohomology.classes`` and ``reduce`` are the one
-transport between face-keyed cochains and quotient coordinates.
+contained in I.  Dimensions of reduced cohomology are rank-only: no
+kernel or quotient basis is built for them.  For one subset they are
+cleared across degrees (``ReducedCohomology.dim``).  For the whole table
+the rank path is resumed (``linalg.extend_pivots``): ``hochster_table``
+walks the subsets once, each extending its parent's elimination.
+``ReducedCohomology.classes`` and ``reduce`` are the one transport between
+face-keyed cochains and quotient coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, InvalidInput
 from .fields import QQ, Field
-from .linalg import EchelonSolver, QuotientBasis, cached, lead_columns
+from .linalg import (EchelonSolver, QuotientBasis, cached, extend_pivots,
+                     lead_columns)
 
 HOCHSTER_CAP = 14
 
@@ -311,6 +315,13 @@ class ReducedCohomology:
         return self.quotient(q).reduce({idx[t]: c for t, c in cochain.items()})
 
 
+def check_vertices(m: int, vertices) -> None:
+    """``InvalidInput`` unless every support vertex lies in 1..m."""
+    bad = [v for v in vertices if not 1 <= v <= m]
+    if bad:
+        raise InvalidInput(f"support vertex {bad[0]} is not in 1..{m}")
+
+
 def reduced_cache(K: SimplicialComplex, within, field: Field = QQ) -> ReducedCohomology:
     """Induced-subcomplex cohomology data, cached on K (``K._rc_cache``);
     the heavy sweeps hit the same (K, I, field) triples repeatedly.  The
@@ -318,9 +329,7 @@ def reduced_cache(K: SimplicialComplex, within, field: Field = QQ) -> ReducedCoh
     key = (tuple(sorted(within)) if within is not None else None, field)
 
     def build():
-        bad = [v for v in key[0] or () if not 1 <= v <= K.m]
-        if bad:
-            raise InvalidInput(f"support vertex {bad[0]} is not in 1..{K.m}")
+        check_vertices(K.m, key[0] or ())
         return ReducedCohomology(K, within, field)
     return cached(K.__dict__.setdefault("_rc_cache", {}), key, build)
 
@@ -359,15 +368,45 @@ class BettiTable:
 
 def hochster_table(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     """Per-subset Betti numbers: the (i, I) entry is the dimension of the
-    reduced cohomology of K_I in degree |I| - i - 1."""
+    reduced cohomology of K_I in degree q = |I| - i - 1, that is
+    n_q - rank d_q - rank d_{q-1} as in ``ReducedCohomology.dim``.
+
+    One depth-first walk over the subsets: I grows to I + v for each v
+    above its top vertex, so every subset is reached once.  Per face size
+    the walk carries the face count of K_I and the pivot dict of the rank
+    loop over the coboundary rows of those faces (``extend_pivots``), whose
+    size is the rank.  A child extends these by the faces of K_(I+v) topped
+    by v alone and leaves its parent's state as it was.  This is exact: a
+    face inside I has all its facets inside I, so the rows of K_I are rows
+    of K_(I+v) unchanged, and the lead set of the combined rows is that of
+    their span, whatever the order the rows came in."""
     if K.m > HOCHSTER_CAP:
         raise CapExceeded(f"m = {K.m} exceeds the cap {HOCHSTER_CAP}")
-    table = BettiTable(field.tag)
-    for r in range(0, K.m + 1):
-        for I in itertools.combinations(range(1, K.m + 1), r):
-            rc = ReducedCohomology(K, I, field)
-            for q in range(-1, r):
-                d = rc.dim(q)
-                if d:
-                    table.entries[(r - q - 1, I)] = d
-    return table
+    levels = K.face_table()
+    # topped[v][size]: (mask, coboundary row) of the faces topped by v
+    topped = [[[] for _ in levels] for _ in range(K.m + 1)]
+    for size, level in enumerate(levels):
+        masks = [f for _t, f in level]
+        for f, row in zip(masks, _coboundary_rows(masks)):
+            topped[f.bit_length()][size].append((f, row))
+    entries: dict = {}
+
+    def visit(I: tuple, mask: int, counts: list, pivots: list):
+        r = len(I)
+        for q in range(-1, min(r, len(levels) - 1)):
+            d = counts[q + 1] - len(pivots[q + 2]) - len(pivots[q + 1])
+            if d:
+                entries[(r - q - 1, I)] = d
+        for v in range(I[-1] + 1 if I else 1, K.m + 1):
+            child = mask | 1 << (v - 1)
+            counts_v, pivots_v = counts[:], pivots[:]
+            for size, faces in enumerate(topped[v]):
+                new = [row for f, row in faces if f & child == f]
+                if new:
+                    counts_v[size] += len(new)
+                    pivots_v[size] = extend_pivots(pivots[size], new, field)
+            visit(I + (v,), child, counts_v, pivots_v)
+
+    # the empty face is the one face of K_(), and its row is empty
+    visit((), 0, [1] + [0] * len(levels), [{}] * (len(levels) + 1))
+    return BettiTable(field.tag, entries)

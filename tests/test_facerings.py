@@ -234,6 +234,24 @@ def test_library_rejects_a_support_vertex_out_of_range(vertex):
             generator_class(K, (vertex, 3))
 
 
+@pytest.mark.parametrize("bad", [(1, 9), (4, 9), (0, 4)])
+def test_two_support_mainlemma_and_zk_massey_check_vertices(bad):
+    """Two supports reach no consecutive union, and ``zk_massey`` takes its
+    supports from hand-made classes; both check the vertices first, so a
+    vertex 9 does not answer and a vertex 0 does not land on index -1,
+    whatever the cochain."""
+    K = polygon(6)
+    msg = f"support vertex {9 if 9 in bad else 0} is not in 1..6"
+    rest = [v for v in (2, 3, 5, 6) if v not in bad][:2]
+    with pytest.raises(InvalidInput, match=msg):
+        mainlemma_check(K, [bad, tuple(rest)], [0, 0], QQ)
+    for cochain in ({}, {(bad[1],): 1}, {(bad[0],): 1}):
+        x = ZkClass(bad, 0, cochain)
+        others = [ZkClass((v,), -1, {(): 1}) for v in rest]
+        with pytest.raises(InvalidInput, match=msg):
+            zk_massey(K, [x] + others, QQ)
+
+
 def test_zk_massey_zero_classes_strict_trivial():
     K = cube(3)
     zero = ZkClass((1, 4), 0, {})

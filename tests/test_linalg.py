@@ -6,7 +6,7 @@ import pytest
 from masseykit.errors import InvalidInput
 from masseykit.fields import GF, QQ
 from masseykit.linalg import (EchelonSolver, QuotientBasis, axpy,
-                              lead_columns, rank)
+                              extend_pivots, lead_columns, rank)
 from masseykit.params import Poly
 
 from oracles import brute_force_solutions_fp, dense_rank, sparse_mul
@@ -336,3 +336,39 @@ def test_lead_columns_mixes_int_and_fraction_rows():
         dense = [[r.get(c, 0) for c in range(n_cols)] for r in rows]
         assert len(leads) == dense_rank(dense)
     assert mixed >= 30
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3)), ids=("q", "fp2", "fp3"))
+def test_extend_pivots_resumes_without_touching_its_start(field):
+    """Extending the pivots of rows A by rows B gives the leads of A + B,
+    over Q with int and ``Fraction`` rows alike, and leaves the start dict
+    and every row stored in it as they were, so two children of one state
+    do not see each other."""
+    rng = random.Random(19)
+    for _ in range(150):
+        n_cols = rng.randint(1, 9)
+
+        def rows(n):
+            out = []
+            for _ in range(n):
+                row = {}
+                for c in range(n_cols):
+                    if rng.random() < 0.5:
+                        x = rng.randint(-3, 3)
+                        if field is QQ and rng.random() < 0.5:
+                            x = Fraction(x, rng.randint(2, 5))
+                        if x:
+                            row[c] = x if field is QQ else field.of(x)
+                out.append(row)
+            return out
+        A, B, C = rows(rng.randint(0, 5)), rows(rng.randint(0, 5)), \
+            rows(rng.randint(0, 5))
+        start = extend_pivots({}, A, field)
+        assert set(start) == lead_columns(A, field)
+        frozen = {k: dict(row) for k, row in start.items()}
+        got = extend_pivots(start, B, field)
+        assert got is not start
+        assert set(got) == lead_columns(A + B, field)
+        assert set(extend_pivots(start, C, field)) == \
+            lead_columns(A + C, field)
+        assert start == frozen

@@ -229,6 +229,39 @@ def test_rp2_torsion_seen_over_gf2_only():
     assert gained == {8: 1, 9: 1}
 
 
+def per_subset_table(K, field):
+    """The Hochster table subset by subset, each K_I eliminated afresh by
+    ``ReducedCohomology.dim``."""
+    entries = {}
+    for r in range(K.m + 1):
+        for I in itertools.combinations(range(1, K.m + 1), r):
+            rc = ReducedCohomology(K, I, field)
+            for q in range(-1, r):
+                if rc.dim(q):
+                    entries[(r - q - 1, I)] = rc.dim(q)
+    return entries
+
+
+def test_hochster_walk_matches_per_subset_route():
+    """The walk over the subset lattice, which extends each parent's
+    elimination, against fresh per-subset eliminations: random complexes
+    on 0..8 vertices, the empty complex and a point, and RP^2, whose
+    torsion shows over GF(2) only."""
+    rng = random.Random(1818)
+    complexes = [SimplicialComplex(0, []), SimplicialComplex(1, []),
+                 from_facets(6, RP2_FACETS)]
+    for m in range(9):
+        for _ in range(8 if m < 8 else 4):
+            complexes.append(SimplicialComplex(m, random_complex(m, rng)))
+    for K in complexes:
+        for field in FIELDS:
+            assert hochster_table(K, field).entries == \
+                per_subset_table(K, field), (K.m, K.minimal_nonfaces, field)
+    rp2 = complexes[2]
+    assert hochster_table(rp2, GF(2)).entries != \
+        hochster_table(rp2, QQ).entries
+
+
 def test_q4_hochster_fields_agree_and_duality():
     K = qn(4)
     table = hochster_table(K, QQ)
