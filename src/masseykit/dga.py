@@ -6,7 +6,8 @@ dicts ``{monomial: scalar}`` with no stored zeros; all bookkeeping (vectors,
 matrices, cohomology bases) happens through the window object.
 
 Cohomology dimensions come from ranks of d alone, cleared across degrees
-(``cohomology_dim``, ``d_rank``).
+(``cohomology_dim``, ``d_rank``): upward, the leads of im d_(q-1) mark the
+sources of d_q whose images are never computed.
 Cycle, boundary and quotient bases (``cohomology_basis``) are built only
 where cochains are reduced: Massey products, cup products and coordinates.
 ``coords`` is the one reduction of a closed cochain to class coordinates;
@@ -189,12 +190,13 @@ class DGAlgebra:
                 for i, c in self.cohomology_basis(deg).reduce(
                     self.to_vector(comp, deg)).items()}
 
-    def d_images(self, deg: MultiDegree):
-        """Yield d of each basis element of deg, in basis order, as a sparse
-        vector keyed by the index of the target basis element."""
+    def d_images(self, deg: MultiDegree, skip=()):
+        """Yield d of each basis element of deg whose index is not in skip,
+        in basis order, as a sparse vector keyed by the index of the target
+        basis element; d_mono is not called on a skipped element."""
         idx = self.index(deg.d_target())
         return (axpy({}, 1, ((idx[m2], c) for m2, c in self.d_mono(mono)))
-                for mono in self.basis(deg))
+                for j, mono in enumerate(self.basis(deg)) if j not in skip)
 
     def d_rows(self, deg: MultiDegree) -> list[dict]:
         """Matrix of d from deg to deg + 1: one sparse row per basis element
@@ -215,17 +217,18 @@ class DGAlgebra:
     def d_rank(self, deg: MultiDegree) -> int:
         """Rank of d from deg to deg + 1; no transform rows.
 
-        Clears across degrees: where deg + 2 is in the window and d from deg
-        has rows, each row of d_deg labelled by a lead of the row span of
-        d_(deg+1) (``lead_columns``) is dropped before the rank is taken.
-        This is exact.  d_(deg+1) d_deg = 0, so a vector v of the row span
-        of d_(deg+1) with smallest key sigma writes row sigma of d_deg as a
-        combination of rows with larger labels.  By descending induction
-        every cleared row lies in the span of the kept rows, so the span,
-        its rank and its lead set are those of all of d_deg, and the degree
-        below clears exactly with them.  Ranks are cached on the window;
-        the lead set of a degree asked for here is kept there until the
-        degree below takes it."""
+        Clears across degrees, upward: the rows are the images d b_j of the
+        basis elements of deg, keyed by target index, and where deg - 1 is
+        in the window and has a basis, a source j that is a lead of the
+        image span of d_(deg-1) (``lead_columns``) is skipped; its image is
+        never computed.  This is exact.  d d = 0, so a vector v of im
+        d_(deg-1) with smallest key sigma has d v = 0, which writes d b_sigma
+        as a combination of the d b_tau with tau > sigma.  By descending
+        induction every cleared image lies in the span of the kept images,
+        so the span, its rank and its lead set are those of all of im d_deg,
+        and the degree above clears exactly with them.  Ranks are cached on
+        the window; the lead set of a degree asked for here is kept there
+        until the degree above takes it."""
         if deg not in self._drank:
             self._dleads[deg] = self._d_leads(deg) or ()
         return self._drank[deg]
@@ -233,11 +236,12 @@ class DGAlgebra:
     def _d_leads(self, deg: MultiDegree):
         got = self._dleads.pop(deg, None)
         if got is None:
-            up = deg.d_target()
-            cleared = self._d_leads(up) if self.basis(up) and \
-                self.in_window(up.d_target()) else ()
-            got = lead_columns([r for i, r in enumerate(self.d_rows(deg))
-                                if i not in cleared], self.field)
+            self._require(deg)
+            self._require(deg.d_target())
+            down = deg.d_source()
+            cleared = self._d_leads(down) if self.in_window(down) and \
+                self.basis(down) else ()
+            got = lead_columns(self.d_images(deg, cleared), self.field)
             self._drank[deg] = len(got)
         return got
 

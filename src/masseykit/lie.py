@@ -34,6 +34,9 @@ class GradedLie:
     truncation_weight: int
 
     def __post_init__(self):
+        for g, w in self.weights.items():
+            if w < 0:
+                raise InvalidInput(f"generator {g} has negative weight {w}")
         for (i, j), terms in self.brackets.items():
             if i >= j:
                 raise InvalidInput("brackets must be keyed by i < j")
@@ -135,6 +138,7 @@ class CEAlgebra(DGAlgebra):
         self.q_store = q_max + 1
         self.w_max = w_max
         self._gens = [g for g in lie.generators if lie.weights[g] <= w_max]
+        self._levels: dict = {}
         # e^k |-> terms of d e^k, from the reversed bracket table
         self._dgen: dict = {g: [] for g in self._gens}
         for (i, j), terms in lie.brackets.items():
@@ -152,28 +156,34 @@ class CEAlgebra(DGAlgebra):
     def basis(self, deg: MultiDegree) -> list:
         def build():
             self._require(deg)
-            return self._enumerate(deg.q, deg.aux[0])
+            return self._level(deg.q)[1].get(deg.aux[0], [])
         return cached(self._bases, deg, build)
 
-    def _enumerate(self, q: int, w: int) -> list:
-        out = []
-
-        def rec(prefix, start, remaining, slots):
-            if slots == 0:
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            for idx in range(start, len(self._gens)):
-                g = self._gens[idx]
-                wg = self.lie.weights[g]
-                if wg > remaining:
-                    continue
-                prefix.append(g)
-                rec(prefix, idx + 1, remaining - wg, slots - 1)
-                prefix.pop()
-
-        rec([], 0, w, q)
-        return out
+    def _level(self, q: int) -> tuple:
+        """The monomials of q factors, as (monomial, weight, position of the
+        last generator) triples and bucketed by weight: level q - 1 in
+        lexicographic order, each monomial extended by every window
+        generator above its last index that keeps the weight <= w_max.
+        Every bucket comes out in lexicographic order of generator indices,
+        the order that fixes basis indices.  Exact because no weight is
+        negative: a prefix heavier than w_max has no extension in the
+        window.  Cached per level; the triples are what level q + 1
+        extends."""
+        def build():
+            if q == 0:
+                return [((), 0, -1)], {0: [()]}
+            gens, w_max = self._gens, self.w_max
+            wts = [self.lie.weights[g] for g in gens]
+            flat, buckets = [], {}
+            for mono, w, pos in self._level(q - 1)[0]:
+                for i in range(pos + 1, len(gens)):
+                    w2 = w + wts[i]
+                    if w2 <= w_max:
+                        m2 = mono + (gens[i],)
+                        flat.append((m2, w2, i))
+                        buckets.setdefault(w2, []).append(m2)
+            return flat, buckets
+        return cached(self._levels, q, build)
 
     def degree_of_mono(self, mono) -> MultiDegree:
         return MultiDegree(len(mono), (sum(self.lie.weights[g] for g in mono),))

@@ -215,7 +215,7 @@ def extend_pivots(start: dict, rows, field: Field) -> dict:
                    for k, x in row.items() if x}
         else:
             cur = {k: r for k, x in row.items() if (r := (
-                x.v if isinstance(x, Fp)
+                x % p if type(x) is int else x.v if isinstance(x, Fp)
                 else x.numerator * pow(x.denominator, -1, p) % p))}
         while cur:
             lead = min(cur)

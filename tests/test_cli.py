@@ -283,3 +283,11 @@ def test_cohomology_cli_explicit_presentation():
     assert (1, 2) not in dims
     # H^2: e^1 ^ e^3 and e^2 ^ e^3 are closed and not exact (weight 3)
     assert dims.get((2, 3)) == 2
+
+
+def test_cohomology_negative_weight_exit_2():
+    lie = json.dumps({"generators": [{"i": 1, "w": 5}, {"i": 2, "w": -3}],
+                      "brackets": [], "W": 6})
+    res = run_cli(["cohomology", "--qmax", "2", "--wmax", "6"], stdin=lie)
+    assert res.returncode == 2
+    assert "negative weight" in res.stderr

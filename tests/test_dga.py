@@ -9,7 +9,8 @@ from masseykit.errors import InvalidInput, MixedDegree, WindowTooSmall
 from masseykit.facerings import RKAlgebra, rk_cohomology
 from masseykit.fields import GF, QQ
 from masseykit.generators import polygon
-from masseykit.lie import ce_window, goncharova_table, m0, witt_plus
+from masseykit.lie import (CEAlgebra, GradedLie, ce_window, goncharova_table,
+                           m0, witt_plus)
 from masseykit.linalg import EchelonSolver, QuotientBasis, axpy, rank
 from masseykit.massey import MasseyEngine, pc_evaluate
 from masseykit.monomial import KoszulAlgebra, MonomialQuotient, anr
@@ -153,10 +154,10 @@ def test_cohomology_dim_matches_basis_koszul(ring):
 
 
 def assert_d_rank_uncleared(dga):
-    """d_rank, cleared with the leads of d from deg + 1, against the rank of
-    all of d_rows(deg), on every degree where d is defined, with one
+    """d_rank, cleared with the leads of im d from deg - 1, against the rank
+    of all of d_rows(deg), on every degree where d is defined, with one
     elimination per degree; returns how many ranks had a nonzero rank
-    above them to clear with."""
+    below them to clear with."""
     calls = []
     real = dga_module.lead_columns
     dga_module.lead_columns = lambda rows, f: calls.append(1) or real(rows, f)
@@ -166,8 +167,8 @@ def assert_d_rank_uncleared(dga):
             if not dga.in_window(deg.d_target()):
                 continue
             assert dga.d_rank(deg) == rank(dga.d_rows(deg), dga.field), deg
-            cleared += bool(dga.d_rank(deg) and dga.in_window(deg.shift(2))
-                            and dga.d_rank(deg.d_target()))
+            cleared += bool(dga.d_rank(deg) and dga.in_window(deg.d_source())
+                            and dga.d_rank(deg.d_source()))
     finally:
         dga_module.lead_columns = real
     assert len(calls) == len(dga._drank)
@@ -178,6 +179,17 @@ def assert_d_rank_uncleared(dga):
 @pytest.mark.parametrize("lie", [witt_plus, m0], ids=["wplus", "m0"])
 def test_d_rank_cleared_equals_full_rank_ce(lie, field):
     assert assert_d_rank_uncleared(ce_window(lie(12), 3, 12, field))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_d_rank_cleared_equals_full_rank_ce_weight_zero(field):
+    """e2 of weight 0 acts by the grading on e3, e4, e1 (weights 1, 2, 3),
+    and [e3, e4] = e1; the weights fall and rise with the index."""
+    lie = GradedLie("custom", {1: 3, 2: 0, 3: 1, 4: 2},
+                    {(1, 2): [(1, -3)], (2, 3): [(3, 1)], (2, 4): [(4, 2)],
+                     (3, 4): [(1, 1)]}, 6)
+    assert lie.jacobi_ok()
+    assert assert_d_rank_uncleared(ce_window(lie, 3, 6, field))
 
 
 def test_d_rank_cleared_equals_full_rank_rk():
@@ -193,6 +205,24 @@ def test_d_rank_cleared_equals_full_rank_koszul():
         for field in (QQ, GF(3)):
             cleared += assert_d_rank_uncleared(KoszulAlgebra(ring, field))
     assert cleared
+
+
+def test_dimension_queries_apply_d_to_kept_sources_only(monkeypatch):
+    """Goncharova 3/30 calls d_mono once per source that clearing keeps:
+    |basis(q, w)| - rank d_(q-1, w) summed over the table, each rank taken
+    from all of d_rows on a second window."""
+    calls = []
+    real = CEAlgebra.d_mono
+    monkeypatch.setattr(CEAlgebra, "d_mono",
+                        lambda self, mono: calls.append(mono) or real(self, mono))
+    goncharova_table(3, 30)
+    assert len(calls) == len(set(calls))
+    monkeypatch.setattr(CEAlgebra, "d_mono", real)
+    ref = ce_window(witt_plus(30), 3, 30)
+    kept = sum(len(ref.basis(ref.deg(q, w))) -
+               rank(ref.d_rows(ref.deg(q - 1, w)), QQ)
+               for q in range(1, 4) for w in range(1, 31))
+    assert len(calls) == kept == 607
 
 
 def test_dimension_queries_build_no_quotient_basis_or_solver(monkeypatch):

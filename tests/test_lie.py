@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from masseykit.dga import MultiDegree, c_scale, cup
-from masseykit.errors import DomainError
+from masseykit.errors import DomainError, InvalidInput
 from masseykit.fields import GF, QQ
-from masseykit.lie import (ce_window, d1, d_minus1, goncharova_table, m0,
-                           m0_product, omega, pentagonal_weights, witt_plus)
+from masseykit.lie import (GradedLie, ce_window, d1, d_minus1,
+                           goncharova_table, m0, m0_product, omega,
+                           pentagonal_weights, witt_plus)
 
 from oracles import brute_kernel_image_dims_fp
 
@@ -93,6 +95,49 @@ def test_weight_preservation():
             for mono in dga.basis(dga.deg(q, w)):
                 for m2, _c in dga.d({mono: Fraction(1)}).items():
                     assert sum(m2) == w and len(m2) == q + 1
+
+
+# weights that do not rise with the index, one of them 0, one above the window
+UNORDERED = GradedLie("custom", {1: 4, 2: 0, 3: 2, 5: 1, 7: 3, 8: 2, 9: 7},
+                      {(2, 3): [(8, 1)], (3, 8): [(1, 2)], (5, 7): [(1, -1)]},
+                      7)
+
+
+@pytest.mark.parametrize("lie, q_max, w_max", [
+    (witt_plus(12), 3, 12), (m0(12), 3, 12), (witt_plus(14), 4, 10),
+    (UNORDERED, 4, 6)], ids=["wplus", "m0", "wplus-narrow", "unordered"])
+def test_ce_bases_are_the_weight_filtered_combinations(lie, q_max, w_max):
+    """Every CE basis is the list of q-subsets of the window generators of
+    total weight w, in the order itertools.combinations emits them
+    (lexicographic in the generator indices); that order fixes basis
+    indices and printed representatives."""
+    dga = ce_window(lie, q_max, w_max)
+    gens = [g for g in lie.generators if lie.weights[g] <= w_max]
+    total = 0
+    for q in range(q_max + 2):
+        for w in range(w_max + 1):
+            want = [c for c in itertools.combinations(gens, q)
+                    if sum(lie.weights[g] for g in c) == w]
+            assert dga.basis(dga.deg(q, w)) == want, (q, w)
+            total += len(want)
+    assert total > q_max + 2
+
+
+def test_negative_weights_are_bad_input():
+    """A negative weight would let a prefix above the window come back into
+    it, which the CE basis enumeration does not follow; weight 0 is fine."""
+    bad = {"generators": [{"i": 1, "w": 5}, {"i": 2, "w": -3}],
+           "brackets": [], "W": 6}
+    with pytest.raises(InvalidInput):
+        GradedLie.from_json(bad)
+    with pytest.raises(InvalidInput):
+        GradedLie("custom", {1: 1, 2: -1}, {}, 2)
+    zero = GradedLie.from_json({"generators": [{"i": 1, "w": 0},
+                                               {"i": 2, "w": 2}],
+                                "brackets": [], "W": 2})
+    dga = ce_window(zero, 2, 2)
+    assert dga.basis(dga.deg(2, 2)) == [(1, 2)]
+    assert dga.cohomology_dim(dga.deg(1, 0)) == 1
 
 
 def test_goncharova_small():

@@ -372,3 +372,27 @@ def test_extend_pivots_resumes_without_touching_its_start(field):
         assert set(extend_pivots(start, C, field)) == \
             lead_columns(A + C, field)
         assert start == frozen
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_extend_pivots_reads_int_fraction_and_fp_rows_alike(p):
+    """Over GF(p) a plain int entry is taken mod p, as its ``Fraction`` and
+    ``Fp`` forms are: the three forms of one matrix give the same pivot
+    dict, with every stored entry a residue in 1..p-1.  The int rows keep
+    entries that vanish mod p and negative ones."""
+    field = GF(p)
+    rng = random.Random(1900 + p)
+    for _ in range(120):
+        n_cols = rng.randint(1, 8)
+        ints = [{c: x for c in range(n_cols)
+                 if rng.random() < 0.6 and (x := rng.randint(-6, 6))}
+                for _ in range(rng.randint(0, 6))]
+        fracs = [{c: Fraction(x) for c, x in r.items()} for r in ints]
+        fps = [{c: field.of(x) for c, x in r.items() if x % p} for r in ints]
+        got = extend_pivots({}, ints, field)
+        assert got == extend_pivots({}, fracs, field) == \
+            extend_pivots({}, fps, field)
+        assert all(type(x) is int and 0 < x < p
+                   for row in got.values() for x in row.values())
+        dense = [[r.get(c, 0) % p for c in range(n_cols)] for r in ints]
+        assert len(got) == dense_rank(dense, q=p)
