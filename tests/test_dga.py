@@ -213,8 +213,8 @@ def test_dimension_queries_apply_d_to_kept_sources_only(monkeypatch):
     from all of d_rows on a second window."""
     calls = []
     real = CEAlgebra.d_mono
-    monkeypatch.setattr(CEAlgebra, "d_mono",
-                        lambda self, mono: calls.append(mono) or real(self, mono))
+    monkeypatch.setattr(CEAlgebra, "d_mono", lambda self, mono:
+                        calls.append(mono) or real(self, mono))
     goncharova_table(3, 30)
     assert len(calls) == len(set(calls))
     monkeypatch.setattr(CEAlgebra, "d_mono", real)
