@@ -77,12 +77,17 @@ def merge_sorted(base: tuple, extra: tuple):
 class DGAlgebra:
     """Common machinery; concrete windows implement the six hooks below.
     Per-degree caches live on the window, made in ``__init__`` and filled
-    through ``linalg.cached``; ``_entry_degs`` is ``MasseyEngine``'s."""
+    through ``linalg.cached``.  Two are ``MasseyEngine``'s: ``_entry_degs``
+    (entry degrees per q) and ``_pairs``, the particular solution of a
+    stage-one slot per ordered pair of classes, keyed by their content
+    (``find_defining_system``).  ``RKAlgebra._transported`` keeps each
+    moment-angle class transported into the window."""
 
     def __init__(self, field: Field):
         self.field = field
         self._bases, self._idx, self._dsolve, self._coh = {}, {}, {}, {}
         self._drank, self._dleads, self._entry_degs = {}, {}, {}
+        self._pairs = {}
 
     # ---- hooks ---------------------------------------------------------
     def in_window(self, deg: MultiDegree) -> bool:

@@ -35,6 +35,7 @@ class RKAlgebra(DGAlgebra):
         self.aux_len = K.m
         self._levels = K.face_table()
         self._faces = {t for level in self._levels for t, _f in level}
+        self._transported = {}
 
     # ---- degrees ----------------------------------------------------------
     def in_window(self, deg: MultiDegree) -> bool:
@@ -121,6 +122,20 @@ class RKAlgebra(DGAlgebra):
             J = tuple(sorted(iset - set(sigma)))
             out[(sigma, J)] = self.field.of(sign) * c
         return out
+
+    def transport(self, c: "ZkClass") -> tuple:
+        """(degree, cochain) of a moment-angle class in R(K), by
+        ``from_simplicial``; a representative that is not a cocycle raises
+        ``InvalidInput``.  Cached on the window by the content of c (its
+        support, degree and cochain), so each class is transported once
+        per window; the cache holds no class and no window."""
+        def build():
+            rk = self.from_simplicial(c.I, c.cochain)
+            if self.d(rk):
+                raise InvalidInput("class representative is not a cocycle")
+            return MultiDegree(len(c.I) + c.q + 1, self._aux_of(c.I)), rk
+        return cached(self._transported,
+                      (c.I, c.q, frozenset(c.cochain.items())), build)
 
 
 def rk_window(K: SimplicialComplex, field: Field = QQ) -> RKAlgebra:
@@ -278,13 +293,7 @@ def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
         raise CapExceeded(f"{len(V)} vertices exceed the cap {RK_CAP}")
     alg = rk_window(K, field)
     engine = MasseyEngine(alg, budget=budget, homogeneous_aux=True)
-    chain_classes = []
-    for c in classes:
-        rk = alg.from_simplicial(c.I, c.cochain)
-        deg = MultiDegree(len(c.I) + c.q + 1, alg._aux_of(c.I))
-        if alg.d(rk):
-            raise InvalidInput("class representative is not a cocycle")
-        chain_classes.append(CohomologyClass(alg, deg, rk))
+    chain_classes = [CohomologyClass(alg, *alg.transport(c)) for c in classes]
     out = engine.massey(chain_classes)
     if out.status == "affine" and not out.indeterminacy:
         out = replace(

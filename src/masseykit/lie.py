@@ -40,6 +40,11 @@ class GradedLie:
         for (i, j), terms in self.brackets.items():
             if i >= j:
                 raise InvalidInput("brackets must be keyed by i < j")
+            for g in (i, j, *(k for k, _c in terms)):
+                if g not in self.weights:
+                    raise InvalidInput(
+                        f"bracket [{i},{j}] names {g}, which is not a "
+                        "generator")
             for k, _c in terms:
                 if self.weights[k] != self.weights[i] + self.weights[j]:
                     raise InvalidInput(
@@ -94,10 +99,20 @@ class GradedLie:
         brackets = {}
         for b in data["brackets"]:
             i, j = int(b["i"]), int(b["j"])
-            terms = [(int(t["k"]), Fraction(t["c"])) for t in b["terms"]]
+            terms = [(int(t["k"]), _rational(t["c"])) for t in b["terms"]]
             brackets[(i, j)] = terms
         W = int(data.get("W", max(weights.values(), default=0)))
         return GradedLie("custom", weights, brackets, W)
+
+
+def _rational(c) -> Fraction:
+    """A bracket coefficient read from JSON; anything that is not a
+    rational number is bad input."""
+    try:
+        return Fraction(c)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise InvalidInput(
+            f"bracket coefficient {c!r} is not a rational number") from None
 
 
 def m0(W: int) -> GradedLie:

@@ -395,6 +395,20 @@ class MasseyEngine:
         only when the solver returns (None, False), a proof of
         inconsistency with nothing pinned, and every earlier stage was
         complete.
+
+        A stage-one slot (i, i+1) solves d a = bar(a_i) ^ a_(i+1) from two
+        constant entries, so its particular solution depends only on the
+        two classes (degree and representative) and on ``homogeneous_aux``;
+        no parameter and no earlier slot reaches it, and its obstructions
+        are constants.  The window keeps that solution per ordered pair
+        (``dga._pairs``) and a later product reuses it, which is exact.  An
+        inconsistent pair or a raise stores nothing, so an ``Undefined``
+        still takes ``inconclusive`` from this search's ``complete``.  The
+        parameter directions are not memoized: they are read from
+        ``cohomology_basis`` per slot and per product, under this search's
+        budget, so the numbering of ``ParamInfo`` and a replaced
+        ``cohomology_basis`` (as in the full-kernel comparison of the tests)
+        act as before.
         """
         dga = self.dga
         n = len(classes)
@@ -419,45 +433,34 @@ class MasseyEngine:
                 j = i + stage
                 if (i, j) == (1, n):
                     continue
-                rhs = mc_sum(dga, entries, i, j)
-                if dga.d(rhs):
-                    raise NotADefiningSystem(
-                        f"stage right-hand side at {(i, j)} is not closed")
-                comps = dga.components(rhs)
-                # collect per-component obstructions, resolve, then solve
-                constraints = []
-                comp_data = []
-                for deg, comp in sorted(comps.items(), key=lambda kv: kv[0].aux):
-                    if self.homogeneous_aux and deg != prof[(i, j)].d_target():
-                        raise NotADefiningSystem(
-                            f"inhomogeneous right-hand side at {(i, j)}")
-                    solver = dga.d_solver(deg.d_source())
-                    vec = dga.to_vector(comp, deg)
-                    comp_data.append((deg, solver, vec))
-                    constraints.extend(obs for obs in solver.obstructions(vec)
-                                       if obs != 0)
-                if constraints:
-                    new_subst, pinned = self._resolve_constraints(constraints)
+                pair = None
+                if stage == 1:
+                    a, b = classes[i - 1], classes[i]
+                    pair = (self.homogeneous_aux, a.degree,
+                            frozenset(a.rep.items()), b.degree,
+                            frozenset(b.rep.items()))
+                known = dga._pairs.get(pair)
+                if known is not None:
+                    entry = pc_const(known)
+                else:
+                    entry, subst, pinned = self._particular(
+                        entries, i, j, prof[(i, j)])
                     if pinned:
                         complete = False
-                    if new_subst is None:
+                    if subst is None:
                         return Undefined((i, j), "inconsistent stage",
                                          inconclusive=not complete)
-                    if new_subst:
-                        entries = {slot: pc_substitute(pc, new_subst)
+                    if subst:
+                        entries = {slot: pc_substitute(pc, subst)
                                    for slot, pc in entries.items()}
-                        comp_data = [
-                            (deg, solver, pc_substitute(vec, new_subst))
-                            for deg, solver, vec in comp_data]
-                entry: dict = {}
-                for deg, solver, vec in comp_data:
-                    axpy(entry, 1, dga.from_vector(
-                        solver.particular(vec), deg.d_source()).items())
                 # kernel freedom: cohomology directions only (see above)
                 if self.homogeneous_aux and \
                         not self._materialized(prof[(i, j)]):
                     raise WindowTooSmall(
                         f"entry degree {prof[(i, j)]} not materialized")
+                if pair is not None and known is None:
+                    dga._pairs[pair] = {m: p.constant()
+                                        for m, p in entry.items()}
                 for deg in self._entry_aux_degrees(prof[(i, j)]):
                     for kvec in dga.cohomology_basis(deg).representatives:
                         if len(params) >= self.budget:
@@ -472,6 +475,41 @@ class MasseyEngine:
                 if entry:
                     entries[(i, j)] = entry
         return ConnectionFamily(dga, n, entries, params, complete)
+
+    def _particular(self, entries, i: int, j: int, nominal: MultiDegree):
+        """One particular solution of d a(i, j) = mc_sum(i, j), with the
+        stage's obstructions resolved first.  Returns (entry, subst,
+        pinned) as ``_resolve_constraints`` gives subst and pinned; entry
+        is None when subst is None (the stage is inconsistent), and subst
+        must still be applied to every entry."""
+        dga = self.dga
+        rhs = mc_sum(dga, entries, i, j)
+        if dga.d(rhs):
+            raise NotADefiningSystem(
+                f"stage right-hand side at {(i, j)} is not closed")
+        constraints = []
+        comp_data = []
+        for deg, comp in sorted(dga.components(rhs).items(),
+                                key=lambda kv: kv[0].aux):
+            if self.homogeneous_aux and deg != nominal.d_target():
+                raise NotADefiningSystem(
+                    f"inhomogeneous right-hand side at {(i, j)}")
+            solver = dga.d_solver(deg.d_source())
+            vec = dga.to_vector(comp, deg)
+            comp_data.append((deg, solver, vec))
+            constraints.extend(obs for obs in solver.obstructions(vec)
+                               if obs != 0)
+        subst, pinned = self._resolve_constraints(constraints) \
+            if constraints else ({}, False)
+        if subst is None:
+            return None, None, pinned
+        entry: dict = {}
+        for deg, solver, vec in comp_data:
+            if subst:
+                vec = pc_substitute(vec, subst)
+            axpy(entry, 1, dga.from_vector(
+                solver.particular(vec), deg.d_source()).items())
+        return entry, subst, pinned
 
     def _resolve_constraints(self, polys):
         """The one exact solver: parameter values at which every poly of

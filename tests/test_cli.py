@@ -291,3 +291,31 @@ def test_cohomology_negative_weight_exit_2():
     res = run_cli(["cohomology", "--qmax", "2", "--wmax", "6"], stdin=lie)
     assert res.returncode == 2
     assert "negative weight" in res.stderr
+
+
+def _two_step(terms, gens=3, i=1, j=2):
+    """[e_i, e_j] = terms on generators 1..gens of weight 1, 1, 2, ..."""
+    return json.dumps({
+        "W": 4,
+        "generators": [{"i": g, "w": 1 if g < 3 else 2}
+                       for g in range(1, gens + 1)],
+        "brackets": [{"i": i, "j": j, "terms": terms}]})
+
+
+@pytest.mark.parametrize("c", ["1/0", "x"])
+def test_cohomology_bad_bracket_coefficient_exit_2(c):
+    res = run_cli(["cohomology", "--qmax", "2", "--wmax", "4"],
+                  stdin=_two_step([{"k": 3, "c": c}]))
+    assert res.returncode == 2
+    assert f"bracket coefficient {c!r} is not a rational number" in res.stderr
+
+
+@pytest.mark.parametrize("lie, missing", [
+    (_two_step([{"k": 9, "c": "1"}], gens=2), "[1,2] names 9"),
+    (_two_step([], gens=2, j=5), "[1,5] names 5"),
+    (_two_step([{"k": 2, "c": "1"}], gens=2, j=5), "[1,5] names 5")],
+    ids=["term", "key", "key-with-term"])
+def test_cohomology_bracket_outside_the_generators_exit_2(lie, missing):
+    res = run_cli(["cohomology", "--qmax", "2", "--wmax", "4"], stdin=lie)
+    assert res.returncode == 2
+    assert f"bracket {missing}, which is not a generator" in res.stderr

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from masseykit import facerings
+from masseykit.cli import _outcome_json
 from masseykit.errors import CapExceeded, InvalidInput, OverlappingSupports
 from masseykit.fields import GF, QQ
 from masseykit.facerings import (RK_CAP, RKAlgebra, cup_length,
@@ -330,6 +331,83 @@ def test_scan_shares_one_window_and_matches_cold_windows(monkeypatch, make,
         # a fresh copy of K gets a cold window of its own
         cold = zk_massey(SimplicialComplex.from_json(K.to_json()), classes, QQ)
         assert _outcome_key(cold) == _outcome_key(shared)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("make, mode", [(lambda: polygon(6), "edges"),
+                                        (lambda: polygon(7), "edges"),
+                                        (lambda: qn(3), "h0")],
+                         ids=["polygon6", "polygon7", "q3"])
+def test_shared_rk_window_outcomes_equal_fresh_window_outcomes(
+        monkeypatch, field, make, mode):
+    """What earlier products leave on the shared R(K) window (the solved
+    stage-one pairs, the transported classes, bases and solvers) changes
+    no later product: every product of the scan prints what it prints on
+    a fresh window of its own."""
+    K = make()
+    products = []
+    real_massey = facerings.zk_massey
+
+    def recording_massey(K, classes, *args, **kwargs):
+        out = real_massey(K, classes, *args, **kwargs)
+        products.append((classes, out))
+        return out
+
+    monkeypatch.setattr(facerings, "zk_massey", recording_massey)
+    list(iter_triple_massey_scan(K, field, support_mode=mode))
+    monkeypatch.undo()
+    shared = rk_window(K, field)
+    # the scan solved fewer ordered pairs than it has stage-one slots
+    assert products and 0 < len(shared._pairs) < 2 * len(products)
+    monkeypatch.setattr(facerings, "rk_window",
+                        lambda K, field: RKAlgebra(K, field))
+    for classes, out in products:
+        fresh = zk_massey(K, classes, field)
+        assert _outcome_json(fresh) == _outcome_json(out), \
+            [c.I for c in classes]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_q4_fourfold_product_on_a_warm_window_equals_a_fresh_window(
+        monkeypatch, field):
+    """The Q^4 4-fold product after its two triple sub-products on the
+    shared window (so every stage-one slot is a stored pair) prints what
+    it prints on a fresh window."""
+    K = qn(4)
+    classes = [generator_class(K, (i, 4 + i), field) for i in (1, 2, 3, 4)]
+    zk_massey(K, classes[:3], field, budget=16)
+    zk_massey(K, classes[1:], field, budget=16)
+    warm = zk_massey(K, classes, field, budget=16)
+    monkeypatch.setattr(facerings, "rk_window",
+                        lambda K, field: RKAlgebra(K, field))
+    fresh = zk_massey(K, classes, field, budget=16)
+    assert warm.status == "strict" and warm.triviality == "nontrivial"
+    assert _outcome_json(warm) == _outcome_json(fresh)
+
+
+def test_window_memos_are_keyed_by_content():
+    """The stage-one pairs and the transported classes are keyed by the
+    representatives, not by degree: after <x, y, z>, the product <2x, y, z>
+    on the same window has twice the representative."""
+    K = qn(3)
+    x, y, z = (generator_class(K, (i, 3 + i)) for i in (1, 2, 3))
+    x2 = ZkClass(x.I, x.q, {s: 2 * c for s, c in x.cochain.items()})
+    once = zk_massey(K, [x, y, z], QQ)
+    twice = zk_massey(K, [x2, y, z], QQ)
+    assert once.triviality == "nontrivial"
+    assert twice.representative.rep == {
+        m: 2 * c for m, c in once.representative.rep.items()}
+
+
+def test_a_class_off_the_cocycles_is_rejected_on_every_call():
+    """A failed transport stores nothing: the second call raises too."""
+    K = polygon(6)
+    # K_{1,2,4} has the edge 12, so the 0-cochain on vertex 1 is not closed
+    bad = ZkClass((1, 2, 4), 0, {(1,): Fraction(1)})
+    good = generator_class(K, (3, 5))
+    for _ in range(2):
+        with pytest.raises(InvalidInput, match="not a cocycle"):
+            zk_massey(K, [bad, good], QQ)
 
 
 def test_disjoint_tuples_are_the_disjoint_permutations_in_order():
