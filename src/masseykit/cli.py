@@ -253,25 +253,30 @@ def cmd_poincare(args) -> int:
     return 0
 
 
+def _multiwedge(args) -> SimplicialComplex:
+    base = SimplicialComplex.from_json(_read_input(args.infile))
+    J = [int(v) for v in args.j.replace(",", " ").split()]
+    return multiwedge(base, J)
+
+
+# kind -> (the options it needs, its builder)
+GENERATORS = {
+    "cube": (("n",), lambda args: cube(args.n)),
+    "qn": (("n",), lambda args: qn(args.n)),
+    "multiwedge": (("j",), _multiwedge),
+    "anr": (("n", "r"), lambda args: anr(args.n, args.r)),
+    "polygon": (("m",), lambda args: polygon(args.m)),
+    "dodecahedron-nerve": ((), lambda args: dodecahedron_nerve()),
+}
+
+
 def cmd_generate(args) -> int:
-    kind = args.kind
-    if kind == "cube":
-        obj = cube(args.n)
-    elif kind == "qn":
-        obj = qn(args.n)
-    elif kind == "polygon":
-        obj = polygon(args.m)
-    elif kind == "dodecahedron-nerve":
-        obj = dodecahedron_nerve()
-    elif kind == "anr":
-        obj = anr(args.n, args.r)
-    elif kind == "multiwedge":
-        base = SimplicialComplex.from_json(_read_input(args.infile))
-        J = [int(v) for v in args.j.replace(",", " ").split()]
-        obj = multiwedge(base, J)
-    else:
-        raise InvalidInput(f"unknown generator {kind!r}")
-    _emit(json.loads(obj.to_json()), args.out)
+    needs, build = GENERATORS[args.kind]
+    missing = [f"--{opt}" for opt in needs if getattr(args, opt) is None]
+    if missing:
+        raise InvalidInput(
+            f"generate {args.kind} needs {' and '.join(missing)}")
+    _emit(json.loads(build(args).to_json()), args.out)
     return 0
 
 
@@ -374,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="built-in complexes and rings")
     common(p)
-    p.add_argument("kind", choices=("cube", "qn", "multiwedge", "anr",
-                                    "polygon", "dodecahedron-nerve"))
+    p.add_argument("kind", choices=tuple(GENERATORS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--m", type=int, default=None)

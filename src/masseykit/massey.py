@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .dga import CohomologyClass, DGAlgebra, MultiDegree
+from .dga import CohomologyClass, DGAlgebra, MultiDegree, cup
 from .errors import (InvalidInput, NotADefiningSystem, SingularMatrix,
                      Undecided, WindowTooSmall)
 from .linalg import EchelonSolver, axpy, cached
@@ -265,7 +265,6 @@ class ConnectionFamily:
 @dataclass
 class Undefined:
     slot: tuple
-    reason: str
     inconclusive: bool
 
 
@@ -363,6 +362,11 @@ class MasseyEngine:
         """Solve the staged equations through ``max_stage`` (default n-1,
         the full defining system).  Returns a ConnectionFamily or Undefined.
 
+        The search state is the family itself: its entries, its parameters
+        and its ``complete`` flag.  It starts from the input cocycles on the
+        diagonal and walks the slots in stage order, one ``_solve_slot``
+        step per slot; the first ``Undefined`` ends the walk.
+
         Each entry is a particular solution plus one parameter per
         cohomology direction of each degree it may occupy; ``budget`` caps
         the parameter count.  Boundary directions are gauge (May 1969):
@@ -388,13 +392,6 @@ class MasseyEngine:
         w_max.  The search over the whole kernel (representatives and
         boundary directions) raises ``WindowTooSmall`` on every such
         product that is nonzero and weighs more.
-
-        A stage's obstructions go to ``_resolve_constraints``, which pins
-        the variables of its nonlinear monomials to 0; a pin or a budget
-        stop makes the family incomplete.  An ``Undefined`` is conclusive
-        only when the solver returns (None, False), a proof of
-        inconsistency with nothing pinned, and every earlier stage was
-        complete.
 
         A stage-one slot (i, i+1) solves d a = bar(a_i) ^ a_(i+1) from two
         constant entries, so its particular solution depends only on the
@@ -423,93 +420,83 @@ class MasseyEngine:
         if max_stage is None:
             max_stage = n - 1
         prof = self._profile(classes)
-        entries: dict = {}
-        for i, cls in enumerate(classes, start=1):
-            entries[(i, i)] = pc_const(cls.rep)
-        params: list = []
-        complete = True
+        fam = ConnectionFamily(dga, n, {
+            (i, i): pc_const(cls.rep) for i, cls in enumerate(classes, 1)},
+            [], True)
         for stage in range(1, max_stage + 1):
             for i in range(1, n - stage + 1):
                 j = i + stage
-                if (i, j) == (1, n):
-                    continue
-                pair = None
-                if stage == 1:
-                    a, b = classes[i - 1], classes[i]
-                    pair = (self.homogeneous_aux, a.degree,
-                            frozenset(a.rep.items()), b.degree,
-                            frozenset(b.rep.items()))
-                known = dga._pairs.get(pair)
-                if known is not None:
-                    entry = pc_const(known)
-                else:
-                    entry, subst, pinned = self._particular(
-                        entries, i, j, prof[(i, j)])
-                    if pinned:
-                        complete = False
-                    if subst is None:
-                        return Undefined((i, j), "inconsistent stage",
-                                         inconclusive=not complete)
-                    if subst:
-                        entries = {slot: pc_substitute(pc, subst)
-                                   for slot, pc in entries.items()}
-                # kernel freedom: cohomology directions only (see above)
-                if self.homogeneous_aux and \
-                        not self._materialized(prof[(i, j)]):
-                    raise WindowTooSmall(
-                        f"entry degree {prof[(i, j)]} not materialized")
-                if pair is not None and known is None:
-                    dga._pairs[pair] = {m: p.constant()
-                                        for m, p in entry.items()}
-                for deg in self._entry_aux_degrees(prof[(i, j)]):
-                    for kvec in dga.cohomology_basis(deg).representatives:
-                        if len(params) >= self.budget:
-                            complete = False
-                            break
-                        var = len(params)
-                        direction = dga.from_vector(kvec, deg)
-                        params.append(ParamInfo(var, (i, j), deg, "class",
-                                                direction))
-                        axpy(entry, 1, ((m, Poly.var(var, c))
-                                        for m, c in direction.items()))
-                if entry:
-                    entries[(i, j)] = entry
-        return ConnectionFamily(dga, n, entries, params, complete)
+                if (i, j) != (1, n):
+                    fam = self._solve_slot(fam, classes, i, j, prof[(i, j)])
+                    if isinstance(fam, Undefined):
+                        return fam
+        return fam
 
-    def _particular(self, entries, i: int, j: int, nominal: MultiDegree):
-        """One particular solution of d a(i, j) = mc_sum(i, j), with the
-        stage's obstructions resolved first.  Returns (entry, subst,
-        pinned) as ``_resolve_constraints`` gives subst and pinned; entry
-        is None when subst is None (the stage is inconsistent), and subst
-        must still be applied to every entry."""
+    def _solve_slot(self, fam: ConnectionFamily, classes, i: int, j: int,
+                    nominal: MultiDegree):
+        """One step of the search: enter a(i, j), of nominal degree
+        ``nominal``, into ``fam`` and return it, or return an ``Undefined``.
+        The entry is a particular solution of d a(i, j) = mc_sum(i, j), from
+        the pair memo or solved after ``_resolve_constraints`` on the slot's
+        obstructions, plus the slot's budgeted cohomology directions; a pin
+        or a budget stop clears ``fam.complete``."""
         dga = self.dga
-        rhs = mc_sum(dga, entries, i, j)
-        if dga.d(rhs):
-            raise NotADefiningSystem(
-                f"stage right-hand side at {(i, j)} is not closed")
-        constraints = []
-        comp_data = []
-        for deg, comp in sorted(dga.components(rhs).items(),
-                                key=lambda kv: kv[0].aux):
-            if self.homogeneous_aux and deg != nominal.d_target():
+        pair = None
+        if j == i + 1:
+            a, b = classes[i - 1], classes[i]
+            pair = (self.homogeneous_aux, a.degree, frozenset(a.rep.items()),
+                    b.degree, frozenset(b.rep.items()))
+        known = dga._pairs.get(pair)
+        if known is not None:
+            entry = pc_const(known)
+        else:
+            rhs = mc_sum(dga, fam.entries, i, j)
+            if dga.d(rhs):
                 raise NotADefiningSystem(
-                    f"inhomogeneous right-hand side at {(i, j)}")
-            solver = dga.d_solver(deg.d_source())
-            vec = dga.to_vector(comp, deg)
-            comp_data.append((deg, solver, vec))
-            constraints.extend(obs for obs in solver.obstructions(vec)
-                               if obs != 0)
-        subst, pinned = self._resolve_constraints(constraints) \
-            if constraints else ({}, False)
-        if subst is None:
-            return None, None, pinned
-        entry: dict = {}
-        for deg, solver, vec in comp_data:
+                    f"stage right-hand side at {(i, j)} is not closed")
+            constraints, comp_data = [], []
+            for deg, comp in sorted(dga.components(rhs).items(),
+                                    key=lambda kv: kv[0].aux):
+                if self.homogeneous_aux and deg != nominal.d_target():
+                    raise NotADefiningSystem(
+                        f"inhomogeneous right-hand side at {(i, j)}")
+                solver = dga.d_solver(deg.d_source())
+                vec = dga.to_vector(comp, deg)
+                comp_data.append((deg, solver, vec))
+                constraints.extend(obs for obs in solver.obstructions(vec)
+                                   if obs != 0)
+            subst, pinned = self._resolve_constraints(constraints) \
+                if constraints else ({}, False)
+            fam.complete = fam.complete and not pinned
+            if subst is None:
+                return Undefined((i, j), inconclusive=not fam.complete)
+            entry = {}
+            for deg, solver, vec in comp_data:
+                axpy(entry, 1, dga.from_vector(solver.particular(
+                    pc_substitute(vec, subst) if subst else vec),
+                    deg.d_source()).items())
             if subst:
-                vec = pc_substitute(vec, subst)
-            axpy(entry, 1, dga.from_vector(
-                solver.particular(vec), deg.d_source()).items())
-        return entry, subst, pinned
+                fam.entries = {slot: pc_substitute(pc, subst)
+                               for slot, pc in fam.entries.items()}
+        # kernel freedom: cohomology directions only (see above)
+        if self.homogeneous_aux and not self._materialized(nominal):
+            raise WindowTooSmall(f"entry degree {nominal} not materialized")
+        if pair is not None and known is None:
+            dga._pairs[pair] = {m: p.constant() for m, p in entry.items()}
+        for deg in self._entry_aux_degrees(nominal):
+            for kvec in dga.cohomology_basis(deg).representatives:
+                if len(fam.params) >= self.budget:
+                    fam.complete = False
+                    break
+                var = len(fam.params)
+                direction = dga.from_vector(kvec, deg)
+                fam.params.append(ParamInfo(var, (i, j), deg, "class",
+                                            direction))
+                axpy(entry, 1, ((m, Poly.var(var, c))
+                                for m, c in direction.items()))
+        if entry:
+            fam.entries[(i, j)] = entry
+        return fam
 
     def _resolve_constraints(self, polys):
         """The one exact solver: parameter values at which every poly of
@@ -617,8 +604,15 @@ class MasseyEngine:
 
     # -- public products -----------------------------------------------------
     def massey(self, classes) -> MasseyOutcome:
-        from .dga import cup
-
+        """The product of ``classes``.  n = 2 is the cup product, and a
+        search that ends in an ``Undefined`` gives ``undefined``.  Every
+        other product takes one path: ``status`` is ``affine`` for a
+        triple, ``strict`` with a strictness certificate, else ``sampled``;
+        the verdict is ``_triviality`` of the value coordinates, and the
+        outcome is ``complete`` when the family is and every coordinate is
+        affine.  A triple's value is linear in its parameters and a strict
+        family has none, so on them the rule is the family's ``complete``,
+        and a strict verdict is whether the representative is zero."""
         dga = self.dga
         n = len(classes)
         if n < 2:
@@ -646,27 +640,17 @@ class MasseyEngine:
                                        related_cocycle(rep_conn))]
         else:
             samples = self._sample_classes(fam, value, coords, value_deg)
-        rep_class = samples[0]
-
-        if n == 3:
-            indet = self._triple_indeterminacy(classes, value_deg)
-            triv, _ = self._triviality(coords, fam)
-            return MasseyOutcome("affine", n, triv, representative=rep_class,
-                                 classes=samples, indeterminacy=indet,
-                                 witness=rep_conn, complete=fam.complete,
-                                 value_coords=coords)
-        if cert is not None:
-            triv = "trivial" if rep_class.is_zero() else "nontrivial"
-            return MasseyOutcome("strict", n, triv, representative=rep_class,
-                                 classes=samples, witness=rep_conn,
-                                 complete=fam.complete, certificate=cert,
-                                 value_coords=coords)
+        indet = self._triple_indeterminacy(classes, value_deg) \
+            if n == 3 else []
         triv, _ = self._triviality(coords, fam)
-        affine = all(p.is_affine() for p in coords.values())
-        return MasseyOutcome("sampled", n, triv, representative=rep_class,
-                             classes=samples, witness=rep_conn,
-                             complete=fam.complete and affine,
-                             value_coords=coords)
+        status = "affine" if n == 3 else \
+            "strict" if cert is not None else "sampled"
+        return MasseyOutcome(
+            status, n, triv, representative=samples[0], classes=samples,
+            indeterminacy=indet, witness=rep_conn,
+            complete=fam.complete and all(p.is_affine()
+                                          for p in coords.values()),
+            certificate=cert, value_coords=coords)
 
     def _triple_indeterminacy(self, classes, value_deg) -> list:
         """Basis of the direction space a1 . H + H . a3 of the affine value
@@ -775,12 +759,8 @@ class MasseyEngine:
         out = []
         seen = set()
         for assign in assigns:
-            concrete = {}
-            for key, p in coords.items():
-                val = p.evaluate(assign, field)
-                if val != 0:
-                    concrete[key] = val
-            sig = tuple(sorted((str(k), str(v)) for k, v in concrete.items()))
+            sig = tuple(sorted((str(k), str(v)) for k, v in
+                               pc_evaluate(coords, assign, field).items()))
             if sig in seen:
                 continue
             seen.add(sig)

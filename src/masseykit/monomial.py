@@ -36,6 +36,8 @@ class MonomialQuotient:
     generators: list
 
     def __post_init__(self):
+        if self.n_vars < 0:
+            raise InvalidInput(f"need n >= 0 variables, got {self.n_vars}")
         gens = sorted({tuple(int(e) for e in g) for g in self.generators})
         for g in gens:
             if len(g) != self.n_vars or any(e < 0 for e in g) or not any(g):

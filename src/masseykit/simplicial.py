@@ -55,6 +55,8 @@ class SimplicialComplex:
     minimal_nonfaces: list  # sorted tuples of vertices, an antichain
 
     def __post_init__(self):
+        if self.m < 0:
+            raise InvalidInput(f"need m >= 0 vertices, got {self.m}")
         nfs = sorted({tuple(sorted(set(nf))) for nf in self.minimal_nonfaces})
         for nf in nfs:
             if len(nf) < 2:
@@ -141,7 +143,7 @@ def from_facets(m: int, facets: list) -> SimplicialComplex:
     covered = 0
     for fm in fmasks:
         covered |= fm
-    if covered != (1 << m) - 1:
+    if covered != (1 << max(m, 0)) - 1:  # m < 0 fails in the constructor
         raise InvalidInput("every element of [m] must be a vertex")
     nonfaces = []
     # minimal non-faces: non-faces all of whose proper subsets are faces

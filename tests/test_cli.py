@@ -165,6 +165,42 @@ def test_bad_input_exit_2():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command,payload,size", [
+    ("betti", {"m": -1, "minimal_nonfaces": []}, "m >= 0"),
+    ("betti", {"m": -1, "facets": []}, "m >= 0"),
+    ("golod", {"m": -2, "minimal_nonfaces": []}, "m >= 0"),
+    ("triple-scan", {"m": -2, "minimal_nonfaces": []}, "m >= 0"),
+    ("poincare", {"n": -1, "gens": []}, "n >= 0"),
+])
+def test_negative_size_exit_2(command, payload, size):
+    res = run_cli([command], stdin=json.dumps(payload))
+    assert res.returncode == 2, res.stderr
+    assert size in res.stderr and not res.stdout
+
+
+def test_empty_complex_and_ring_run():
+    res = run_cli(["betti"], stdin=json.dumps({"m": 0,
+                                               "minimal_nonfaces": []}))
+    assert res.returncode == 0 and json.loads(res.stdout)["m"] == 0
+    res = run_cli(["poincare"], stdin=json.dumps({"n": 0, "gens": []}))
+    assert res.returncode == 0 and json.loads(res.stdout)["n"] == 0
+
+
+@pytest.mark.parametrize("args,missing", [
+    (["polygon"], "--m"),
+    (["cube"], "--n"),
+    (["qn"], "--n"),
+    (["anr", "--r", "2"], "--n"),
+    (["anr", "--n", "2"], "--r"),
+    (["multiwedge"], "--j"),
+])
+def test_generate_without_its_size_exit_2(args, missing):
+    res = run_cli(["generate"] + args,
+                  stdin=json.dumps({"m": 2, "minimal_nonfaces": []}))
+    assert res.returncode == 2, res.stderr
+    assert f"needs {missing}" in res.stderr and not res.stdout
+
+
 def test_budget_and_seed_only_where_read():
     """--budget and --seed are options of the subcommands that read them
     only; elsewhere they are bad input."""

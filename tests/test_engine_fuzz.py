@@ -11,7 +11,8 @@ import random
 
 from masseykit.dga import MultiDegree
 from masseykit.fields import GF, QQ
-from masseykit.facerings import RKAlgebra, generator_class, zk_massey
+from masseykit.facerings import (RKAlgebra, _disjoint_products,
+                                 generator_class, zk_classes, zk_massey)
 from masseykit.massey import MasseyEngine
 from masseykit.simplicial import SimplicialComplex
 
@@ -181,3 +182,42 @@ def test_polarized_anr_golod():
     K = polarization(anr(2, 2))
     verdict = golod_test(K, QQ, order_cap=3)
     assert verdict.status == "golod-up-to-cap"
+
+
+def test_verdict_invariants_on_random_face_ring_products(monkeypatch):
+    """What one verdict path in ``massey()`` relies on, over the first 40
+    triples and 4-fold products of 30 random 8-vertex complexes, built as
+    ``golod_test`` builds them: a strict 4-fold family has no parameter
+    and reads trivial exactly when its representative is zero, and a
+    triple's value coordinates are affine."""
+    families = []
+    search = MasseyEngine.find_defining_system
+
+    def spy(self, classes, max_stage=None):
+        families.append(search(self, classes, max_stage))
+        return families[-1]
+    monkeypatch.setattr(MasseyEngine, "find_defining_system", spy)
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(30):
+        K = SimplicialComplex(8, random_complex(8, rng))
+        by_support: dict = {}
+        for c in zk_classes(K, QQ):
+            by_support.setdefault(c.I, []).append(c)
+        for n in (3, 4):
+            products = _disjoint_products(K, by_support, sorted(by_support),
+                                          n, QQ, 8, screen=True)
+            for _sups, _classes, out in itertools.islice(products, 40):
+                fam = families[-1]
+                seen.add((n, out.status, out.triviality))
+                if n == 3 and out.defined:
+                    assert all(p.is_affine()
+                               for p in out.value_coords.values())
+                if n == 4 and out.status == "strict":
+                    assert fam.params == []
+                    assert (out.triviality == "trivial") == \
+                        out.representative.is_zero()
+    assert {(4, "strict", "trivial"), (4, "strict", "nontrivial"),
+            (4, "undefined", "unknown")} <= seen
+    assert any(n == 4 and status == "sampled" for n, status, _t in seen)
+    assert any(n == 3 and status != "undefined" for n, status, _t in seen)
