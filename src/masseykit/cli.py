@@ -259,11 +259,11 @@ def _multiwedge(args) -> SimplicialComplex:
     return multiwedge(base, J)
 
 
-# kind -> (the options it needs, its builder)
+# kind -> (the options it reads, its builder); all required but infile
 GENERATORS = {
     "cube": (("n",), lambda args: cube(args.n)),
     "qn": (("n",), lambda args: qn(args.n)),
-    "multiwedge": (("j",), _multiwedge),
+    "multiwedge": (("j", "infile"), _multiwedge),
     "anr": (("n", "r"), lambda args: anr(args.n, args.r)),
     "polygon": (("m",), lambda args: polygon(args.m)),
     "dodecahedron-nerve": ((), lambda args: dodecahedron_nerve()),
@@ -271,8 +271,15 @@ GENERATORS = {
 
 
 def cmd_generate(args) -> int:
-    needs, build = GENERATORS[args.kind]
-    missing = [f"--{opt}" for opt in needs if getattr(args, opt) is None]
+    reads, build = GENERATORS[args.kind]
+    unread = [f"--{'in' if opt == 'infile' else opt}"
+              for opt in ("n", "r", "m", "j", "infile")
+              if opt not in reads and getattr(args, opt) is not None]
+    if unread:
+        raise InvalidInput(
+            f"generate {args.kind} does not read {' or '.join(unread)}")
+    missing = [f"--{opt}" for opt in reads
+               if opt != "infile" and getattr(args, opt) is None]
     if missing:
         raise InvalidInput(
             f"generate {args.kind} needs {' and '.join(missing)}")
@@ -378,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poincare)
 
     p = sub.add_parser("generate", help="built-in complexes and rings")
-    common(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--in", dest="infile", default=None,
+                   help="multiwedge only: base complex (default: stdin)")
     p.add_argument("kind", choices=tuple(GENERATORS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)

@@ -47,12 +47,6 @@ class MultiDegree(NamedTuple):
         return MultiDegree(self.q - 1, self.aux)
 
 
-def c_scale(c, v: dict) -> dict:
-    if c == 0:
-        return {}
-    return {m: c * x for m, x in v.items()}
-
-
 def c_sub(u: dict, v: dict) -> dict:
     return axpy(dict(u), -1, v.items())
 
@@ -124,12 +118,15 @@ class DGAlgebra:
         return out
 
     def wedge(self, u: dict, v: dict) -> dict:
+        """u * v, coefficients scalars or ``Poly``; a sign ±1 from
+        ``mul_mono`` is applied as c or -c, with no ``Poly`` product."""
         out: dict = {}
         for m1, c1 in u.items():
             for m2, c2 in v.items():
                 c = c1 * c2
                 for m, cm in self.mul_mono(m1, m2):
-                    s = out.get(m, 0) + c * cm
+                    s = out.get(m, 0) + (
+                        c if cm == 1 else -c if cm == -1 else c * cm)
                     if s == 0:
                         out.pop(m, None)
                     else:
@@ -154,11 +151,12 @@ class DGAlgebra:
         return degs.pop()
 
     def bar(self, cochain: dict) -> dict:
-        """Involution: degree-k elements pick up the sign (-1)^(k+1)."""
+        """Involution: degree-k elements pick up the sign (-1)^(k+1).  A
+        fresh dict; a scalar or ``Poly`` coefficient x becomes -x."""
         k = self.q_degree_of(cochain)
         if k is None or (k + 1) % 2 == 0:
             return dict(cochain)
-        return c_scale(-1, cochain)
+        return {m: -x for m, x in cochain.items()}
 
     def components(self, cochain: dict) -> dict:
         out: dict = {}

@@ -484,6 +484,8 @@ class MasseyEngine:
         if pair is not None and known is None:
             dga._pairs[pair] = {m: p.constant() for m, p in entry.items()}
         for deg in self._entry_aux_degrees(nominal):
+            if not fam.complete and len(fam.params) >= self.budget:
+                break  # a later degree could only clear complete again
             for kvec in dga.cohomology_basis(deg).representatives:
                 if len(fam.params) >= self.budget:
                     fam.complete = False

@@ -4,12 +4,19 @@ Kernel freedom discovered while solving a defining system stage by stage is
 carried symbolically: every cochain coefficient becomes a ``Poly`` in the
 parameters introduced so far.  Monomials are sorted tuples of variable
 indices with multiplicity, so ``t0^2 t3`` is the key ``(0, 0, 3)``.
+
+The fast paths rely on two rules.  No coefficient stored in ``terms`` is
+zero, and a ``Poly`` is never mutated once built, so a result may be one of
+its operands (``p * 1`` is ``p``) and cochains may share values
+(``linalg.axpy``).  ``_poly`` trusts its input: a fresh term dict with no
+zero coefficient, wrapped unchecked and uncopied.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInput
 from .fields import Field
+from .linalg import axpy
 
 
 def _merge(m1: tuple, m2: tuple) -> tuple:
@@ -20,11 +27,7 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if c != 0:
-                    self.terms[m] = c
+        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
     @staticmethod
     def const(c) -> "Poly":
@@ -38,7 +41,7 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant(self):
         """Constant term (field zero is represented as absence)."""
@@ -72,7 +75,7 @@ class Poly:
                     out.pop(m, None)
                 else:
                     out[m] = s
-            return Poly(out)
+            return _poly(out)
         if other == 0:
             return self
         return self + Poly.const(other)
@@ -80,29 +83,36 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Poly) else Poly.const(other).__neg__())
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            out: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = _merge(m1, m2)
-                    s = out.get(m, 0) + c1 * c2
-                    if s == 0:
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
-            return Poly(out)
+            if other.is_constant():
+                other = other.constant()
+            elif self.is_constant():
+                self, other = other, self.constant()
+            else:
+                out: dict = {}
+                for m1, c1 in self.terms.items():
+                    for m2, c2 in other.terms.items():
+                        m = _merge(m1, m2)
+                        s = out.get(m, 0) + c1 * c2
+                        if s == 0:
+                            out.pop(m, None)
+                        else:
+                            out[m] = s
+                return _poly(out)
+        if other == 1:
+            return self
         if other == 0:
             return Poly()
-        return Poly({m: c * other for m, c in self.terms.items()})
+        return _poly({m: x for m, c in self.terms.items()
+                      if (x := c * other) != 0})
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -115,19 +125,23 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def substitute(self, assign: dict) -> "Poly":
-        """Replace variables by Polys or scalars; missing variables stay."""
-        out = Poly()
+        """Replace variables by Polys or scalars; missing variables stay.
+        A term with no assigned variable is copied as it is."""
+        out: dict = {}
         for m, c in self.terms.items():
-            term = Poly.const(c)
-            for v in m:
-                rep = assign.get(v)
-                if rep is None:
-                    rep = Poly({(v,): 1})
-                elif not isinstance(rep, Poly):
-                    rep = Poly.const(rep)
-                term = term * rep
-            out = out + term
-        return out
+            pairs = ((m, c),)
+            if any(v in assign for v in m):
+                term = Poly.const(c)
+                for v in m:
+                    rep = assign.get(v)
+                    if rep is None:
+                        rep = Poly({(v,): 1})
+                    elif not isinstance(rep, Poly):
+                        rep = Poly.const(rep)
+                    term = term * rep
+                pairs = term.terms.items()
+            axpy(out, 1, pairs)
+        return _poly(out)
 
     def evaluate(self, assign: dict, field: Field):
         """Full evaluation to a scalar; unassigned variables default to zero."""
@@ -153,3 +167,10 @@ class Poly:
             mono = "*".join(f"t{v}" for v in m) if m else "1"
             bits.append(f"({c})*{mono}")
         return " + ".join(bits)
+
+
+def _poly(terms: dict) -> Poly:
+    """A ``Poly`` over ``terms`` as given: unchecked and not copied."""
+    p = Poly.__new__(Poly)
+    p.terms = terms
+    return p

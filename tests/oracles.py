@@ -45,6 +45,11 @@ def dense_rank(rows, q=0):
     return rank
 
 
+def c_scale(c, v: dict) -> dict:
+    """The cochain c * v, with no zero coefficient."""
+    return {m: c * x for m, x in v.items() if c * x != 0}
+
+
 def sparse_mul(rows, x):
     """M x for M given by sparse row dicts and x a sparse dict; zero
     entries of the product are dropped."""

@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from masseykit.dga import CohomologyClass, c_scale
+from masseykit.dga import CohomologyClass
 from masseykit.fields import GF, QQ
 from masseykit.facerings import (cup_length, generator_class, golod_test,
                                  mainlemma_check, rk_cohomology,
@@ -33,6 +33,7 @@ from masseykit.simplicial import (SimplicialComplex, flag_complex,
                                   graph_complex, hochster_table, is_chordal,
                                   skeleton1)
 
+from oracles import c_scale
 from sweeps import (MARKED_PAIRS, all_complexes, complexes_up_to_iso,
                     graphs_up_to_iso, marked_canon, marked_perm_group,
                     random_complex)

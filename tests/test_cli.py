@@ -201,6 +201,37 @@ def test_generate_without_its_size_exit_2(args, missing):
     assert f"needs {missing}" in res.stderr and not res.stdout
 
 
+@pytest.mark.parametrize("args,unread", [
+    (["cube", "--n", "2", "--m", "5", "--r", "9"], "--r or --m"),
+    (["polygon", "--m", "5", "--n", "3"], "--n"),
+    (["anr", "--n", "2", "--r", "2", "--j", "1,1"], "--j"),
+    (["dodecahedron-nerve", "--m", "3"], "--m"),
+    (["qn", "--n", "3", "--in", "base.json"], "--in"),
+    (["multiwedge", "--j", "1,1", "--m", "4"], "--m"),
+])
+def test_generate_rejects_options_its_kind_does_not_read(args, unread):
+    res = run_cli(["generate"] + args,
+                  stdin=json.dumps({"m": 2, "minimal_nonfaces": []}))
+    assert res.returncode == 2, res.stderr
+    assert f"does not read {unread}" in res.stderr and not res.stdout
+
+
+def test_generate_field_is_not_an_option_and_in_is_multiwedge_only(tmp_path):
+    """No kind reads a field, so generate has no --field (as --budget on
+    betti); --in is read by multiwedge alone, in place of stdin."""
+    res = run_cli(["generate", "polygon", "--m", "5", "--field", "fp:2"])
+    assert res.returncode == 2
+    assert "unrecognized arguments: --field" in res.stderr
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"m": 2, "minimal_nonfaces": []}))
+    from_file = run_cli(["generate", "multiwedge", "--j", "1,2",
+                         "--in", str(base)])
+    from_stdin = run_cli(["generate", "multiwedge", "--j", "1,2"],
+                         stdin=base.read_text())
+    assert from_file.returncode == 0 and from_stdin.returncode == 0
+    assert from_file.stdout == from_stdin.stdout and from_file.stdout
+
+
 def test_budget_and_seed_only_where_read():
     """--budget and --seed are options of the subcommands that read them
     only; elsewhere they are bad input."""

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from masseykit.dga import MultiDegree, c_scale, cup
+from masseykit.dga import MultiDegree, cup
 from masseykit.errors import DomainError, InvalidInput
 from masseykit.fields import GF, QQ
 from masseykit.lie import (GradedLie, ce_window, d1, d_minus1,
                            goncharova_table, m0, m0_product, omega,
                            pentagonal_weights, witt_plus)
 
-from oracles import brute_kernel_image_dims_fp
+from oracles import brute_kernel_image_dims_fp, c_scale
 
 
 def test_m0_brackets():

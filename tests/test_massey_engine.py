@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from masseykit import facerings, lie
-from masseykit.dga import CohomologyClass, MultiDegree, c_scale, cup
+from masseykit.dga import CohomologyClass, MultiDegree, cup
 from masseykit.errors import (NotADefiningSystem, SingularMatrix, Undecided,
                               WindowTooSmall)
 from masseykit.facerings import (generator_class, iter_triple_massey_scan,
@@ -17,11 +17,13 @@ from masseykit.generators import polygon, qn
 from masseykit.lie import (ce_window, five_fold_connection, m0, omega,
                            omega_tail_connection, staircase_connection,
                            triple_criterion, classify_1d_massey, witt_plus)
-from masseykit.massey import (FormalConnection, MasseyEngine, Undefined,
-                              conjugate, is_defining_system, is_k_step,
-                              lift_obstruction, mc_defect, mc_sum, pc_const,
-                              pc_evaluate, related_cocycle, strong_mc_check)
+from masseykit.massey import (FormalConnection, MasseyEngine, ParamInfo,
+                              Undefined, conjugate, is_defining_system,
+                              is_k_step, lift_obstruction, mc_defect, mc_sum,
+                              pc_const, pc_evaluate, related_cocycle,
+                              strong_mc_check)
 from masseykit.params import Poly
+from oracles import c_scale
 
 
 def w_window(w_max=10, q_max=3, field=QQ):
@@ -1080,3 +1082,75 @@ def test_shared_window_outcomes_equal_fresh_window_outcomes(monkeypatch):
         monkeypatch.setattr(lie, "_m0_window_cache", {})
         assert _outcome_key(classify_1d_massey(case)) == key, case
     assert {key[0] for key in got} == {"affine", "sampled"}
+
+
+class _WalkEveryDegree(MasseyEngine):
+    """The search without the spent-budget stop: its direction loop reads
+    every entry degree of a slot, also after a direction was dropped.  The
+    library step runs with no entry degrees, then this loop enters the
+    directions as the library did before the stop."""
+    _walk = True
+
+    def _entry_aux_degrees(self, nominal):
+        return super()._entry_aux_degrees(nominal) if self._walk else []
+
+    def _solve_slot(self, fam, classes, i, j, nominal):
+        self._walk = False
+        try:
+            fam = super()._solve_slot(fam, classes, i, j, nominal)
+        finally:
+            self._walk = True
+        if isinstance(fam, Undefined):
+            return fam
+        entry = fam.entries.get((i, j), {})
+        for deg in self._entry_aux_degrees(nominal):
+            for kvec in self.dga.cohomology_basis(deg).representatives:
+                if len(fam.params) >= self.budget:
+                    fam.complete = False
+                    break
+                var = len(fam.params)
+                direction = self.dga.from_vector(kvec, deg)
+                fam.params.append(ParamInfo(var, (i, j), deg, "class",
+                                            direction))
+                axpy(entry, 1, ((m, Poly.var(var, c))
+                                for m, c in direction.items()))
+        if entry:
+            fam.entries[(i, j)] = entry
+        return fam
+
+
+def test_spent_budget_stop_changes_no_outcome_and_reads_less(monkeypatch):
+    """Once a slot has dropped a direction, the search reads no further
+    entry degree.  On the weight-14 W+ window, words of length 4-5 at
+    budgets 0, 1, 2 and 8 give the outcomes and parameters of a search
+    that walks every degree, with fewer cohomology_basis reads."""
+    reads = {}
+
+    def run(cls, budget):
+        dga = w_window(14, 3)
+        count = reads.setdefault(cls, [0])
+        basis = dga.cohomology_basis
+
+        def counted(deg):
+            count[0] += 1
+            return basis(deg)
+        monkeypatch.setattr(dga, "cohomology_basis", counted)
+        gens = [dga.class_of(dga.one_form(g)) for g in (1, 2)]
+        engine = cls(dga, budget=budget, homogeneous_aux=False)
+        out = []
+        for word in itertools.chain(*(itertools.product((0, 1), repeat=n)
+                                      for n in (4, 5))):
+            classes = [gens[g] for g in word]
+            fam = engine.find_defining_system(classes)
+            got = engine.massey(classes)
+            out.append((got.status, got.triviality, got.complete,
+                        got.inconclusive, getattr(fam, "params", None)))
+        return out
+
+    dropped = 0
+    for budget in (0, 1, 2, 8):
+        got = run(MasseyEngine, budget)
+        assert got == run(_WalkEveryDegree, budget), budget
+        dropped += sum(not key[2] for key in got)
+    assert dropped > 0
+    assert reads[MasseyEngine][0] < reads[_WalkEveryDegree][0]
