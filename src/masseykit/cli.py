@@ -259,27 +259,30 @@ def _multiwedge(args) -> SimplicialComplex:
     return multiwedge(base, J)
 
 
-# kind -> (the options it reads, its builder); all required but infile
+# kind -> (the size options it needs, its builder); multiwedge also reads
+# its base complex, from --in or stdin
 GENERATORS = {
     "cube": (("n",), lambda args: cube(args.n)),
     "qn": (("n",), lambda args: qn(args.n)),
-    "multiwedge": (("j", "infile"), _multiwedge),
+    "multiwedge": (("j",), _multiwedge),
     "anr": (("n", "r"), lambda args: anr(args.n, args.r)),
     "polygon": (("m",), lambda args: polygon(args.m)),
     "dodecahedron-nerve": ((), lambda args: dodecahedron_nerve()),
 }
+SIZE_OPTIONS = tuple(dict.fromkeys(
+    opt for needs, _build in GENERATORS.values() for opt in needs))
 
 
 def cmd_generate(args) -> int:
-    reads, build = GENERATORS[args.kind]
-    unread = [f"--{'in' if opt == 'infile' else opt}"
-              for opt in ("n", "r", "m", "j", "infile")
-              if opt not in reads and getattr(args, opt) is not None]
+    needs, build = GENERATORS[args.kind]
+    unread = [f"--{opt}" for opt in SIZE_OPTIONS
+              if opt not in needs and getattr(args, opt) is not None]
+    if args.infile is not None and args.kind != "multiwedge":
+        unread.append("--in")
     if unread:
         raise InvalidInput(
             f"generate {args.kind} does not read {' or '.join(unread)}")
-    missing = [f"--{opt}" for opt in reads
-               if opt != "infile" and getattr(args, opt) is None]
+    missing = [f"--{opt}" for opt in needs if getattr(args, opt) is None]
     if missing:
         raise InvalidInput(
             f"generate {args.kind} needs {' and '.join(missing)}")

@@ -98,7 +98,8 @@ class DGAlgebra:
         raise NotImplementedError
 
     def mul_mono(self, m1, m2) -> list:
-        """List of (monomial, coefficient); empty when the product vanishes."""
+        """List of (monomial, sign), the sign the field's 1 or -1; empty
+        when the product vanishes."""
         raise NotImplementedError
 
     def window_degrees(self) -> list:
@@ -125,8 +126,7 @@ class DGAlgebra:
             for m2, c2 in v.items():
                 c = c1 * c2
                 for m, cm in self.mul_mono(m1, m2):
-                    s = out.get(m, 0) + (
-                        c if cm == 1 else -c if cm == -1 else c * cm)
+                    s = out.get(m, 0) + (c if cm == 1 else -c)
                     if s == 0:
                         out.pop(m, None)
                     else:

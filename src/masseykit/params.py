@@ -126,18 +126,15 @@ class Poly:
 
     def substitute(self, assign: dict) -> "Poly":
         """Replace variables by Polys or scalars; missing variables stay.
-        A term with no assigned variable is copied as it is."""
+        A term with no assigned variable is copied as it is, any other is
+        its kept part (a field coefficient) times the assigned values."""
         out: dict = {}
         for m, c in self.terms.items():
+            reps = [assign[v] for v in m if v in assign]
             pairs = ((m, c),)
-            if any(v in assign for v in m):
-                term = Poly.const(c)
-                for v in m:
-                    rep = assign.get(v)
-                    if rep is None:
-                        rep = Poly({(v,): 1})
-                    elif not isinstance(rep, Poly):
-                        rep = Poly.const(rep)
+            if reps:
+                term = _poly({tuple(v for v in m if v not in assign): c})
+                for rep in reps:
                     term = term * rep
                 pairs = term.terms.items()
             axpy(out, 1, pairs)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from masseykit.fields import GF, QQ
+from masseykit.fields import GF, QQ, Fp
 from masseykit.params import Poly
 
 N_VARS = 4
@@ -40,8 +40,11 @@ def naive_mul(p, q):
     return {m: c for m, c in out.items() if c != 0}
 
 
-def _no_zero(p):
-    return all(c != 0 for c in p.terms.values())
+def _no_zero(p, field):
+    """No stored zero, and over GF(p) every coefficient a residue: an int 2
+    stored over GF(2) compares unequal to 0 and is still zero there."""
+    return all(c != 0 and (field.p is None or type(c) is Fp)
+               for c in p.terms.values())
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)],
@@ -61,7 +64,7 @@ def test_poly_arithmetic_commutes_with_evaluation(field):
                           (-p, -pv), (p * c, pv * c), (c * p, c * pv),
                           (p + p, pv + pv), (p - p, 0)]:
             assert got.evaluate(at, field) == want
-            assert _no_zero(got)
+            assert _no_zero(got, field)
         assert (p * q).terms == naive_mul(p, q)
         assert (p - p).is_zero()
         if field.p == 2:
@@ -74,7 +77,7 @@ def test_poly_arithmetic_commutes_with_evaluation(field):
         inner = {v: (s.evaluate(at, field) if isinstance(s, Poly) else s)
                  for v, s in subst.items()}
         got = p.substitute(subst)
-        assert _no_zero(got)
+        assert _no_zero(got, field)
         assert got.evaluate(at, field) == p.evaluate({**at, **inner}, field)
         ev += 1
     assert ev == 300
@@ -97,8 +100,23 @@ def test_poly_unit_and_constant_factors_match_the_naive_product(field):
                            (Poly.const(c) * p, Poly.const(c)),
                            (p * Poly(), Poly())]:
             assert got.terms == naive_mul(p, other)
-            assert _no_zero(got)
+            assert _no_zero(got, field)
         if field.p is not None:
             assert (p * field.p).is_zero()
             assert (Poly.const(field.one()) * p * (field.p + 1)).terms == \
                 p.terms
+
+
+def test_substitution_that_cancels_over_gf2_is_zero():
+    """t0*t1 + t0*t2 at t1 = t2 = 1 is 2*t0, which is zero over GF(2): no
+    term survives, whether the values are residues, ints or constant
+    Polys."""
+    F = GF(2)
+    one = F.one()
+    p = Poly({(0, 1): one, (0, 2): one})
+    for val in (one, 1, Poly.const(one)):
+        got = p.substitute({1: val, 2: val})
+        assert got.is_zero() and got == Poly() and hash(got) == hash(Poly())
+    # a kept variable with a unit coefficient keeps a residue coefficient
+    got = Poly({(0, 1): one}).substitute({1: 1})
+    assert got.terms == {(0,): one} and type(got.terms[(0,)]) is Fp
