@@ -5,11 +5,11 @@ carried symbolically: every cochain coefficient becomes a ``Poly`` in the
 parameters introduced so far.  Monomials are sorted tuples of variable
 indices with multiplicity, so ``t0^2 t3`` is the key ``(0, 0, 3)``.
 
-The fast paths rely on two rules.  No coefficient stored in ``terms`` is
-zero, and a ``Poly`` is never mutated once built, so a result may be one of
-its operands (``p * 1`` is ``p``) and cochains may share values
-(``linalg.axpy``).  ``_poly`` trusts its input: a fresh term dict with no
-zero coefficient, wrapped unchecked and uncopied.
+The fast paths rely on two rules.  Every coefficient in ``terms`` is a
+nonzero field scalar (an ``Fp`` over GF(p), never an ``int``), and a
+``Poly`` is never mutated, so a result may be one of its operands (``p * 1``
+is ``p``) and cochains may share values (``linalg.axpy``).  ``_poly``
+trusts its input: a fresh term dict keeping both, wrapped as it is.
 """
 
 from __future__ import annotations
