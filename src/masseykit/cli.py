@@ -124,8 +124,12 @@ def cmd_cohomology(args) -> int:
 def cmd_betti(args) -> int:
     K = SimplicialComplex.from_json(_read_input(args.infile))
     table = hochster_table(K, args.field)
-    if K.m <= 7 and rk_cohomology(K, args.field).entries != table.entries:
-        raise AssertionError("model tables disagree")
+    hoch = table.entries
+    if K.m <= 7 and (rk := rk_cohomology(K, args.field).entries) != hoch:
+        (i, I), _ = min(hoch.items() ^ rk.items())
+        raise AssertionError(
+            f"model tables disagree at i = {i}, I = {list(I)}: Hochster "
+            f"dim {hoch.get((i, I), 0)}, R(K) dim {rk.get((i, I), 0)}")
     if args.format == "csv":
         _emit(table.to_csv().rstrip("\n"), args.out)
     else:

@@ -12,15 +12,16 @@ of the input supports by additivity, which keeps every search finite.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from dataclasses import dataclass, replace
 
 from .dga import CohomologyClass, DGAlgebra, MultiDegree
 from .errors import CapExceeded, InvalidInput, OverlappingSupports
 from .fields import QQ, Field
-from .linalg import EchelonSolver, axpy, cached
+from .linalg import EchelonSolver, axpy, cached, lead_columns
 from .massey import MasseyEngine, MasseyOutcome
-from .simplicial import (BettiTable, SimplicialComplex, _mask, check_vertices,
-                         faces_within, reduced_cache)
+from .simplicial import (BettiTable, SimplicialComplex, _mask, _unmask,
+                         check_vertices, faces_within, reduced_cache)
 
 RK_CAP = 14
 MAX_SUPPORT = 4  # vertices of a support in the "h0" triple scan
@@ -59,20 +60,14 @@ class RKAlgebra(DGAlgebra):
             aux[v - 1] = 1
         return tuple(aux)
 
-    def support_of(self, deg: MultiDegree) -> tuple:
-        return tuple(i + 1 for i, v in enumerate(deg.aux) if v)
-
     def basis(self, deg: MultiDegree) -> list:
         def build():
             self._require(deg)
             if any(v >= 2 for v in deg.aux):
                 return []
-            S = self.support_of(deg)
-            sset = set(S)
-            # the faces sigma have deg.q - |S| vertices
-            return sorted((sigma, tuple(sorted(sset - set(sigma))))
-                          for sigma, _f in faces_within(
-                              self._levels, deg.q - len(S), _mask(S)))
+            S = sum(1 << i for i, v in enumerate(deg.aux) if v)
+            return [(sigma, _unmask(S ^ f)) for sigma, f in faces_within(
+                self._levels, deg.q - S.bit_count(), S)]
         return cached(self._bases, deg, build)
 
     def degree_of_mono(self, mono) -> MultiDegree:
@@ -85,10 +80,10 @@ class RKAlgebra(DGAlgebra):
         out = []
         one = self.field.one()
         for t, j in enumerate(J):
-            new = tuple(sorted(sigma + (j,)))
+            k = bisect(sigma, j)
+            new = sigma[:k] + (j,) + sigma[k:]
             if new in self._faces:
-                sign = one if t % 2 == 0 else -one
-                out.append(((new, J[:t] + J[t + 1:]), sign))
+                out.append(((new, J[:t] + J[t + 1:]), -one if t % 2 else one))
         return out
 
     def mul_mono(self, m1, m2) -> list:
@@ -169,14 +164,23 @@ def _check_cap(K: SimplicialComplex) -> None:
 
 def rk_cohomology(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     """BettiTable computed from the R(K) model, by ranks of its own
-    differential; dims must agree with the Hochster route per multidegree."""
+    differential; dims must agree with the Hochster route per multidegree.
+    d keeps the support S, so S is one complex over q = |S|..2|S|, swept
+    upward with clearing (exact by the argument of ``DGAlgebra.d_rank``);
+    dim = |basis| - rank d_q - rank d_(q-1), ranks the lead set sizes.  No
+    elimination state passes from one support to the next."""
+    _check_cap(K)
     alg = RKAlgebra(K, field)
     table = BettiTable(field.tag)
-    for deg in alg.window_degrees():
-        dim = alg.cohomology_dim(deg)
-        if dim:
-            I = alg.support_of(deg)
-            table.entries[(2 * len(I) - deg.q, I)] = dim
+    for r in range(K.m + 1):
+        for S in itertools.combinations(range(1, K.m + 1), r):
+            aux, leads = alg._aux_of(S), ()
+            for q in range(r, 2 * r + 1):
+                deg = MultiDegree(q, aux)
+                new = lead_columns(alg.d_images(deg, leads), field)
+                if dim := len(alg.basis(deg)) - len(new) - len(leads):
+                    table.entries[(2 * r - q, S)] = dim
+                leads = new
     return table
 
 

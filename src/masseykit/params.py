@@ -9,7 +9,8 @@ The fast paths rely on two rules.  Every coefficient in ``terms`` is a
 nonzero field scalar (an ``Fp`` over GF(p), never an ``int``), and a
 ``Poly`` is never mutated, so a result may be one of its operands (``p * 1``
 is ``p``) and cochains may share values (``linalg.axpy``).  ``_poly``
-trusts its input: a fresh term dict keeping both, wrapped as it is.
+trusts its input: a fresh term dict keeping both, wrapped as it is.  A
+scalar added to a nonzero ``Poly`` is taken into its coefficients' field.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class Poly:
             return _poly(out)
         if other == 0:
             return self
-        return self + Poly.const(other)
+        zero = next(iter(self.terms.values()), 0) * 0  # of the field
+        return self + Poly.const(zero + other)
 
     __radd__ = __add__
 
@@ -86,7 +88,7 @@ class Poly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else Poly.const(other).__neg__())
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, Poly):

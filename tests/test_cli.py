@@ -44,6 +44,30 @@ def test_betti_csv():
     assert res.stdout.splitlines()[0] == "i,I,dim"
 
 
+def test_betti_names_the_first_entry_the_models_disagree_on(
+        monkeypatch, tmp_path, capsys):
+    """Exit 1 when the R(K) table differs from Hochster's, naming the
+    first differing entry (i, I) in key order with both dims."""
+    from masseykit import cli
+
+    real = cli.rk_cohomology
+
+    def perturbed(K, field):
+        table = real(K, field)
+        table.entries[(1, (1, 3))] += 1  # differs first
+        del table.entries[(2, (1, 2, 3, 4))]
+        return table
+
+    monkeypatch.setattr(cli, "rk_cohomology", perturbed)
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"m": 4, "minimal_nonfaces": [[1, 3], [2, 4]]}))
+    assert cli.main(["betti", "--in", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == ("internal inconsistency: model tables disagree at "
+                           "i = 1, I = [1, 3]: Hochster dim 1, R(K) dim 2")
+
+
 def test_generate_qn_pipe_massey():
     gen = run_cli(["generate", "qn", "--n", "3"])
     assert gen.returncode == 0

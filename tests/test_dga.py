@@ -15,7 +15,10 @@ from masseykit.linalg import EchelonSolver, QuotientBasis, axpy, rank
 from masseykit.massey import MasseyEngine, pc_evaluate
 from masseykit.monomial import KoszulAlgebra, MonomialQuotient, anr
 from masseykit.params import Poly
-from masseykit.simplicial import from_facets, hochster_table
+from masseykit.simplicial import (SimplicialComplex, from_facets,
+                                  hochster_table)
+
+from sweeps import random_complex
 
 
 def test_bar_signs():
@@ -196,6 +199,27 @@ def test_d_rank_cleared_equals_full_rank_rk():
     for field in (QQ, GF(2)):
         for K in (polygon(6), from_facets(6, RP2_FACETS)):
             assert assert_d_rank_uncleared(RKAlgebra(K, field))
+
+
+def test_rk_cohomology_dim_equals_the_support_sweep():
+    """The generic route (``DGAlgebra.cohomology_dim`` over ``d_rank``,
+    cleared across degrees) gives, on every window degree of R(K), the
+    entry of ``rk_cohomology``'s per-support sweep."""
+    rng = random.Random(2323)
+    nonzero = 0
+    for _ in range(16):
+        m = rng.randint(0, 6)
+        K = SimplicialComplex(m, random_complex(m, rng))
+        for field in (QQ, GF(2), GF(3)):
+            alg = RKAlgebra(K, field)
+            table = rk_cohomology(K, field).entries
+            dims = {}
+            for deg in alg.window_degrees():
+                I = tuple(i + 1 for i, v in enumerate(deg.aux) if v)
+                dims[(2 * len(I) - deg.q, I)] = alg.cohomology_dim(deg)
+            assert {k: d for k, d in dims.items() if d} == table
+            nonzero += len(table)
+    assert nonzero > 100
 
 
 def test_d_rank_cleared_equals_full_rank_koszul():

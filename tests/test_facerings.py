@@ -8,7 +8,9 @@ import pytest
 
 from masseykit import facerings
 from masseykit.cli import _outcome_json
-from masseykit.errors import CapExceeded, InvalidInput, OverlappingSupports
+from masseykit.dga import MultiDegree
+from masseykit.errors import (CapExceeded, InvalidInput, OverlappingSupports,
+                               WindowTooSmall)
 from masseykit.fields import GF, QQ
 from masseykit.facerings import (RK_CAP, RKAlgebra, cup_length,
                                  generator_class, golod_test,
@@ -71,6 +73,42 @@ def test_rk_matches_hochster_random():
             t1 = hochster_table(K, field)
             t2 = rk_cohomology(K, field)
             assert t1.entries == t2.entries, K.minimal_nonfaces
+
+
+def test_rk_basis_and_d_mono_match_their_plain_definitions():
+    """Per degree (q, S): the sorted pairs (sigma, S minus sigma) over the
+    faces sigma of q - |S| vertices inside S, and d (sigma, J) as the
+    signed sum over j in J of (sigma + j sorted, J minus j) for each face
+    sigma + j; on every window degree, one degree above, and degrees with
+    an aux entry 2 (the zero space) or a negative one (outside)."""
+    rng = random.Random(2300)
+    for _ in range(12):
+        m = rng.randint(0, 6)
+        K = random_complex(m, rng)
+        alg = RKAlgebra(K, GF(3))
+        seen = 0
+        for deg in alg.window_degrees():
+            for q in (deg.q, deg.q + 1):
+                S = [i + 1 for i, v in enumerate(deg.aux) if v]
+                want = sorted(
+                    (sigma, tuple(v for v in S if v not in sigma))
+                    for sigma in itertools.combinations(S, q - len(S))
+                    if K.is_face(sigma))
+                got = alg.basis(MultiDegree(q, deg.aux))
+                assert got == want, (K.minimal_nonfaces, q, S)
+                seen += len(got)
+                for sigma, J in got:
+                    assert alg.d_mono((sigma, J)) == [
+                        ((tuple(sorted(sigma + (j,))), J[:t] + J[t + 1:]),
+                         (-1) ** t)
+                        for t, j in enumerate(J)
+                        if K.is_face(tuple(sorted(sigma + (j,))))]
+            if deg.aux:
+                two = (2,) + deg.aux[1:]
+                assert alg.basis(MultiDegree(deg.q, two)) == []
+                with pytest.raises(WindowTooSmall):
+                    alg.basis(MultiDegree(deg.q, (-1,) + deg.aux[1:]))
+        assert seen >= 2 ** m
 
 
 def test_transport_is_chain_map():
@@ -440,6 +478,13 @@ def test_zk_massey_cap_counts_support_vertices():
         zk_massey(K, wide, QQ)
     with pytest.raises(CapExceeded):
         RKAlgebra(K, QQ).window_degrees()
+
+
+def test_rk_cohomology_cap_counts_the_vertices_of_k():
+    for m in (RK_CAP + 1, RK_CAP + 4):
+        with pytest.raises(CapExceeded,
+                           match=f"m = {m} exceeds the cap {RK_CAP}"):
+            rk_cohomology(polygon(m), QQ)
 
 
 def test_caches_on_k_do_not_keep_k_alive():

@@ -120,3 +120,33 @@ def test_substitution_that_cancels_over_gf2_is_zero():
     # a kept variable with a unit coefficient keeps a residue coefficient
     got = Poly({(0, 1): one}).substitute({1: 1})
     assert got.terms == {(0,): one} and type(got.terms[(0,)]) is Fp
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=["GF2", "GF3"])
+def test_adding_a_bare_int_keeps_residue_coefficients(field):
+    """p + n, n + p and p - n with an int n and a nonzero p take n into
+    the field of p's coefficients: over GF(2), (t0 + 1) + 1 is t0, with no
+    int 2 stored."""
+    one = field.one()
+    t0 = Poly.var(0, one)
+    assert (t0 + 1) + 1 - field.p == t0 + 1 + (1 - field.p)
+    for n in range(-2 * field.p, 2 * field.p + 1):
+        for got, want in [(t0 + n, n), (n + t0, n), (t0 - n, -n),
+                          ((t0 + 1) + n, 1 + n), ((t0 - 1) - n, -1 - n)]:
+            const = field.of(want)
+            assert got.terms == ({(0,): one, (): const} if const
+                                 else {(0,): one})
+            assert _no_zero(got, field)
+        assert (Poly.const(one) + n).is_zero() == (field.of(1 + n) == 0)
+    got = (t0 + 1) + (field.p - 1)
+    assert got == t0 and hash(got) == hash(t0) and _no_zero(got, field)
+    rng = random.Random(23 + field.p)
+    for _ in range(100):
+        p, n = _poly(field, rng), rng.randint(-5, 5)
+        if p.is_zero():
+            continue
+        at = {v: _scalar(field, rng) for v in range(N_VARS)}
+        for got, want in [(p + n, p.evaluate(at, field) + n),
+                          (p - n, p.evaluate(at, field) - n)]:
+            assert _no_zero(got, field)
+            assert got.evaluate(at, field) == want
