@@ -13,14 +13,14 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .errors import CapExceeded, InvalidInput, MasseyKitError
-from .fields import Field, QQ
+from .fields import Field, QQ, rational
 from .facerings import (generator_class, golod_test, iter_triple_massey_scan,
                         mainlemma_check, rk_cohomology, zk_massey)
 from .generators import anr, cube, dodecahedron_nerve, multiwedge, polygon, qn
-from .lie import GradedLie, ce_window, goncharova_table
+from .lie import (GradedLie, ce_window, cohomology_table,
+                  goncharova_table)
 from .massey import MasseyEngine
 from .monomial import (MonomialQuotient, koszul_homology,
                        minimal_resolution_betti, serre_bound, serre_equality)
@@ -97,27 +97,24 @@ def _outcome_json(outcome) -> dict:
 
 # ---- subcommand implementations ---------------------------------------------
 
+def _table_entries(table: dict) -> list:
+    return [{"q": q, "w": w, "dim": d} for (q, w), d in table.items() if d]
+
+
 def cmd_goncharova(args) -> int:
     table = goncharova_table(args.qmax, args.wmax, args.field)
-    entries = [{"q": q, "w": w, "dim": d}
-               for (q, w), d in sorted(table.items()) if d]
     _emit({"schema": SCHEMA, "command": "goncharova", "qmax": args.qmax,
-           "wmax": args.wmax, "field": args.field.tag, "entries": entries},
-          args.out)
+           "wmax": args.wmax, "field": args.field.tag,
+           "entries": _table_entries(table)}, args.out)
     return 0
 
 
 def cmd_cohomology(args) -> int:
     lie = GradedLie.from_json(_read_input(getattr(args, "infile", None)))
-    dga = ce_window(lie, args.qmax, args.wmax, args.field)
-    entries = []
-    for q in range(1, args.qmax + 1):
-        for w in range(1, args.wmax + 1):
-            d = dga.cohomology_dim(dga.deg(q, w))
-            if d:
-                entries.append({"q": q, "w": w, "dim": d})
+    table = cohomology_table(lie, args.qmax, args.wmax, args.field)
     _emit({"schema": SCHEMA, "command": "cohomology", "name": lie.name,
-           "field": args.field.tag, "entries": entries}, args.out)
+           "field": args.field.tag, "entries": _table_entries(table)},
+          args.out)
     return 0
 
 
@@ -159,7 +156,8 @@ def cmd_kstep(args) -> int:
     lie_data = json.loads(_read_input(getattr(args, "infile", None))) \
         if args.lie is None else json.loads(args.lie)
     lie = GradedLie.from_json(lie_data)
-    scalars = [tuple(Fraction(v) for v in part.split(","))
+    scalars = [tuple(rational(v, "class coefficient")
+                     for v in part.split(","))
                for part in args.classes.split(";") if part.strip()]
     n = len(scalars)
     w_max = max(2 * n + 4, args.wmax)

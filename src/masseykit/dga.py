@@ -5,9 +5,9 @@ with the differential and the product on basis pairs.  Cochains are plain
 dicts ``{monomial: scalar}`` with no stored zeros; all bookkeeping (vectors,
 matrices, cohomology bases) happens through the window object.
 
-Cohomology dimensions come from ranks of d alone, cleared across degrees
-(``cohomology_dim``, ``d_rank``): upward, the leads of im d_(q-1) mark the
-sources of d_q whose images are never computed.
+Cohomology dimensions come from ranks of d alone, in one upward sweep with
+clearing per run of degrees (``run_dims``): the leads of im d_(q-1) mark
+the sources of d_q whose images are never computed.
 Cycle, boundary and quotient bases (``cohomology_basis``) are built only
 where cochains are reduced: Massey products, cup products and coordinates.
 ``coords`` is the one reduction of a closed cochain to class coordinates;
@@ -80,8 +80,7 @@ class DGAlgebra:
     def __init__(self, field: Field):
         self.field = field
         self._bases, self._idx, self._dsolve, self._coh = {}, {}, {}, {}
-        self._drank, self._dleads, self._entry_degs = {}, {}, {}
-        self._pairs = {}
+        self._hdim, self._entry_degs, self._pairs = {}, {}, {}
 
     # ---- hooks ---------------------------------------------------------
     def in_window(self, deg: MultiDegree) -> bool:
@@ -217,36 +216,27 @@ class DGAlgebra:
         return cached(self._dsolve, deg, lambda: EchelonSolver(
             self.field, len(self.basis(deg)), self.d_rows(deg)))
 
-    def d_rank(self, deg: MultiDegree) -> int:
-        """Rank of d from deg to deg + 1; no transform rows.
+    def run_dims(self, run) -> list:
+        """dim H at each degree of run: consecutive degrees of one aux,
+        lowest first, the first with no boundaries (its source outside the
+        window or without a basis) and each with its target in the window.
 
-        Clears across degrees, upward: the rows are the images d b_j of the
-        basis elements of deg, keyed by target index, and where deg - 1 is
-        in the window and has a basis, a source j that is a lead of the
-        image span of d_(deg-1) (``lead_columns``) is skipped; its image is
-        never computed.  This is exact.  d d = 0, so a vector v of im
-        d_(deg-1) with smallest key sigma has d v = 0, which writes d b_sigma
-        as a combination of the d b_tau with tau > sigma.  By descending
-        induction every cleared image lies in the span of the kept images,
-        so the span, its rank and its lead set are those of all of im d_deg,
-        and the degree above clears exactly with them.  Ranks are cached on
-        the window; the lead set of a degree asked for here is kept there
-        until the degree above takes it."""
-        if deg not in self._drank:
-            self._dleads[deg] = self._d_leads(deg) or ()
-        return self._drank[deg]
-
-    def _d_leads(self, deg: MultiDegree):
-        got = self._dleads.pop(deg, None)
-        if got is None:
-            self._require(deg)
-            self._require(deg.d_target())
-            down = deg.d_source()
-            cleared = self._d_leads(down) if self.in_window(down) and \
-                self.basis(down) else ()
-            got = lead_columns(self.d_images(deg, cleared), self.field)
-            self._drank[deg] = len(got)
-        return got
+        One upward sweep with clearing (Chen and Kerber's twist): the rows
+        are the images d b_j of the basis elements of a degree, keyed by
+        target index, and a source j that is a lead of im d of the degree
+        below (``lead_columns``) is skipped; its image is never computed.
+        This is exact.  d d = 0, so a vector v of im d_(q-1) with smallest
+        key sigma has d v = 0, which writes d b_sigma as a combination of
+        the d b_tau with tau > sigma.  By descending induction every skipped
+        image lies in the span of the kept ones, so the span, its rank and
+        its lead set are those of all of im d_q, and the degree above clears
+        exactly with them; dim = n - rank d_q - rank d_(q-1)."""
+        dims, leads = [], ()
+        for deg in run:
+            new = lead_columns(self.d_images(deg, leads), self.field)
+            dims.append(len(self.basis(deg)) - len(new) - len(leads))
+            leads = new
+        return dims
 
     def cycles(self, deg: MultiDegree) -> list:
         return self.d_solver(deg).kernel_basis()
@@ -263,18 +253,25 @@ class DGAlgebra:
             self.boundaries(deg)))
 
     def cohomology_dim(self, deg: MultiDegree) -> int:
-        """dim H at deg as n - rank d_deg - rank d_(deg-1).  Raises
-        ``WindowTooSmall`` where ``cohomology_basis`` does (deg and deg + 1
-        must lie in the window); a source degree outside the window adds no
-        boundaries."""
+        """dim H at deg.  Raises ``WindowTooSmall`` where
+        ``cohomology_basis`` does (deg and deg + 1 must lie in the window).
+        An empty basis gives 0 at once; otherwise a miss sweeps deg's whole
+        run (``run_dims``): down while the source is in the window and has a
+        basis, up while the next degree has a basis and its target is in the
+        window.  Runs so never overlap, and every dim of one is kept."""
         self._require(deg)
         self._require(deg.d_target())
-        n = len(self.basis(deg))
-        if not n:
-            return 0
-        prev = deg.d_source()
-        return n - self.d_rank(deg) - (
-            self.d_rank(prev) if self.in_window(prev) else 0)
+        if deg not in self._hdim:
+            if not self.basis(deg):
+                return 0
+            lo = hi = deg
+            while self.in_window(lo.d_source()) and self.basis(lo.d_source()):
+                lo = lo.d_source()
+            while self.in_window(hi.shift(2)) and self.basis(hi.d_target()):
+                hi = hi.d_target()
+            run = [lo.shift(k) for k in range(hi.q - lo.q + 1)]
+            self._hdim.update(zip(run, self.run_dims(run)))
+        return self._hdim[deg]
 
     def class_of(self, cochain: dict, deg: MultiDegree | None = None) -> "CohomologyClass":
         if deg is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from .dga import CohomologyClass, DGAlgebra, MultiDegree
 from .errors import CapExceeded, InvalidInput, OverlappingSupports
 from .fields import QQ, Field
-from .linalg import EchelonSolver, axpy, cached, lead_columns
+from .linalg import EchelonSolver, axpy, cached
 from .massey import MasseyEngine, MasseyOutcome
 from .simplicial import (BettiTable, SimplicialComplex, _mask, _unmask,
                          check_vertices, faces_within, reduced_cache)
@@ -165,22 +165,20 @@ def _check_cap(K: SimplicialComplex) -> None:
 def rk_cohomology(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     """BettiTable computed from the R(K) model, by ranks of its own
     differential; dims must agree with the Hochster route per multidegree.
-    d keeps the support S, so S is one complex over q = |S|..2|S|, swept
-    upward with clearing (exact by the argument of ``DGAlgebra.d_rank``);
-    dim = |basis| - rank d_q - rank d_(q-1), ranks the lead set sizes.  No
-    elimination state passes from one support to the next."""
+    d keeps the support S, so S is one run q = |S|..2|S|, swept once by
+    ``DGAlgebra.run_dims``.  No cache is read and no elimination state
+    passes from one support to the next."""
     _check_cap(K)
     alg = RKAlgebra(K, field)
     table = BettiTable(field.tag)
     for r in range(K.m + 1):
         for S in itertools.combinations(range(1, K.m + 1), r):
-            aux, leads = alg._aux_of(S), ()
-            for q in range(r, 2 * r + 1):
-                deg = MultiDegree(q, aux)
-                new = lead_columns(alg.d_images(deg, leads), field)
-                if dim := len(alg.basis(deg)) - len(new) - len(leads):
+            aux = alg._aux_of(S)
+            dims = alg.run_dims([MultiDegree(q, aux)
+                                 for q in range(r, 2 * r + 1)])
+            for q, dim in enumerate(dims, r):
+                if dim:
                     table.entries[(2 * r - q, S)] = dim
-                leads = new
     return table
 
 

@@ -28,6 +28,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def rational(c, what: str) -> Fraction:
+    """c, read from JSON or the command line, as a rational number;
+    anything else is bad input, named by what."""
+    try:
+        return Fraction(c)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise InvalidInput(f"{what} {c!r} is not a rational number") from None
+
+
 def _integral(q: Fraction):
     """q as an ``int`` when it is integral, else q itself."""
     return q.numerator if q.denominator == 1 else q

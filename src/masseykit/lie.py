@@ -10,13 +10,13 @@ of a window agrees with the full algebra whenever the weight fits.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .dga import CohomologyClass, DGAlgebra, MultiDegree, merge_sorted
 from .errors import DomainError, InvalidInput, MixedDegree, WindowTooSmall
-from .fields import QQ, Field
+from .fields import QQ, Field, rational
 from .linalg import axpy, cached
 
 
@@ -69,19 +69,14 @@ class GradedLie:
                 axpy(out, cm, self.bracket(m, c))
         return out
 
-    def jacobi_ok(self) -> bool:
-        gens = self.generators
+    def jacobi_failure(self):
+        """The first triple i < j < k of generators, of total weight at
+        most the truncation weight, whose Jacobi defect is nonzero; None
+        when the bracket satisfies Jacobi there."""
         w = self.weights
-        for ia, i in enumerate(gens):
-            for ja in range(ia + 1, len(gens)):
-                j = gens[ja]
-                for ka in range(ja + 1, len(gens)):
-                    k = gens[ka]
-                    if w[i] + w[j] + w[k] > self.truncation_weight:
-                        continue
-                    if self.jacobi_defect(i, j, k):
-                        return False
-        return True
+        return next((t for t in itertools.combinations(self.generators, 3)
+                     if sum(w[g] for g in t) <= self.truncation_weight
+                     and self.jacobi_defect(*t)), None)
 
     @staticmethod
     def from_json(data) -> "GradedLie":
@@ -99,20 +94,16 @@ class GradedLie:
         brackets = {}
         for b in data["brackets"]:
             i, j = int(b["i"]), int(b["j"])
-            terms = [(int(t["k"]), _rational(t["c"])) for t in b["terms"]]
-            brackets[(i, j)] = terms
+            brackets[(i, j)] = [(int(t["k"]), rational(
+                t["c"], "bracket coefficient")) for t in b["terms"]]
         W = int(data.get("W", max(weights.values(), default=0)))
-        return GradedLie("custom", weights, brackets, W)
-
-
-def _rational(c) -> Fraction:
-    """A bracket coefficient read from JSON; anything that is not a
-    rational number is bad input."""
-    try:
-        return Fraction(c)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise InvalidInput(
-            f"bracket coefficient {c!r} is not a rational number") from None
+        lie = GradedLie("custom", weights, brackets, W)
+        # d d = 0 on a CE window needs Jacobi; ranks of d mean nothing without
+        if bad := lie.jacobi_failure():
+            raise InvalidInput(
+                "brackets violate the Jacobi identity on generators "
+                f"{', '.join(map(str, bad))}")
+        return lie
 
 
 def m0(W: int) -> GradedLie:
@@ -250,14 +241,18 @@ def ce_window(g: GradedLie, q_max: int, w_max: int, field: Field = QQ) -> CEAlge
     return CEAlgebra(g, q_max, w_max, field)
 
 
+def cohomology_table(g: GradedLie, q_max: int, w_max: int,
+                     field: Field = QQ) -> dict:
+    """Per-bidegree dimensions of H^q_w(g) for 1 <= q <= q_max and
+    1 <= w <= w_max, in that order."""
+    dga = ce_window(g, q_max, w_max, field)
+    return {(q, w): dga.cohomology_dim(dga.deg(q, w))
+            for q in range(1, q_max + 1) for w in range(1, w_max + 1)}
+
+
 def goncharova_table(q_max: int, w_max: int, field: Field = QQ) -> dict:
     """Per-bidegree dimensions of H^q_w(W+) for q <= q_max, w <= w_max."""
-    dga = ce_window(witt_plus(w_max), q_max, w_max, field)
-    out = {}
-    for q in range(1, q_max + 1):
-        for w in range(1, w_max + 1):
-            out[(q, w)] = dga.cohomology_dim(dga.deg(q, w))
-    return out
+    return cohomology_table(witt_plus(w_max), q_max, w_max, field)
 
 
 def pentagonal_weights(q: int) -> tuple:

@@ -410,3 +410,27 @@ def test_cohomology_bracket_outside_the_generators_exit_2(lie, missing):
     res = run_cli(["cohomology", "--qmax", "2", "--wmax", "4"], stdin=lie)
     assert res.returncode == 2
     assert f"bracket {missing}, which is not a generator" in res.stderr
+
+
+def test_cohomology_bracket_violating_jacobi_exit_2():
+    # [e1, e2] = e4, [e3, e4] = e5: the Jacobi sum on (1, 2, 3) is -e5, so
+    # d d != 0 on the window and its ranks would print a meaningless H^3_3
+    lie = json.dumps({
+        "W": 3,
+        "generators": [{"i": g, "w": w} for g, w in
+                       ((1, 1), (2, 1), (3, 1), (4, 2), (5, 3))],
+        "brackets": [{"i": 1, "j": 2, "terms": [{"k": 4, "c": "1"}]},
+                     {"i": 3, "j": 4, "terms": [{"k": 5, "c": "1"}]}]})
+    res = run_cli(["cohomology", "--qmax", "3", "--wmax", "3"], stdin=lie)
+    assert res.returncode == 2
+    assert "Jacobi identity on generators 1, 2, 3" in res.stderr
+    assert "Traceback" not in res.stderr and not res.stdout
+
+
+@pytest.mark.parametrize("c", ["1/0", "x"])
+def test_kstep_bad_class_coefficient_exit_2(c):
+    res = run_cli(["kstep", "--lie", '{"name": "m0", "W": 12}',
+                   "--classes", f"{c},1;1,0;0,1", "--k", "1"])
+    assert res.returncode == 2
+    assert f"class coefficient {c!r} is not a rational number" in res.stderr
+    assert "Traceback" not in res.stderr
