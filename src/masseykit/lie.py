@@ -69,7 +69,7 @@ class GradedLie:
                 axpy(out, cm, self.bracket(m, c))
         return out
 
-    def jacobi_failure(self):
+    def jacobi_failure(self) -> tuple | None:
         """The first triple i < j < k of generators, of total weight at
         most the truncation weight, whose Jacobi defect is nonzero; None
         when the bracket satisfies Jacobi there."""
@@ -98,7 +98,7 @@ class GradedLie:
                 t["c"], "bracket coefficient")) for t in b["terms"]]
         W = int(data.get("W", max(weights.values(), default=0)))
         lie = GradedLie("custom", weights, brackets, W)
-        # d d = 0 on a CE window needs Jacobi; ranks of d mean nothing without
+        # Jacobi is d d = 0 on a CE window; without it ranks of d mean nothing
         if bad := lie.jacobi_failure():
             raise InvalidInput(
                 "brackets violate the Jacobi identity on generators "

@@ -156,7 +156,7 @@ def test_cohomology_dim_matches_basis_koszul(ring):
         assert sum(dims.values()) > 1
 
 
-def assert_d_rank_uncleared(dga):
+def assert_dims_match_unswept_ranks(dga):
     """cohomology_dim, swept upward with clearing, against n - rank d_deg -
     rank d_(deg-1), both ranks taken from all of d_rows, on every degree
     whose target is in the window.  Degrees are asked for highest first,
@@ -186,7 +186,7 @@ def assert_d_rank_uncleared(dga):
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
 @pytest.mark.parametrize("lie", [witt_plus, m0], ids=["wplus", "m0"])
 def test_d_rank_cleared_equals_full_rank_ce(lie, field):
-    assert assert_d_rank_uncleared(ce_window(lie(12), 3, 12, field))
+    assert assert_dims_match_unswept_ranks(ce_window(lie(12), 3, 12, field))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
@@ -197,13 +197,13 @@ def test_d_rank_cleared_equals_full_rank_ce_weight_zero(field):
                     {(1, 2): [(1, -3)], (2, 3): [(3, 1)], (2, 4): [(4, 2)],
                      (3, 4): [(1, 1)]}, 6)
     assert lie.jacobi_failure() is None
-    assert assert_d_rank_uncleared(ce_window(lie, 3, 6, field))
+    assert assert_dims_match_unswept_ranks(ce_window(lie, 3, 6, field))
 
 
 def test_d_rank_cleared_equals_full_rank_rk():
     for field in (QQ, GF(2)):
         for K in (polygon(6), from_facets(6, RP2_FACETS)):
-            assert assert_d_rank_uncleared(RKAlgebra(K, field))
+            assert assert_dims_match_unswept_ranks(RKAlgebra(K, field))
 
 
 def test_rk_cohomology_dim_equals_the_support_sweep():
@@ -232,7 +232,8 @@ def test_d_rank_cleared_equals_full_rank_koszul():
     cleared = 0
     for ring in (CUBE_RING, anr(2, 2), anr(3, 2), anr(2, 3)):
         for field in (QQ, GF(3)):
-            cleared += assert_d_rank_uncleared(KoszulAlgebra(ring, field))
+            cleared += assert_dims_match_unswept_ranks(
+                KoszulAlgebra(ring, field))
     assert cleared
 
 
