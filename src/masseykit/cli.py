@@ -156,9 +156,15 @@ def cmd_kstep(args) -> int:
     lie_data = json.loads(_read_input(getattr(args, "infile", None))) \
         if args.lie is None else json.loads(args.lie)
     lie = GradedLie.from_json(lie_data)
-    scalars = [tuple(rational(v, "class coefficient")
-                     for v in part.split(","))
-               for part in args.classes.split(";") if part.strip()]
+    scalars = []
+    for part in args.classes.split(";"):
+        if not part.strip():
+            continue
+        if part.count(",") != 1:
+            raise InvalidInput(
+                f"class entry {part!r} is not of the form alpha,beta")
+        scalars.append(tuple(rational(v, "class coefficient")
+                             for v in part.split(",")))
     n = len(scalars)
     w_max = max(2 * n + 4, args.wmax)
     dga = ce_window(GradedLie.from_json({"name": lie.name, "W": w_max})

@@ -1,7 +1,9 @@
 """Finite windows of differential graded algebras.
 
 A window materializes, per multidegree, a basis of named monomials together
-with the differential and the product on basis pairs.  Cochains are plain
+with the differential and the product on basis pairs: ``d`` and ``wedge``
+store d of a monomial, the product of a monomial pair and the degree of a
+monomial on the window the first time they ask for it.  Cochains are plain
 dicts ``{monomial: scalar}`` with no stored zeros; all bookkeeping (vectors,
 matrices, cohomology bases) happens through the window object.
 
@@ -75,12 +77,19 @@ class DGAlgebra:
     (entry degrees per q) and ``_pairs``, the particular solution of a
     stage-one slot per ordered pair of classes, keyed by their content
     (``find_defining_system``).  ``RKAlgebra._transported`` keeps each
-    moment-angle class transported into the window."""
+    moment-angle class transported into the window.  ``_dtab``,
+    ``_multab`` and ``_degtab`` keep what ``d_mono``, ``mul_mono`` and
+    ``degree_of_mono`` return, filled on a miss by ``d``, ``wedge`` and
+    the degree readers.  Exact: the hooks are pure functions of data the
+    window fixes when made, and a hook that raises stores nothing, so it
+    raises again.  ``d_images`` calls ``d_mono`` itself (matrix assembly
+    visits each source once)."""
 
     def __init__(self, field: Field):
         self.field = field
         self._bases, self._idx, self._dsolve, self._coh = {}, {}, {}, {}
         self._hdim, self._entry_degs, self._pairs = {}, {}, {}
+        self._dtab, self._multab, self._degtab = {}, {}, {}
 
     # ---- hooks ---------------------------------------------------------
     def in_window(self, deg: MultiDegree) -> bool:
@@ -108,8 +117,12 @@ class DGAlgebra:
     # ---- cochain operations -------------------------------------------
     def d(self, cochain: dict) -> dict:
         out: dict = {}
+        tab = self._dtab
         for m, c in cochain.items():
-            for m2, c2 in self.d_mono(m):
+            img = tab.get(m)
+            if img is None:
+                img = tab[m] = self.d_mono(m)
+            for m2, c2 in img:
                 s = out.get(m2, 0) + c * c2
                 if s == 0:
                     out.pop(m2, None)
@@ -121,10 +134,16 @@ class DGAlgebra:
         """u * v, coefficients scalars or ``Poly``; a sign ±1 from
         ``mul_mono`` is applied as c or -c, with no ``Poly`` product."""
         out: dict = {}
+        tab = self._multab
         for m1, c1 in u.items():
             for m2, c2 in v.items():
+                prod = tab.get((m1, m2))
+                if prod is None:
+                    prod = tab[m1, m2] = self.mul_mono(m1, m2)
+                if not prod:
+                    continue
                 c = c1 * c2
-                for m, cm in self.mul_mono(m1, m2):
+                for m, cm in prod:
                     s = out.get(m, 0) + (c if cm == 1 else -c)
                     if s == 0:
                         out.pop(m, None)
@@ -132,9 +151,15 @@ class DGAlgebra:
                         out[m] = s
         return out
 
+    def _degree(self, mono) -> MultiDegree:
+        deg = self._degtab.get(mono)
+        if deg is None:
+            deg = self._degtab[mono] = self.degree_of_mono(mono)
+        return deg
+
     def q_degree_of(self, cochain: dict) -> int | None:
         """Common cohomological degree, None for the zero cochain."""
-        qs = {self.degree_of_mono(m).q for m in cochain}
+        qs = {self._degree(m).q for m in cochain}
         if not qs:
             return None
         if len(qs) > 1:
@@ -142,7 +167,7 @@ class DGAlgebra:
         return qs.pop()
 
     def degree_of(self, cochain: dict) -> MultiDegree | None:
-        degs = {self.degree_of_mono(m) for m in cochain}
+        degs = {self._degree(m) for m in cochain}
         if not degs:
             return None
         if len(degs) > 1:
@@ -160,7 +185,7 @@ class DGAlgebra:
     def components(self, cochain: dict) -> dict:
         out: dict = {}
         for m, c in cochain.items():
-            out.setdefault(self.degree_of_mono(m), {})[m] = c
+            out.setdefault(self._degree(m), {})[m] = c
         return out
 
     # ---- vectors and cached solvers ------------------------------------

@@ -434,3 +434,13 @@ def test_kstep_bad_class_coefficient_exit_2(c):
     assert res.returncode == 2
     assert f"class coefficient {c!r} is not a rational number" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("classes, entry", [
+    ("1,2,3;1,0", "1,2,3"), ("1;0,1", "1")], ids=["three", "one"])
+def test_kstep_class_entry_of_wrong_length_exit_2(classes, entry):
+    res = run_cli(["kstep", "--lie", '{"name": "m0", "W": 12}',
+                   "--classes", classes, "--k", "1"])
+    assert res.returncode == 2
+    assert f"class entry {entry!r} is not of the form alpha,beta" in res.stderr
+    assert "Traceback" not in res.stderr and not res.stdout

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -320,3 +321,158 @@ def test_coords_rejects_a_cochain_off_the_cycles():
         dga.coords(e3)
     with pytest.raises(InvalidInput):
         dga.coords({m: Poly.var(0, c) for m, c in e3.items()})
+
+
+# ---- tables of the monomial hooks -------------------------------------------
+
+TABLE_WINDOWS = {
+    "wplus": lambda: ce_window(witt_plus(12), 3, 12),
+    "m0": lambda: ce_window(m0(12), 3, 12),
+    "hexagon": lambda: RKAlgebra(polygon(6), QQ),
+    "koszul": lambda: KoszulAlgebra(CUBE_RING, GF(3)),
+}
+
+
+def _kept(out):
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _hook_d(dga, cochain):
+    out: dict = {}
+    for m, c in cochain.items():
+        for m2, c2 in dga.d_mono(m):
+            out[m2] = out.get(m2, 0) + c * c2
+    return _kept(out)
+
+
+def _hook_wedge(dga, u, v):
+    out: dict = {}
+    for m1, c1 in u.items():
+        for m2, c2 in v.items():
+            for m, sign in dga.mul_mono(m1, m2):
+                out[m] = out.get(m, 0) + c1 * c2 * sign
+    return _kept(out)
+
+
+def _hook_bar(dga, cochain):
+    return {m: c if dga.degree_of_mono(m).q % 2 else -c
+            for m, c in cochain.items()}
+
+
+def _hook_components(dga, cochain):
+    out: dict = {}
+    for m, c in cochain.items():
+        out.setdefault(dga.degree_of_mono(m), {})[m] = c
+    return out
+
+
+def _or_window_too_small(f, *args):
+    try:
+        return f(*args)
+    except WindowTooSmall:
+        return WindowTooSmall
+
+
+@pytest.mark.parametrize("coeff", ["scalar", "poly"])
+@pytest.mark.parametrize("name", sorted(TABLE_WINDOWS))
+def test_tables_give_what_the_hooks_give(name, coeff):
+    """d, wedge, bar and components of seeded random cochains, each asked
+    twice (the second time from the window's tables), equal a reference
+    built from the monomial hooks alone; a product that leaves a CE window
+    raises ``WindowTooSmall`` on both sides."""
+    rng = random.Random(f"tables:{name}:{coeff}")
+    dga = TABLE_WINDOWS[name]()
+    of = dga.field.of
+    by_q: dict = {}
+    for deg in dga.window_degrees():
+        by_q.setdefault(deg.q, []).extend(dga.basis(deg))
+    qs = sorted(q for q, monos in by_q.items() if monos)
+
+    def draw():
+        c = of(rng.randint(-3, 3))
+        if coeff == "scalar":
+            return c
+        return Poly({(): c, (rng.randrange(2),): of(rng.randint(1, 3))})
+
+    def cochain():
+        pool = by_q[rng.choice(qs)]
+        return {m: c for m in rng.sample(pool, min(4, len(pool)))
+                if (c := draw()) != 0}
+
+    raised = 0
+    for _ in range(40):
+        u, v = cochain(), cochain()
+        want = (_hook_d(dga, u), _or_window_too_small(_hook_wedge, dga, u, v),
+                _hook_bar(dga, u), _hook_components(dga, u))
+        raised += want[1] is WindowTooSmall
+        for _ in range(2):
+            assert (dga.d(u), _or_window_too_small(dga.wedge, u, v),
+                    dga.bar(u), dga.components(u)) == want
+    assert dga._dtab and dga._multab and dga._degtab
+    assert raised or name not in ("wplus", "m0")
+
+
+def test_a_product_off_the_window_raises_every_time_and_is_not_stored(
+        monkeypatch):
+    calls = []
+    real = CEAlgebra.mul_mono
+    monkeypatch.setattr(CEAlgebra, "mul_mono", lambda self, m1, m2:
+                        calls.append((m1, m2)) or real(self, m1, m2))
+    dga = ce_window(witt_plus(8), 3, 8)
+    e3, e6 = dga.one_form(3), dga.one_form(6)
+    for _ in range(2):
+        with pytest.raises(WindowTooSmall):
+            dga.wedge(e3, e6)
+    assert calls == [((3,), (6,))] * 2
+    assert not dga._multab
+
+
+def test_windows_of_one_algebra_keep_their_own_tables():
+    """The product e4 e6 (weight 10) lies in a window of weight 12, not in
+    one of weight 8; asked in either order, each window answers for
+    itself."""
+    g = witt_plus(12)
+    for order in (1, -1):
+        small, big = ce_window(g, 3, 8), ce_window(g, 3, 12)
+        u, v = big.one_form(4), big.one_form(6)
+        for dga in (small, big)[::order]:
+            if dga is big:
+                assert dga.wedge(u, v) == {(4, 6): 1}
+            else:
+                with pytest.raises(WindowTooSmall):
+                    dga.wedge(u, v)
+        assert ((4, 6),) not in small._degtab
+        assert list(big._multab) == [((4,), (6,))]
+
+
+def test_word_search_asks_each_hook_once_per_argument(monkeypatch):
+    """On the W+ words of length 4 at budget 8, ``mul_mono`` and
+    ``degree_of_mono`` are called at most once per argument on the window:
+    every repeat is read from its tables.  The degree that CE ``mul_mono``
+    computes for its own window check is the hook's business and is not
+    counted."""
+    calls = {"mul_mono": [], "degree_of_mono": []}
+    inside = []
+    mul, degree = CEAlgebra.mul_mono, CEAlgebra.degree_of_mono
+
+    def counting_mul(self, m1, m2):
+        calls["mul_mono"].append((m1, m2))
+        inside.append(True)
+        try:
+            return mul(self, m1, m2)
+        finally:
+            inside.pop()
+
+    def counting_degree(self, mono):
+        if not inside:
+            calls["degree_of_mono"].append(mono)
+        return degree(self, mono)
+    monkeypatch.setattr(CEAlgebra, "mul_mono", counting_mul)
+    monkeypatch.setattr(CEAlgebra, "degree_of_mono", counting_degree)
+    dga = ce_window(witt_plus(14), 3, 14)
+    gens = (dga.class_of(dga.one_form(1)), dga.class_of(dga.one_form(2)))
+    engine = MasseyEngine(dga, budget=8, homogeneous_aux=False)
+    for word in itertools.product(gens, repeat=4):
+        engine.massey(list(word))
+    for name, args in calls.items():
+        assert args and len(args) == len(set(args)), name
