@@ -308,8 +308,8 @@ def _field_arg(text: str) -> Field:
 
 
 def _count_arg(text: str) -> int:
-    """An integer >= 0 (orders, order caps, budgets), checked at parse
-    time so that a bad value exits 2."""
+    """An integer >= 0 (orders, order caps, budgets, window sizes),
+    checked at parse time so that a bad value exits 2."""
     try:
         count = int(text)
     except ValueError:
@@ -336,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("goncharova", help="dim H^q_w of the positive Witt algebra")
     common(p, infile=False)
-    p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--wmax", type=int, required=True)
+    p.add_argument("--qmax", type=_count_arg, required=True)
+    p.add_argument("--wmax", type=_count_arg, required=True)
     p.set_defaults(func=cmd_goncharova)
 
     p = sub.add_parser("cohomology", help="CE cohomology of a Lie presentation")
     common(p)
-    p.add_argument("--qmax", type=int, default=3)
-    p.add_argument("--wmax", type=int, default=12)
+    p.add_argument("--qmax", type=_count_arg, default=3)
+    p.add_argument("--wmax", type=_count_arg, default=12)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("betti", help="per-subset Betti table of a complex")
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", required=True,
                    help='alpha,beta pairs: "1,0;0,1;1,2"')
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--wmax", type=int, default=12)
+    p.add_argument("--wmax", type=_count_arg, default=12)
     p.add_argument("--budget", type=_count_arg, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_kstep)

@@ -20,10 +20,10 @@ from .errors import CapExceeded, InvalidInput, OverlappingSupports
 from .fields import QQ, Field
 from .linalg import EchelonSolver, axpy, cached
 from .massey import MasseyEngine, MasseyOutcome
-from .simplicial import (BettiTable, SimplicialComplex, _mask, _unmask,
+from .simplicial import (HOCHSTER_CAP as RK_CAP, BettiTable,
+                         SimplicialComplex, _mask, _unmask, check_cap,
                          check_vertices, faces_within, reduced_cache)
 
-RK_CAP = 14
 MAX_SUPPORT = 4  # vertices of a support in the "h0" triple scan
 
 
@@ -44,8 +44,7 @@ class RKAlgebra(DGAlgebra):
         return min(deg.aux, default=0) >= 0
 
     def window_degrees(self) -> list:
-        if self.aux_len > RK_CAP:
-            raise CapExceeded(f"m = {self.aux_len} exceeds the cap {RK_CAP}")
+        check_cap(self.aux_len)
         out = []
         for r in range(self.aux_len + 1):
             for S in itertools.combinations(range(1, self.aux_len + 1), r):
@@ -128,7 +127,7 @@ class RKAlgebra(DGAlgebra):
             rk = self.from_simplicial(c.I, c.cochain)
             if self.d(rk):
                 raise InvalidInput("class representative is not a cocycle")
-            return MultiDegree(len(c.I) + c.q + 1, self._aux_of(c.I)), rk
+            return MultiDegree(c.zk_degree, self._aux_of(c.I)), rk
         return cached(self._transported,
                       (c.I, c.q, frozenset(c.cochain.items())), build)
 
@@ -157,18 +156,13 @@ class ZkClass:
         return len(self.I) + self.q + 1
 
 
-def _check_cap(K: SimplicialComplex) -> None:
-    if K.m > RK_CAP:
-        raise CapExceeded(f"m = {K.m} exceeds the cap {RK_CAP}")
-
-
 def rk_cohomology(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     """BettiTable computed from the R(K) model, by ranks of its own
     differential; dims must agree with the Hochster route per multidegree.
     d keeps the support S, so S is one run q = |S|..2|S|, swept once by
     ``DGAlgebra.run_dims``.  No cache is read and no elimination state
     passes from one support to the next."""
-    _check_cap(K)
+    check_cap(K.m)
     alg = RKAlgebra(K, field)
     table = BettiTable(field.tag)
     for r in range(K.m + 1):
@@ -184,7 +178,7 @@ def rk_cohomology(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
 
 def zk_classes(K: SimplicialComplex, field: Field = QQ) -> list:
     """Basis classes of reduced cohomology per subset, simplicial route."""
-    _check_cap(K)
+    check_cap(K.m)
     out = []
     for r in range(1, K.m + 1):
         for I in itertools.combinations(range(1, K.m + 1), r):
@@ -268,10 +262,14 @@ def cup_length(K: SimplicialComplex, field: Field = QQ) -> int:
 
 # ---- multidegree-restricted Massey products --------------------------------
 
-def _disjoint(supports: list) -> bool:
-    """No vertex lies in two of the supports."""
-    return sum(len(set(I)) for I in supports) == \
-        len(set().union(*supports))
+def _disjoint_supports(m: int, supports) -> list:
+    """The supports as sorted tuples.  ``InvalidInput`` when a vertex is
+    not in 1..m, ``OverlappingSupports`` when one lies in two of them."""
+    supports = [tuple(sorted(I)) for I in supports]
+    check_vertices(m, (v for I in supports for v in I))
+    if sum(len(set(I)) for I in supports) != len(set().union(*supports)):
+        raise OverlappingSupports("supports must be pairwise disjoint")
+    return supports
 
 
 def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
@@ -286,10 +284,7 @@ def zk_massey(K: SimplicialComplex, classes: list, field: Field = QQ,
     certificate, which is the content of the sufficiency conditions checked
     by ``mainlemma_check``.
     """
-    supports = [tuple(sorted(c.I)) for c in classes]
-    check_vertices(K.m, (v for I in supports for v in I))
-    if not _disjoint(supports):
-        raise OverlappingSupports("class supports must be disjoint")
+    supports = _disjoint_supports(K.m, (c.I for c in classes))
     V = [v for I in supports for v in I]
     if len(V) > RK_CAP:
         raise CapExceeded(f"{len(V)} vertices exceed the cap {RK_CAP}")
@@ -311,10 +306,7 @@ def mainlemma_check(K: SimplicialComplex, supports: list, dims: list,
     the reduced cohomology of every consecutive union must vanish in the
     stacked degree (cond1) resp. one below it (cond2)."""
     k = len(supports)
-    supports = [tuple(sorted(I)) for I in supports]
-    check_vertices(K.m, (v for I in supports for v in I))
-    if not _disjoint(supports):
-        raise OverlappingSupports("supports must be pairwise disjoint")
+    supports = _disjoint_supports(K.m, supports)
     if len(dims) != k:
         raise InvalidInput("need one degree per support")
     cond1 = True
@@ -394,7 +386,7 @@ def iter_triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
     triple is skipped when its value group, the reduced H^1 of the union,
     is zero.
     """
-    _check_cap(K)
+    check_cap(K.m)
     if support_mode not in ("edges", "h0"):
         raise InvalidInput(f"unknown support mode {support_mode!r}")
     top = 2 if support_mode == "edges" else MAX_SUPPORT

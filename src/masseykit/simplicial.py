@@ -9,10 +9,10 @@ arithmetic keeps the face tests cheap.
 The faces are enumerated once per complex, on first use, as bitmasks
 grouped by size; the faces of an induced subcomplex K_I are the masks
 contained in I.  Dimensions of reduced cohomology are rank-only: no
-kernel or quotient basis is built for them.  For one subset they are
-cleared across degrees (``ReducedCohomology.dim``).  For the whole table
-the rank path is resumed (``linalg.extend_pivots``): ``hochster_table``
-walks the subsets once, each extending its parent's elimination.
+kernel or quotient basis is built for them (``ReducedCohomology.dim``).
+For the whole table the rank path is resumed (``linalg.extend_pivots``):
+``hochster_table`` walks the subsets once, each extending its parent's
+elimination.
 ``ReducedCohomology.classes`` and ``reduce`` are the one transport between
 face-keyed cochains and quotient coordinates.
 """
@@ -25,8 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, InvalidInput
 from .fields import QQ, Field
-from .linalg import (EchelonSolver, QuotientBasis, cached, extend_pivots,
-                     lead_columns)
+from .linalg import EchelonSolver, QuotientBasis, cached, extend_pivots, rank
 
 HOCHSTER_CAP = 14
 
@@ -275,26 +274,17 @@ class ReducedCohomology:
     def dim(self, q: int) -> int:
         """dim H~^q(K_I) = n_q - rank d_q - rank d_{q-1}: n_q counts the
         q-faces of K_I and d_q: C^q -> C^{q+1} is the reduced coboundary, a
-        row per (q+1)-face.  No kernel or quotient basis is built.
-
-        The first call sweeps from the top face size down to d_{-2} (the
-        empty face) and caches (rows, rank) per degree on this object
-        (``_ranks``), both 0 outside.  It clears: the rows of d_q whose
-        faces are leads of the row span of d_{q+1} (``lead_columns``) are
-        dropped before its rank is taken.  This is exact.  d_{q+1} d_q = 0,
-        so a vector v of the row span of d_{q+1} with smallest key sigma
-        writes row sigma of d_q as a combination of rows with larger labels.
-        By descending induction every cleared row lies in the span of the
-        kept rows, so the span, its rank and its lead set are those of all
-        of d_q, and the next degree's clearing is exact too."""
+        row per (q+1)-face.  No kernel or quotient basis is built.  The
+        first call takes the rank of every face size's rows and caches
+        (rows, rank) per degree on this object (``_ranks``), both 0
+        outside."""
         if self._ranks is None:
-            self._ranks, cleared = {}, set()
-            for size in range(min(len(self.within), len(self._levels) - 1),
-                              -1, -1):
-                faces = faces_within(self._levels, size, self._mask)
-                cleared = lead_columns(_coboundary_rows(
-                    f for _t, f in faces if f not in cleared), self.field)
-                self._ranks[size - 2] = (len(faces), len(cleared))
+            self._ranks = {}
+            for size in range(min(len(self.within) + 1, len(self._levels))):
+                faces = [f for _t, f in faces_within(self._levels, size,
+                                                     self._mask)]
+                self._ranks[size - 2] = (
+                    len(faces), rank(_coboundary_rows(faces), self.field))
         n_q, rank_prev = self._ranks.get(q - 1, (0, 0))
         return n_q - self._ranks.get(q, (0, 0))[1] - rank_prev
 
@@ -315,6 +305,13 @@ class ReducedCohomology:
             return {}
         idx = {t: i for i, t in enumerate(self.basis_faces(q))}
         return self.quotient(q).reduce({idx[t]: c for t, c in cochain.items()})
+
+
+def check_cap(m: int) -> None:
+    """``CapExceeded`` for more than ``HOCHSTER_CAP`` vertices: the
+    Hochster table and the R(K) window walk all 2^m vertex subsets."""
+    if m > HOCHSTER_CAP:
+        raise CapExceeded(f"m = {m} exceeds the cap {HOCHSTER_CAP}")
 
 
 def check_vertices(m: int, vertices) -> None:
@@ -382,8 +379,7 @@ def hochster_table(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     face inside I has all its facets inside I, so the rows of K_I are rows
     of K_(I+v) unchanged, and the lead set of the combined rows is that of
     their span, whatever the order the rows came in."""
-    if K.m > HOCHSTER_CAP:
-        raise CapExceeded(f"m = {K.m} exceeds the cap {HOCHSTER_CAP}")
+    check_cap(K.m)
     levels = K.face_table()
     # topped[v][size]: (mask, coboundary row) of the faces topped by v
     topped = [[[] for _ in levels] for _ in range(K.m + 1)]

@@ -293,6 +293,23 @@ def test_negative_budget_exit_2():
     assert res.stdout.strip()
 
 
+@pytest.mark.parametrize("args,opt", [
+    (["goncharova", "--qmax", "-2", "--wmax", "8"], "--qmax"),
+    (["goncharova", "--qmax", "2", "--wmax", "-1"], "--wmax"),
+    (["cohomology", "--qmax", "-1"], "--qmax"),
+    (["cohomology", "--wmax", "-1"], "--wmax"),
+    (["kstep", "--lie", '{"name":"m0","W":8}', "--classes", "1,0;0,1;1,0",
+      "--k", "2", "--wmax", "-5"], "--wmax"),
+])
+def test_negative_window_size_exit_2(args, opt):
+    """--qmax and --wmax are checked where they are parsed: a negative
+    window size is bad input, not an empty table or a silent default."""
+    res = run_cli(args, stdin=json.dumps({"name": "m0", "W": 12}))
+    assert res.returncode == 2, res.stdout
+    assert opt in res.stderr and "Traceback" not in res.stderr
+    assert not res.stdout
+
+
 @pytest.mark.parametrize("dims", ["0;0", "0;0;0;0"],
                          ids=["too_few", "too_many"])
 def test_massey_dims_one_per_support_exit_2(dims):

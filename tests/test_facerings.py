@@ -259,6 +259,22 @@ def test_mainlemma_rejects_overlap():
         mainlemma_check(K, [(1, 2), (2, 3)], [0, 0])
 
 
+@pytest.mark.parametrize("supports,error,msg", [
+    ([(1, 4), (2, 5), (4, 6)], OverlappingSupports,
+     "supports must be pairwise disjoint"),
+    ([(1, 4), (2, 5), (3, 7)], InvalidInput, "support vertex 7 is not in 1..6"),
+])
+def test_zk_massey_and_mainlemma_check_supports_alike(supports, error, msg):
+    """Overlapping supports and a vertex outside 1..m raise the same error
+    with the same message from both calls."""
+    K = polygon(6)
+    classes = [ZkClass(I, 0, {(I[0],): 1}) for I in supports]
+    with pytest.raises(error, match=msg):
+        zk_massey(K, classes, QQ)
+    with pytest.raises(error, match=msg):
+        mainlemma_check(K, supports, [0, 0, 0], QQ)
+
+
 @pytest.mark.parametrize("vertex", [9, 0])
 def test_library_rejects_a_support_vertex_out_of_range(vertex):
     """A support vertex outside 1..m is bad input for the library calls too,
@@ -481,10 +497,20 @@ def test_zk_massey_cap_counts_support_vertices():
 
 
 def test_rk_cohomology_cap_counts_the_vertices_of_k():
+    """The Hochster table, the R(K) table and the R(K) window share one
+    vertex cap and one message."""
     for m in (RK_CAP + 1, RK_CAP + 4):
         with pytest.raises(CapExceeded,
                            match=f"m = {m} exceeds the cap {RK_CAP}"):
             rk_cohomology(polygon(m), QQ)
+    K = polygon(RK_CAP + 1)
+    for call in (lambda: hochster_table(K, QQ),
+                 lambda: RKAlgebra(K, QQ).window_degrees(),
+                 lambda: zk_classes(K, QQ),
+                 lambda: triple_massey_scan(K, QQ)):
+        with pytest.raises(CapExceeded,
+                           match=f"m = {RK_CAP + 1} exceeds the cap {RK_CAP}"):
+            call()
 
 
 def test_caches_on_k_do_not_keep_k_alive():

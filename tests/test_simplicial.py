@@ -175,15 +175,14 @@ def test_rank_dim_matches_quotient_random_6_vertex():
 
 
 def full_coboundary(K, q, mask, field):
-    """(rows, rank) of the whole reduced coboundary d_q on K_I, I = mask,
-    with no row cleared."""
+    """(rows, rank) of the whole reduced coboundary d_q on K_I, I = mask."""
     levels = K.face_table()
     faces = [f for _t, f in levels[q + 2] if f & mask == f] \
         if 0 <= q + 2 < len(levels) else []
     return len(faces), rank(_coboundary_rows(faces), field)
 
 
-def cleared_complexes():
+def ranked_complexes():
     rng = random.Random(1010)
     out = [dodecahedron_nerve(), qn(3)]
     for m in (3, 4, 5, 6, 7, 7):
@@ -192,13 +191,12 @@ def cleared_complexes():
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF2", "GF3"])
-def test_cleared_ranks_equal_full_ranks(field):
-    """The top-down sweep of ``ReducedCohomology.dim`` drops the rows of d_q
-    that are leads of d_{q+1}; every (rows, rank) it caches and every dim
-    must equal those of the whole coboundary, also for q < -1 and
-    q >= |I|, where both are 0."""
-    cleared = 0
-    for K in cleared_complexes():
+def test_cached_ranks_equal_full_ranks(field):
+    """Every (rows, rank) that ``ReducedCohomology.dim`` caches per degree
+    and every dim must equal those of the whole coboundary, also for
+    q < -1 and q >= |I|, where both are 0."""
+    stacked = 0
+    for K in ranked_complexes():
         for r in range(K.m + 1):
             for I in itertools.combinations(range(1, K.m + 1), r):
                 mask = sum(1 << (v - 1) for v in I)
@@ -210,9 +208,9 @@ def test_cleared_ranks_equal_full_ranks(field):
                         full[q - 1][0] - full[q][1] - full[q - 1][1], (I, q)
                 for q in range(-4, r + 2):
                     assert rc._ranks.get(q, (0, 0)) == full[q], (I, q)
-                cleared += sum(full[q + 1][1] for q in range(-2, r)
+                stacked += sum(full[q + 1][1] for q in range(-2, r)
                                if full[q][1])
-    assert cleared  # some degree below a nonzero rank had rows to clear
+    assert stacked  # some nonzero rank sits on a degree of nonzero rank
 
 
 def test_rp2_torsion_seen_over_gf2_only():
