@@ -12,6 +12,8 @@ clearing per run of degrees (``run_dims``): the leads of im d_(q-1) mark
 the sources of d_q whose images are never computed.
 Cycle, boundary and quotient bases (``cohomology_basis``) are built only
 where cochains are reduced: Massey products, cup products and coordinates.
+d has one orientation, the images d b_j as rows, for ``run_dims``,
+``boundaries`` and ``d_solver`` (cycles, and solves of d x = b) alike.
 ``coords`` is the one reduction of a closed cochain to class coordinates;
 class tests, Massey values, indeterminacies and product tables all read it.
 
@@ -199,10 +201,7 @@ class DGAlgebra:
 
     def to_vector(self, cochain: dict, deg: MultiDegree) -> dict:
         idx = self.index(deg)
-        out = {}
-        for m, c in cochain.items():
-            out[idx[m]] = c
-        return out
+        return {idx[m]: c for m, c in cochain.items()}
 
     def from_vector(self, vec: dict, deg: MultiDegree) -> dict:
         bas = self.basis(deg)
@@ -225,21 +224,16 @@ class DGAlgebra:
         return (axpy({}, 1, ((idx[m2], c) for m2, c in self.d_mono(mono)))
                 for j, mono in enumerate(self.basis(deg)) if j not in skip)
 
-    def d_rows(self, deg: MultiDegree) -> list[dict]:
-        """Matrix of d from deg to deg + 1: one sparse row per basis element
-        of the target, keyed by the index of the source basis element."""
-        self._require(deg)
-        self._require(deg.d_target())
-        rows: list[dict] = [dict() for _ in self.basis(deg.d_target())]
-        for j, img in enumerate(self.d_images(deg)):
-            for i, c in img.items():
-                rows[i][j] = c
-        return rows
-
     def d_solver(self, deg: MultiDegree) -> EchelonSolver:
-        """Elimination data for d restricted to the given degree."""
-        return cached(self._dsolve, deg, lambda: EchelonSolver(
-            self.field, len(self.basis(deg)), self.d_rows(deg)))
+        """Elimination of the images d b_j of deg's basis, keyed by target
+        index: ``coordinates`` of b gives x, r with d x = b - r, r empty
+        exactly when b is exact, and the null rows are cycles."""
+        def build():
+            self._require(deg)
+            self._require(deg.d_target())
+            return EchelonSolver(self.field, len(self.basis(deg.d_target())),
+                                 list(self.d_images(deg)))
+        return cached(self._dsolve, deg, build)
 
     def run_dims(self, run) -> list:
         """dim H at each degree of run: consecutive degrees of one aux,
@@ -264,7 +258,7 @@ class DGAlgebra:
         return dims
 
     def cycles(self, deg: MultiDegree) -> list:
-        return self.d_solver(deg).kernel_basis()
+        return self.d_solver(deg).null_ts
 
     def boundaries(self, deg: MultiDegree) -> list:
         prev = deg.d_source()

@@ -304,11 +304,15 @@ def mainlemma_check(K: SimplicialComplex, supports: list, dims: list,
     """Sufficiency conditions for definedness (cond1) and strictness (cond2)
     of the product of classes with the given supports and reduced degrees:
     the reduced cohomology of every consecutive union must vanish in the
-    stacked degree (cond1) resp. one below it (cond2)."""
+    stacked degree (cond1) resp. one below it (cond2).  A degree outside
+    0..|I| - 2 on a support I, where K_I has no class, is bad input."""
     k = len(supports)
     supports = _disjoint_supports(K.m, supports)
     if len(dims) != k:
         raise InvalidInput("need one degree per support")
+    for I, q in zip(supports, dims):
+        if not 0 <= q <= len(I) - 2:
+            raise InvalidInput(f"no class on support {I} in degree {q}")
     cond1 = True
     cond2 = True
     for r in range(1, k - 1):

@@ -29,12 +29,26 @@ def _is_prime(p: int) -> bool:
 
 
 def rational(c, what: str) -> Fraction:
-    """c, read from JSON or the command line, as a rational number;
-    anything else is bad input, named by what."""
+    """c, read from JSON or the command line, exactly: an int, a ``Fraction``
+    or a string such as "3/4"; a float, a bool or other value is bad input."""
     try:
-        return Fraction(c)
+        if not isinstance(c, (bool, float)):
+            return Fraction(c)
     except (ValueError, TypeError, ZeroDivisionError):
-        raise InvalidInput(f"{what} {c!r} is not a rational number") from None
+        pass
+    raise InvalidInput(f'{what} {c!r} is not a rational number (give an int '
+                       'or a string such as "1/10")')
+
+
+def integer(n, what: str) -> int:
+    """n, read from JSON, exactly: an int or an integer string.  A float
+    (3.9 would be cut to 3), a bool or anything else is bad input."""
+    try:
+        if type(n) is int or isinstance(n, str):
+            return int(n)
+    except ValueError:
+        pass
+    raise InvalidInput(f"{what} {n!r} is not an integer")
 
 
 def _integral(q: Fraction):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .dga import CohomologyClass, DGAlgebra, MultiDegree, merge_sorted
 from .errors import DomainError, InvalidInput, MixedDegree, WindowTooSmall
-from .fields import QQ, Field, rational
+from .fields import QQ, Field, integer, rational
 from .linalg import axpy, cached
 
 
@@ -84,19 +84,20 @@ class GradedLie:
             data = json.loads(data)
         if "name" in data:
             name = data["name"]
-            W = int(data["W"])
+            W = integer(data["W"], "W")
             if name == "m0":
                 return m0(W)
             if name == "witt_plus":
                 return witt_plus(W)
             raise InvalidInput(f"unknown Lie presentation {name!r}")
-        weights = {int(g["i"]): int(g["w"]) for g in data["generators"]}
+        weights = {integer(g["i"], "generator index"):
+                   integer(g["w"], "Lie weight") for g in data["generators"]}
         brackets = {}
         for b in data["brackets"]:
-            i, j = int(b["i"]), int(b["j"])
-            brackets[(i, j)] = [(int(t["k"]), rational(
+            i, j = (integer(b[k], "bracket index") for k in "ij")
+            brackets[(i, j)] = [(integer(t["k"], "bracket index"), rational(
                 t["c"], "bracket coefficient")) for t in b["terms"]]
-        W = int(data.get("W", max(weights.values(), default=0)))
+        W = integer(data.get("W", max(weights.values(), default=0)), "W")
         lie = GradedLie("custom", weights, brackets, W)
         # Jacobi is d d = 0 on a CE window; without it ranks of d mean nothing
         if bad := lie.jacobi_failure():

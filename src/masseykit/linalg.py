@@ -5,12 +5,12 @@ loops eliminate.  ``EchelonSolver.add`` is the one Gauss-Jordan step, with
 transform rows: it reduces a row against the stored pivot rows, makes its
 lowest remaining nonzero column a pivot and clears that column from the
 stored rows.  Rows are taken in order, so repeated runs produce identical
-output.  ``extend_pivots`` is the rank path: fraction-free over ints, no
-transform rows, and resumable, since it extends a pivot dict of earlier
-rows into a new one and leaves the old one as it was (``lead_columns``
-starts it from nothing).  ``QuotientBasis`` selects its bases with one
-``EchelonSolver`` pass and reduces a cycle by reading it in the row space
-of another (``EchelonSolver.coordinates``).
+output.  Every solve reads a vector in a row space (``coordinates``).
+``extend_pivots`` is the rank path: fraction-free over ints, no transform
+rows, and resumable, since it extends a pivot dict of earlier rows into a
+new one and leaves the old one as it was (``lead_columns`` starts it from
+nothing).  ``QuotientBasis`` selects its bases with one ``EchelonSolver``
+pass and reduces a cycle by reading it in the row space of another.
 """
 
 from __future__ import annotations
@@ -50,15 +50,15 @@ def cached(cache: dict, key, build):
 
 
 class EchelonSolver:
-    """Gauss-Jordan elimination of a matrix given by rows, with transform tracking.
+    """Gauss-Jordan elimination of a matrix M given by rows, tracking T.
 
-    Keeps T with T . M = E (E fully reduced), split into pivot rows and
-    null rows.  The null rows test consistency of M x = b; the pivot rows
-    give a particular solution and the free columns give the kernel.
-    The transform rows also apply to vectors with polynomial entries, which
-    is how the staged defining-system solver propagates parameters.
-    Rows are taken one at a time by ``add``; the constructor adds ``rows``.
-    """
+    Keeps T with T . M = E (E in reduced row echelon form), split into
+    pivot rows and null rows; a null row y has y . M = 0.  ``coordinates``
+    writes v = x . M + r, and the free columns give M x = 0
+    (``kernel_basis``).  The transform rows also apply to vectors with
+    polynomial entries, which is how the staged defining-system solver
+    propagates parameters.  ``add`` takes one row; the constructor adds
+    ``rows``."""
 
     def __init__(self, field: Field, n_cols: int, rows: list[dict]):
         self.field = field
@@ -114,32 +114,6 @@ class EchelonSolver:
     def free_cols(self) -> list[int]:
         return [c for c in range(self.n_cols) if c not in self._by_col]
 
-    def _dot(self, t: dict, b: dict):
-        """t . b, or 0 when no index meets.  The sum starts from its first
-        product, so it has the type of b's entries (``Poly`` too)."""
-        acc = None
-        for i, c in t.items():
-            bi = b.get(i)
-            if bi is not None:
-                acc = c * bi if acc is None else acc + c * bi
-        return 0 if acc is None else acc
-
-    def obstructions(self, b: dict) -> list:
-        """T_null . b; all must vanish for M x = b to be solvable."""
-        return [self._dot(t, b) for t in self.null_ts]
-
-    def particular(self, b: dict) -> dict:
-        """One solution of M x = b with free coordinates set to zero.
-
-        Does not test consistency; call ``obstructions`` first.
-        """
-        out = {}
-        for pcol, _erow, t in self.piv:
-            y = self._dot(t, b)
-            if y != 0:
-                out[pcol] = y
-        return out
-
     def kernel_basis(self) -> list[dict]:
         """One kernel vector per free column f, in free-column order: 1 at
         f, minus column f of each pivot row at its pivot.  A stored row
@@ -153,16 +127,14 @@ class EchelonSolver:
                     out[f][pcol] = -c
         return list(out.values())
 
-    def in_image(self, b: dict) -> bool:
-        return all(obs == 0 for obs in self.obstructions(b))
-
     def coordinates(self, v: dict) -> tuple[dict, dict]:
         """v read in the row space of M: (x, r) with v = x . M + r, and r
         empty exactly when v lies in the row space.  E is in reduced row
         echelon form, so the coefficient of E-row p is v[p]: x = sum_p v[p]
-        T_p and r = v - sum_p v[p] E_p, which vanishes at every pivot.
-        Entries of v may lie in any commutative algebra over the field
-        (``Poly``); so do the entries of x and r."""
+        T_p and r = v - sum_p v[p] E_p, which vanishes at every pivot; at a
+        free column k, r[k] is e_k - sum_p E_p[k] e_p applied to v.  Entries
+        of v may lie in any commutative algebra over the field (``Poly``);
+        so do the entries of x and r."""
         x, r = {}, {k: y for k, y in v.items() if k not in self._by_col}
         for pcol, erow, t in self.piv:
             c = v.get(pcol)

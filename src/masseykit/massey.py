@@ -184,16 +184,13 @@ def lift_obstruction(conn: FormalConnection) -> CohomologyClass:
 def complete_lift(conn: FormalConnection) -> dict | None:
     """Corner entry a(1, n) with d a(1,n) = c(A), when one exists."""
     dga = conn.dga
-    c = related_cocycle(conn)
-    if not c:
-        return {}
     out: dict = {}
-    for deg, comp in dga.components(c).items():
-        solver = dga.d_solver(deg.d_source())
-        vec = dga.to_vector(comp, deg)
-        if not solver.in_image(vec):
+    for deg, comp in dga.components(related_cocycle(conn)).items():
+        x, r = dga.d_solver(deg.d_source()).coordinates(
+            dga.to_vector(comp, deg))
+        if r:
             return None
-        out.update(dga.from_vector(solver.particular(vec), deg.d_source()))
+        out.update(dga.from_vector(x, deg.d_source()))
     return out
 
 
@@ -437,9 +434,10 @@ class MasseyEngine:
         """One step of the search: enter a(i, j), of nominal degree
         ``nominal``, into ``fam`` and return it, or return an ``Undefined``.
         The entry is a particular solution of d a(i, j) = mc_sum(i, j), from
-        the pair memo or solved after ``_resolve_constraints`` on the slot's
-        obstructions, plus the slot's budgeted cohomology directions; a pin
-        or a budget stop clears ``fam.complete``."""
+        the pair memo or the x of x, r = ``coordinates`` of each component in
+        its d-solver (d x = component - r) after ``_resolve_constraints`` on
+        the values of r, plus the slot's budgeted cohomology directions; a
+        pin or a budget stop clears ``fam.complete``."""
         dga = self.dga
         pair = None
         if j == i + 1:
@@ -454,28 +452,23 @@ class MasseyEngine:
             if dga.d(rhs):
                 raise NotADefiningSystem(
                     f"stage right-hand side at {(i, j)} is not closed")
-            constraints, comp_data = [], []
+            constraints, entry = [], {}
             for deg, comp in sorted(dga.components(rhs).items(),
                                     key=lambda kv: kv[0].aux):
                 if self.homogeneous_aux and deg != nominal.d_target():
                     raise NotADefiningSystem(
                         f"inhomogeneous right-hand side at {(i, j)}")
-                solver = dga.d_solver(deg.d_source())
-                vec = dga.to_vector(comp, deg)
-                comp_data.append((deg, solver, vec))
-                constraints.extend(obs for obs in solver.obstructions(vec)
-                                   if obs != 0)
+                x, r = dga.d_solver(deg.d_source()).coordinates(
+                    dga.to_vector(comp, deg))
+                entry.update(dga.from_vector(x, deg.d_source()))
+                constraints.extend(r[k] for k in sorted(r))
             subst, pinned = self._resolve_constraints(constraints) \
                 if constraints else ({}, False)
             fam.complete = fam.complete and not pinned
             if subst is None:
                 return Undefined((i, j), inconclusive=not fam.complete)
-            entry = {}
-            for deg, solver, vec in comp_data:
-                axpy(entry, 1, dga.from_vector(solver.particular(
-                    pc_substitute(vec, subst) if subst else vec),
-                    deg.d_source()).items())
             if subst:
+                entry = pc_substitute(entry, subst)
                 fam.entries = {slot: pc_substitute(pc, subst)
                                for slot, pc in fam.entries.items()}
         # kernel freedom: cohomology directions only (see above)
@@ -506,12 +499,13 @@ class MasseyEngine:
 
         A nonzero constant proves the system inconsistent: (None, False).
         Otherwise every variable of a monomial of degree >= 2 is pinned to
-        0 (``pinned`` is True when one was), which leaves an affine system,
-        and one elimination over its variables in index order solves it.
-        ``subst`` sends each pinned variable to 0 and each pivot variable
-        to a ``Poly`` in the free variables, so every poly substitutes to
-        0.  (None, pinned) when the affine system has no solution; that is
-        a proof only when nothing was pinned.
+        0 (``pinned`` is True when one was), which leaves an affine system.
+        One elimination of its rows lin | const, the constant in column
+        ``rhs`` after the variables, solves it.  A pivot in ``rhs`` is a row
+        0 = c != 0: (None, pinned), a proof only when nothing was pinned.
+        Otherwise ``subst`` sends each pinned variable to 0 and each pivot
+        variable to a ``Poly`` in the free variables, read off its reduced
+        row, so every poly substitutes to 0.
         """
         if any(p.is_constant() and not p.is_zero() for p in polys):
             return None, False
@@ -521,20 +515,17 @@ class MasseyEngine:
             polys = [p.substitute(subst) for p in polys]
         varset = sorted({v for p in polys for v in p.variables()})
         col = {v: c for c, v in enumerate(varset)}
-        rows, b = [], {}
-        for r, p in enumerate(polys):
-            const, lin = p.affine_parts()
-            rows.append({col[v]: cf for v, cf in lin.items()})
-            if const != 0:
-                b[r] = -const
-        solver = EchelonSolver(self.dga.field, len(varset), rows)
+        rhs = len(varset)
+        rows = [{col[m[0]] if m else rhs: c for m, c in p.terms.items()}
+                for p in polys]  # affine now: every m has at most one var
+        solver = EchelonSolver(self.dga.field, rhs + 1, rows)
         pinned = bool(subst)
-        if not solver.in_image(b):
+        if rhs in solver.pivot_cols:
             return None, pinned
-        x0 = solver.particular(b)
         for pcol, erow, _t in solver.piv:
-            terms = {(varset[c],): -cf for c, cf in erow.items() if c != pcol}
-            terms[()] = x0.get(pcol, 0)
+            terms = {(varset[c],): -cf for c, cf in erow.items()
+                     if c != pcol and c != rhs}
+            terms[()] = -erow.get(rhs, 0)
             subst[varset[pcol]] = Poly(terms)
         return subst, pinned
 
@@ -548,8 +539,8 @@ class MasseyEngine:
         except InvalidInput:
             raise NotADefiningSystem("value is not a cocycle") from None
 
-    def _zero_solvable(self, coords: dict, extra_target: dict | None = None):
-        """Find an assignment with coords == extra_target (default zero).
+    def _zero_solvable(self, coords: dict):
+        """Find an assignment at which every coordinate vanishes.
 
         Returns an assignment dict, or None when no assignment exists (a
         definitive answer); raises Undecided when the dependence is not
@@ -559,14 +550,7 @@ class MasseyEngine:
         free variables set to 0.
         """
         field = self.dga.field
-        target = extra_target or {}
-        polys = []
-        for key, p in coords.items():
-            t = target.get(key, field.zero())
-            polys.append(p - Poly.const(t) if t != 0 else p)
-        for key, t in target.items():
-            if key not in coords and t != 0:
-                return None
+        polys = list(coords.values())
         varset = sorted({v for p in polys for v in p.variables()})
         if (not all(p.is_affine() for p in polys) and field.p is not None
                 and field.p ** len(varset) <= 200_000):
@@ -729,10 +713,10 @@ class MasseyEngine:
         """
         if outcome.value_coords is None:
             raise InvalidInput("outcome carries no value coordinates")
-        target = target_class.coords()
-        assign = self._zero_solvable(outcome.value_coords,
-                                     extra_target=target)
-        return assign is not None
+        coords = dict(outcome.value_coords)
+        for key, t in target_class.coords().items():
+            coords[key] = coords.get(key, Poly()) - Poly.const(t)
+        return self._zero_solvable(coords) is not None
 
     def _sample_classes(self, fam: ConnectionFamily, value: dict,
                         coords: dict, value_deg) -> list:

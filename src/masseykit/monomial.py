@@ -22,7 +22,7 @@ from math import comb
 
 from .dga import DGAlgebra, MultiDegree
 from .errors import CapExceeded, InvalidInput
-from .fields import QQ, Field
+from .fields import QQ, Field, integer
 from .linalg import EchelonSolver, lead_columns
 
 BASIS_CAP = 20000
@@ -38,7 +38,8 @@ class MonomialQuotient:
     def __post_init__(self):
         if self.n_vars < 0:
             raise InvalidInput(f"need n >= 0 variables, got {self.n_vars}")
-        gens = sorted({tuple(int(e) for e in g) for g in self.generators})
+        gens = sorted({tuple(integer(e, "generator exponent") for e in g)
+                       for g in self.generators})
         for g in gens:
             if len(g) != self.n_vars or any(e < 0 for e in g) or not any(g):
                 raise InvalidInput("bad generator exponent vector")
@@ -80,7 +81,7 @@ class MonomialQuotient:
     def from_json(data) -> "MonomialQuotient":
         if isinstance(data, str):
             data = json.loads(data)
-        return MonomialQuotient(int(data["n"]),
+        return MonomialQuotient(integer(data["n"], "variable count n"),
                                 [tuple(g) for g in data["gens"]])
 
 

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, InvalidInput
-from .fields import QQ, Field
+from .fields import QQ, Field, integer
 from .linalg import EchelonSolver, QuotientBasis, cached, extend_pivots, rank
 
 HOCHSTER_CAP = 14
@@ -119,12 +119,12 @@ class SimplicialComplex:
     def from_json(data) -> "SimplicialComplex":
         if isinstance(data, str):
             data = json.loads(data)
-        m = int(data["m"])
-        if "minimal_nonfaces" in data:
-            return SimplicialComplex(m, [tuple(nf) for nf in
-                                         data["minimal_nonfaces"]])
-        if "facets" in data:
-            return from_facets(m, [tuple(f) for f in data["facets"]])
+        m = integer(data["m"], "vertex count m")
+        for key, make in (("minimal_nonfaces", SimplicialComplex),
+                          ("facets", from_facets)):
+            if key in data:
+                return make(m, [tuple(integer(v, "vertex") for v in s)
+                                for s in data[key]])
         raise InvalidInput("complex JSON needs minimal_nonfaces or facets")
 
 

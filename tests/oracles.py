@@ -61,6 +61,16 @@ def sparse_mul(rows, x):
     return out
 
 
+def transpose(rows, n_cols):
+    """The sparse rows of the transpose of a matrix with n_cols columns,
+    given by sparse row dicts."""
+    out = [{} for _ in range(n_cols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][i] = v
+    return out
+
+
 def brute_force_solutions_fp(rows, b, p, n_cols):
     """All solutions of M x = b over F_p by odometer enumeration.
 

@@ -323,6 +323,19 @@ def test_massey_dims_one_per_support_exit_2(dims):
     assert not res.stdout
 
 
+@pytest.mark.parametrize("dims,message", [
+    ("-3;-3;-3", "no class on support (1, 3) in degree -3"),
+    ("0;0;1", "no class on support (4, 6) in degree 1")],
+    ids=["negative", "size-minus-one"])
+def test_mainlemma_degree_without_classes_exit_2(dims, message):
+    gen = run_cli(["generate", "polygon", "--m", "6"]).stdout
+    res = run_cli(["mainlemma", "--supports", "1,3;2,5;4,6",
+                   f"--dims={dims}"], stdin=gen)
+    assert res.returncode == 2
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr and not res.stdout
+
+
 @pytest.mark.parametrize("command", ["massey", "mainlemma"])
 @pytest.mark.parametrize("vertex", ["9", "0"])
 def test_support_vertex_out_of_range_exit_2(command, vertex):
@@ -461,3 +474,49 @@ def test_kstep_class_entry_of_wrong_length_exit_2(classes, entry):
     assert res.returncode == 2
     assert f"class entry {entry!r} is not of the form alpha,beta" in res.stderr
     assert "Traceback" not in res.stderr and not res.stdout
+
+
+@pytest.mark.parametrize("args,stdin,message", [
+    (["poincare"], '{"n": 1, "gens": [[2.7]]}',
+     "generator exponent 2.7 is not an integer"),
+    (["poincare"], '{"n": 1.0, "gens": [[2]]}',
+     "variable count n 1.0 is not an integer"),
+    (["betti"], '{"m": 3.9, "minimal_nonfaces": []}',
+     "vertex count m 3.9 is not an integer"),
+    (["betti"], '{"m": 3, "facets": [[1, 2], [true, 3]]}',
+     "vertex True is not an integer"),
+    (["kstep", "--lie", '{"name": "m0", "W": 12.9}', "--classes",
+      "1,0;0,1;1,0", "--k", "2"], None,
+     "W 12.9 is not an integer"),
+    (["cohomology", "--qmax", "2", "--wmax", "4"], json.dumps({
+        "W": 4, "generators": [{"i": 1, "w": 1.6}, {"i": 2, "w": 1}],
+        "brackets": []}), "Lie weight 1.6 is not an integer"),
+    (["cohomology", "--qmax", "2", "--wmax", "4"],
+     _two_step([{"k": 3.0, "c": "1"}]), "bracket index 3.0 is not an integer"),
+    (["cohomology", "--qmax", "2", "--wmax", "4"],
+     _two_step([{"k": 3, "c": 0.1}]),
+     "bracket coefficient 0.1 is not a rational number"),
+    (["cohomology", "--qmax", "2", "--wmax", "4"],
+     _two_step([{"k": 3, "c": True}]),
+     "bracket coefficient True is not a rational number"),
+], ids=["exponent", "n", "m", "vertex", "W", "weight", "index", "float",
+        "bool"])
+def test_json_number_read_inexactly_exit_2(args, stdin, message):
+    """A JSON number is read exactly or rejected: a float is not cut to an
+    int or taken as its binary value, and a bool is not 1."""
+    res = run_cli(args, stdin=stdin)
+    assert res.returncode == 2
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr and not res.stdout
+
+
+def test_json_integer_strings_and_fraction_strings_are_read():
+    as_ints = run_cli(["betti"], stdin=json.dumps(
+        {"m": 4, "minimal_nonfaces": [[1, 3], [2, 4]]}))
+    as_strings = run_cli(["betti"], stdin=json.dumps(
+        {"m": "4", "minimal_nonfaces": [[1, "3"], ["2", 4]]}))
+    assert as_ints.returncode == as_strings.returncode == 0
+    assert as_strings.stdout == as_ints.stdout
+    res = run_cli(["cohomology", "--qmax", "2", "--wmax", "4"],
+                  stdin=_two_step([{"k": "3", "c": "1/2"}]))
+    assert res.returncode == 0

@@ -9,7 +9,7 @@ from masseykit.dga import CohomologyClass, MultiDegree, cup
 from masseykit.errors import InvalidInput, MixedDegree, WindowTooSmall
 from masseykit.facerings import RKAlgebra, rk_cohomology
 from masseykit.fields import GF, QQ
-from masseykit.generators import polygon
+from masseykit.generators import polygon, qn
 from masseykit.lie import (CEAlgebra, GradedLie, ce_window, goncharova_table,
                            m0, witt_plus)
 from masseykit.linalg import EchelonSolver, QuotientBasis, axpy, rank
@@ -19,6 +19,7 @@ from masseykit.params import Poly
 from masseykit.simplicial import (SimplicialComplex, from_facets,
                                   hochster_table)
 
+from oracles import sparse_mul, transpose
 from sweeps import random_complex
 
 
@@ -159,7 +160,7 @@ def test_cohomology_dim_matches_basis_koszul(ring):
 
 def assert_dims_match_unswept_ranks(dga):
     """cohomology_dim, swept upward with clearing, against n - rank d_deg -
-    rank d_(deg-1), both ranks taken from all of d_rows, on every degree
+    rank d_(deg-1), both ranks taken from all of d_images, on every degree
     whose target is in the window.  Degrees are asked for highest first,
     so each run is entered at its top and must be found downward;
     ``lead_columns`` runs once per swept degree, so no run is swept twice.
@@ -172,8 +173,8 @@ def assert_dims_match_unswept_ranks(dga):
         for deg in reversed(dga.window_degrees()):
             if not dga.in_window(deg.d_target()):
                 continue
-            up = rank(dga.d_rows(deg), dga.field)
-            down = rank(dga.d_rows(deg.d_source()), dga.field) \
+            up = rank(list(dga.d_images(deg)), dga.field)
+            down = rank(list(dga.d_images(deg.d_source())), dga.field) \
                 if dga.in_window(deg.d_source()) else 0
             assert dga.cohomology_dim(deg) == \
                 len(dga.basis(deg)) - up - down, deg
@@ -238,10 +239,61 @@ def test_d_rank_cleared_equals_full_rank_koszul():
     assert cleared
 
 
+D_WINDOWS = {
+    "wplus": lambda field: ce_window(witt_plus(10), 3, 10, field),
+    "m0": lambda field: ce_window(m0(10), 3, 10, field),
+    "hexagon": lambda field: RKAlgebra(polygon(6), field),
+    "q3": lambda field: RKAlgebra(qn(3), field),
+    "cube-ring": lambda field: KoszulAlgebra(CUBE_RING, field),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("window", list(D_WINDOWS))
+def test_d_solver_reads_cycles_and_solves_on_the_image_rows(window, field):
+    """The d-solver eliminates the images d b_j, one row per source, at
+    every degree whose target is in the window.  Its null rows are the
+    ``kernel_basis`` of a reference solver on the transposed images (d as
+    target rows, keyed by source).  For b in im d, and for b plus a unit
+    vector off im d, ``coordinates`` gives (x, r) with d x = b - r, r empty
+    exactly on im d, x on the reference's pivot sources only, and the
+    values of r at the free targets equal y . b for the reference's null
+    rows y, in order."""
+    dga = D_WINDOWS[window](field)
+    rng = random.Random(f"d-solver:{window}:{field}")
+    degrees = off_image = 0
+    for deg in dga.window_degrees():
+        if not dga.in_window(deg.d_target()):
+            continue
+        n_src = len(dga.basis(deg))
+        rows = transpose(list(dga.d_images(deg)),
+                         len(dga.basis(deg.d_target())))
+        ref = EchelonSolver(field, n_src, rows)
+        solver = dga.d_solver(deg)
+        assert dga.cycles(deg) == ref.kernel_basis(), deg
+        b = sparse_mul(rows, {j: field.of(rng.randint(-2, 2))
+                              for j in range(n_src)})
+        vecs = [b]
+        if solver.free_cols:
+            vecs.append(axpy(dict(b), 1, [(rng.choice(solver.free_cols),
+                                           field.one())]))
+        for vec in vecs:
+            x, r = solver.coordinates(vec)
+            assert sparse_mul(rows, x) == axpy(dict(vec), -1, r.items())
+            assert set(x) <= set(ref.pivot_cols)
+            assert (vec is b) == (not r)
+            assert [r.get(k, 0) for k in solver.free_cols] == \
+                [sum(c * vec.get(i, 0) for i, c in y.items())
+                 for y in ref.null_ts]
+        degrees += 1
+        off_image += len(vecs) - 1
+    assert degrees and off_image
+
+
 def test_dimension_queries_apply_d_to_kept_sources_only(monkeypatch):
     """Goncharova 3/30 calls d_mono once per source that clearing keeps:
     |basis(q, w)| - rank d_(q-1, w) summed over the table, each rank taken
-    from all of d_rows on a second window."""
+    from all of d_images on a second window."""
     calls = []
     real = CEAlgebra.d_mono
     monkeypatch.setattr(CEAlgebra, "d_mono", lambda self, mono:
@@ -251,7 +303,7 @@ def test_dimension_queries_apply_d_to_kept_sources_only(monkeypatch):
     monkeypatch.setattr(CEAlgebra, "d_mono", real)
     ref = ce_window(witt_plus(30), 3, 30)
     kept = sum(len(ref.basis(ref.deg(q, w))) -
-               rank(ref.d_rows(ref.deg(q - 1, w)), QQ)
+               rank(list(ref.d_images(ref.deg(q - 1, w))), QQ)
                for q in range(1, 4) for w in range(1, 31))
     assert len(calls) == kept == 607
 

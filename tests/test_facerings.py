@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -273,6 +274,18 @@ def test_zk_massey_and_mainlemma_check_supports_alike(supports, error, msg):
         zk_massey(K, classes, QQ)
     with pytest.raises(error, match=msg):
         mainlemma_check(K, supports, [0, 0, 0], QQ)
+
+
+@pytest.mark.parametrize("dims,support,q", [
+    ([-3, -3, -3], (1, 3), -3), ([0, 0, 1], (4, 6), 1)],
+    ids=["negative", "size-minus-one"])
+def test_mainlemma_rejects_a_degree_without_classes(dims, support, q):
+    """Reduced cohomology of K_I can be nonzero only in degrees 0..|I|-2;
+    another degree is bad input, not conditions printed true."""
+    K = polygon(6)
+    msg = f"no class on support {support} in degree {q}"
+    with pytest.raises(InvalidInput, match=re.escape(msg)):
+        mainlemma_check(K, [(1, 3), (2, 5), (4, 6)], dims, QQ)
 
 
 @pytest.mark.parametrize("vertex", [9, 0])

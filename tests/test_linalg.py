@@ -9,7 +9,8 @@ from masseykit.linalg import (EchelonSolver, QuotientBasis, axpy,
                               extend_pivots, lead_columns, rank)
 from masseykit.params import Poly
 
-from oracles import brute_force_solutions_fp, dense_rank, sparse_mul
+from oracles import (brute_force_solutions_fp, dense_rank, sparse_mul,
+                     transpose)
 
 
 def test_axpy_scalars_and_polys_drop_zero_sums():
@@ -26,24 +27,29 @@ def test_axpy_scalars_and_polys_drop_zero_sums():
 
 def test_solve_identity():
     solver = EchelonSolver(QQ, 3, [{i: Fraction(1)} for i in range(3)])
-    assert solver.in_image({0: Fraction(1)})
-    assert solver.particular({0: Fraction(1)}) == {0: Fraction(1)}
-    assert solver.kernel_basis() == []
+    assert solver.coordinates({0: Fraction(1)}) == ({0: Fraction(1)}, {})
+    assert solver.null_ts == []
 
 
 def test_solve_zero_matrix():
+    # M = 0 (2 x 2), given by the rows of its transpose
     solver = EchelonSolver(QQ, 2, [{}, {}])
-    assert solver.in_image({})
-    assert solver.particular({}) == {}
-    assert len(solver.kernel_basis()) == 2
+    assert solver.coordinates({}) == ({}, {})
+    assert solver.null_ts == [{0: 1}, {1: 1}]
 
 
 def test_solve_inconsistent():
-    solver = EchelonSolver(QQ, 1, [{0: Fraction(1)}, {}])
-    assert not solver.in_image({1: Fraction(1)})
+    # M = (1 0)^T: x M^T = (0 1) has no solution, and the residue says so
+    solver = EchelonSolver(QQ, 2, transpose([{0: Fraction(1)}, {}], 1))
+    assert solver.coordinates({1: Fraction(1)}) == ({}, {1: Fraction(1)})
+    assert solver.coordinates({0: Fraction(2), 1: Fraction(1)}) == \
+        ({0: Fraction(2)}, {1: Fraction(1)})
 
 
 def test_solution_invariants_random_rational():
+    """M x = b through the solver of M's transpose: the x of
+    ``coordinates`` solves it, the null rows span the kernel of M, and
+    rank + nullity is the column count."""
     rng = random.Random(7)
     for _ in range(25):
         n_rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -52,10 +58,11 @@ def test_solution_invariants_random_rational():
                 for _ in range(n_rows)]
         x0 = {c: Fraction(rng.randint(-2, 2)) for c in range(cols)}
         b = sparse_mul(rows, x0)
-        solver = EchelonSolver(QQ, cols, rows)
-        assert solver.in_image(b)
-        assert sparse_mul(rows, solver.particular(b)) == b
-        kernel = solver.kernel_basis()
+        solver = EchelonSolver(QQ, n_rows, transpose(rows, cols))
+        x, r = solver.coordinates(b)
+        assert r == {}
+        assert sparse_mul(rows, x) == b
+        kernel = solver.null_ts
         for v in kernel:
             assert sparse_mul(rows, v) == {}
         assert rank(rows, QQ) + len(kernel) == cols
@@ -72,13 +79,13 @@ def test_echelon_f5_matches_exhaustive_enumeration():
     m = [{c: field.of(v) for c, v in enumerate(row) if v % p}
          for row in rows]
     rhs = {r: field.of(v) for r, v in enumerate(b) if v % p}
-    solver = EchelonSolver(field, 8, m)
-    assert solver.in_image(rhs)
-    kernel = solver.kernel_basis()
-    # solution count must be p^(kernel dim), and the particular must solve
+    solver = EchelonSolver(field, 6, transpose(m, 8))
+    x, r = solver.coordinates(rhs)
+    assert r == {}
+    kernel = solver.null_ts
+    # solution count must be p^(kernel dim), and x must solve
     assert count == p ** len(kernel)
-    got = sparse_mul(m, solver.particular(rhs))
-    assert got == rhs
+    assert sparse_mul(m, x) == rhs
     for v in kernel:
         assert sparse_mul(m, v) == {}
     assert witness is not None

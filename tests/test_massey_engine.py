@@ -23,7 +23,7 @@ from masseykit.massey import (FormalConnection, MasseyEngine, ParamInfo,
                               pc_const, pc_evaluate, related_cocycle,
                               strong_mc_check)
 from masseykit.params import Poly
-from oracles import c_scale
+from oracles import brute_force_solutions_fp, c_scale
 
 
 def w_window(w_max=10, q_max=3, field=QQ):
@@ -635,10 +635,16 @@ def test_resolve_constraints_property(field):
     set of pinned variables: the substitution zeroes every constraint, pins
     exactly the variables of the nonlinear monomials, and leaves
     (variables - rank) free, the rank counting each pin as one equation and
-    read from ``linalg.rank`` of the pinned system's linear parts."""
+    read from ``linalg.rank`` of the pinned system's linear parts.
+
+    The same systems with perturbed constants: ``subst`` is None exactly
+    when the pinned system has no zero, which an enumeration of the free
+    variables decides over GF(5) and the ranks of the linear parts with
+    and without the constants decide over Q."""
     engine = _tiny_engine(field)
     rng = random.Random(f"resolve:{field}")
     checked = {False: 0, True: 0}
+    bumped_none = {False: 0, True: 0}
     for _ in range(120):
         n_vars = rng.randint(1, 6)
         pins = set(rng.sample(range(n_vars), rng.randint(0, n_vars - 1))) \
@@ -670,7 +676,28 @@ def test_resolve_constraints_property(field):
         free = all_vars - subst.keys()
         assert len(free) == len(all_vars) - r
         checked[pinned] += 1
+        bumped = [p + Poly.const(field.of(rng.randint(-2, 2))) for p in polys]
+        subst, pinned = engine._resolve_constraints(bumped)
+        constant = any(p.is_constant() and not p.is_zero() for p in bumped)
+        assert pinned == (bool(pinned_vars) and not constant)
+        affine = [p.substitute(zero).affine_parts() for p in bumped]
+        if field.p is None:
+            aug = [{**row, n_vars: c} if c else row for c, row in affine]
+            solvable = rank(aug, field) == rank([row for _c, row in affine],
+                                                field)
+        else:
+            cols = sorted(all_vars - pinned_vars)
+            dense = [[field.of(row.get(v, 0)).v for v in cols]
+                     for _c, row in affine]
+            consts = [field.of(-c).v for c, _row in affine]
+            solvable = brute_force_solutions_fp(
+                dense, consts, field.p, len(cols))[0] > 0
+        assert (subst is None) == (not solvable), bumped
+        if subst is not None:
+            _check_resolved(bumped, subst)
+        bumped_none[subst is None] += 1
     assert min(checked.values()) >= 20, checked
+    assert min(bumped_none.values()) >= 20, bumped_none
 
 
 # ---- sound undefined (the pin rule) ----------------------------------------

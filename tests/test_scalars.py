@@ -17,7 +17,7 @@ from masseykit.lie import ce_window, m0
 from masseykit.linalg import EchelonSolver, QuotientBasis
 from masseykit.massey import MasseyEngine, conjugate
 
-from oracles import sparse_mul
+from oracles import sparse_mul, transpose
 
 
 def _exact(x) -> bool:
@@ -85,24 +85,23 @@ def _unit_entry(rng):
 @pytest.mark.parametrize("entry", (_entry, _unit_entry),
                          ids=("rational", "unit"))
 def test_echelon_scalars_are_never_floats(entry):
-    """Random matrices, with non-integral entries or with ±1 entries.  When
-    the stored E and T rows are all ints (every pivot met was a unit), so is
-    every result."""
+    """Random matrices, with non-integral entries or with ±1 entries, solved
+    through the solver of their transpose.  When the stored E and T rows
+    are all ints (every pivot met was a unit), so is every result."""
     rng = random.Random(20261018)
     all_int = 0
     for _ in range(120):
         n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 8)
         rows = _random_rows(rng, n_rows, n_cols, entry)
-        solver = EchelonSolver(QQ, n_cols, rows)
+        solver = EchelonSolver(QQ, n_rows, transpose(rows, n_cols))
         b = sparse_mul(rows, {c: x for c in range(n_cols)
                               if (x := entry(rng))})
         off = dict(b)
         off[0] = off.get(0, 0) + 1
-        part, kernel = solver.particular(b), solver.kernel_basis()
-        obs = solver.obstructions(b) + solver.obstructions(off)
-        vectors = [part, *kernel, dict(enumerate(obs))]
+        (part, res), kernel = solver.coordinates(b), solver.null_ts
+        vectors = [part, *kernel, *solver.coordinates(off)]
         assert _all_exact(vectors)
-        assert not any(solver.obstructions(b))
+        assert not res
         assert sparse_mul(rows, part) == b
         stored = [rec[1] for rec in solver.piv] + \
             [rec[2] for rec in solver.piv] + solver.null_ts
