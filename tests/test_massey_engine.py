@@ -644,7 +644,7 @@ def test_resolve_constraints_property(field):
     engine = _tiny_engine(field)
     rng = random.Random(f"resolve:{field}")
     checked = {False: 0, True: 0}
-    bumped_none = {False: 0, True: 0}
+    bumped_none, bump = {False: 0, True: 0}, random.Random(f"bump:{field}")
     for _ in range(120):
         n_vars = rng.randint(1, 6)
         pins = set(rng.sample(range(n_vars), rng.randint(0, n_vars - 1))) \
@@ -676,7 +676,8 @@ def test_resolve_constraints_property(field):
         free = all_vars - subst.keys()
         assert len(free) == len(all_vars) - r
         checked[pinned] += 1
-        bumped = [p + Poly.const(field.of(rng.randint(-2, 2))) for p in polys]
+        bumped = [p + Poly.const(field.of(bump.randint(-2, 2)))
+                  for p in polys]
         subst, pinned = engine._resolve_constraints(bumped)
         constant = any(p.is_constant() and not p.is_zero() for p in bumped)
         assert pinned == (bool(pinned_vars) and not constant)
