@@ -15,7 +15,7 @@ import os
 import sys
 
 from .errors import CapExceeded, InvalidInput, MasseyKitError
-from .fields import Field, QQ, rational
+from .fields import Field, QQ, integer, rational
 from .facerings import (generator_class, golod_test, iter_triple_massey_scan,
                         mainlemma_check, rk_cohomology, zk_massey)
 from .generators import anr, cube, dodecahedron_nerve, multiwedge, polygon, qn
@@ -58,10 +58,11 @@ def _supports_and_dims(args, m: int, default_dim) -> tuple[list, list]:
     """``--supports`` ("1,4;2,5;3,6") and ``--dims`` ("0;0;0", else
     default_dim per support), checked against a complex on m vertices:
     every vertex lies in 1..m and there is one degree per support."""
-    supports = [tuple(int(v) for v in part.replace(",", " ").split())
+    supports = [tuple(integer(v, "support vertex")
+                      for v in part.replace(",", " ").split())
                 for part in args.supports.split(";") if part.strip()]
     check_vertices(m, (v for I in supports for v in I))
-    dims = [int(v) for v in args.dims.split(";")] if args.dims \
+    dims = [integer(v, "degree") for v in args.dims.split(";")] if args.dims \
         else [default_dim] * len(supports)
     if len(dims) != len(supports):
         raise InvalidInput("need one degree per support")
@@ -320,98 +321,81 @@ def _count_arg(text: str) -> int:
     return count
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FIELD = ("--field", {"type": _field_arg, "default": QQ,
+                      "help": "q or fp:<prime>"})
+_OUT = ("--out", {"default": None})
+_IN = ("--in", {"dest": "infile", "default": None,
+                "help": "input path (default: stdin)"})
+_BUDGET = ("--budget", {"type": _count_arg, "default": 8})
+_SEED = ("--seed", {"type": int, "default": 0})
+
+# command -> (help, function, its arguments as (name, add_argument keywords))
+COMMANDS = {
+    "goncharova": ("dim H^q_w of the positive Witt algebra", cmd_goncharova, (
+        _FIELD, _OUT, ("--qmax", {"type": _count_arg, "required": True}),
+        ("--wmax", {"type": _count_arg, "required": True}))),
+    "cohomology": ("CE cohomology of a Lie presentation", cmd_cohomology, (
+        _FIELD, _OUT, _IN, ("--qmax", {"type": _count_arg, "default": 3}),
+        ("--wmax", {"type": _count_arg, "default": 12}))),
+    "betti": ("per-subset Betti table of a complex", cmd_betti, (
+        _FIELD, _OUT, _IN,
+        ("--format", {"choices": ("json", "csv"), "default": "json"}))),
+    "massey": ("Massey product of face-ring classes", cmd_massey, (
+        _FIELD, _OUT, _IN,
+        ("--supports", {"required": True, "help": 'e.g. "1,4;2,5;3,6"'}),
+        ("--dims", {"default": None, "help": 'e.g. "0;0;0"'}),
+        _BUDGET, _SEED)),
+    "kstep": ("k-step product of 1-classes over a Lie algebra", cmd_kstep, (
+        _FIELD, _OUT, _IN,
+        ("--lie", {"default": None,
+                   "help": 'e.g. {"name":"m0","W":12} (default: stdin)'}),
+        ("--classes", {"required": True,
+                       "help": 'alpha,beta pairs: "1,0;0,1;1,2"'}),
+        ("--k", {"type": int, "required": True}),
+        ("--wmax", {"type": _count_arg, "default": 12}), _BUDGET, _SEED)),
+    "golod": ("Golod certification up to an order cap", cmd_golod, (
+        _FIELD, _OUT, _IN, ("--order-cap", {"type": _count_arg}), _BUDGET)),
+    "triple-scan": ("scan ordered triples of disjoint missing edges",
+                    cmd_triple_scan, (_FIELD, _OUT, _IN, _BUDGET)),
+    "mainlemma": ("definedness/strictness conditions", cmd_mainlemma, (
+        _FIELD, _OUT, _IN, ("--supports", {"required": True}),
+        ("--dims", {"default": None}))),
+    "poincare": ("resolution dims against the Serre bound", cmd_poincare, (
+        _FIELD, _OUT, _IN, ("--order", {"type": _count_arg, "default": 6}))),
+    "generate": ("built-in complexes and rings", cmd_generate, (
+        _OUT, ("--in", {"dest": "infile", "default": None, "help":
+                        "multiwedge only: base complex (default: stdin)"}),
+        ("kind", {"choices": tuple(GENERATORS)}),
+        ("--n", {"type": int, "default": None}),
+        ("--r", {"type": int, "default": None}),
+        ("--m", {"type": int, "default": None}),
+        ("--j", {"default": None, "help": "copy counts for multiwedge"}))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the top level and of every command, or, when
+    ``command`` is one of ``COMMANDS``, of that command alone.  The
+    metavar lists every command either way, so usage, help and error
+    text are the full parser's."""
     top = argparse.ArgumentParser(
         prog="masseykit",
         description="exact cohomology and Massey product computations")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, infile=True):
-        p.add_argument("--field", type=_field_arg, default=QQ,
-                       help="q or fp:<prime>")
-        p.add_argument("--out", default=None)
-        if infile:
-            p.add_argument("--in", dest="infile", default=None,
-                           help="input path (default: stdin)")
-
-    p = sub.add_parser("goncharova", help="dim H^q_w of the positive Witt algebra")
-    common(p, infile=False)
-    p.add_argument("--qmax", type=_count_arg, required=True)
-    p.add_argument("--wmax", type=_count_arg, required=True)
-    p.set_defaults(func=cmd_goncharova)
-
-    p = sub.add_parser("cohomology", help="CE cohomology of a Lie presentation")
-    common(p)
-    p.add_argument("--qmax", type=_count_arg, default=3)
-    p.add_argument("--wmax", type=_count_arg, default=12)
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("betti", help="per-subset Betti table of a complex")
-    common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("massey", help="Massey product of face-ring classes")
-    common(p)
-    p.add_argument("--supports", required=True,
-                   help='e.g. "1,4;2,5;3,6"')
-    p.add_argument("--dims", default=None, help='e.g. "0;0;0"')
-    p.add_argument("--budget", type=_count_arg, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_massey)
-
-    p = sub.add_parser("kstep", help="k-step product of 1-classes over a Lie algebra")
-    common(p)
-    p.add_argument("--lie", default=None,
-                   help='e.g. {"name":"m0","W":12} (default: stdin)')
-    p.add_argument("--classes", required=True,
-                   help='alpha,beta pairs: "1,0;0,1;1,2"')
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--wmax", type=_count_arg, default=12)
-    p.add_argument("--budget", type=_count_arg, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_kstep)
-
-    p = sub.add_parser("golod", help="Golod certification up to an order cap")
-    common(p)
-    p.add_argument("--order-cap", type=_count_arg)
-    p.add_argument("--budget", type=_count_arg, default=8)
-    p.set_defaults(func=cmd_golod)
-
-    p = sub.add_parser("triple-scan",
-                       help="scan ordered triples of disjoint missing edges")
-    common(p)
-    p.add_argument("--budget", type=_count_arg, default=8)
-    p.set_defaults(func=cmd_triple_scan)
-
-    p = sub.add_parser("mainlemma", help="definedness/strictness conditions")
-    common(p)
-    p.add_argument("--supports", required=True)
-    p.add_argument("--dims", default=None)
-    p.set_defaults(func=cmd_mainlemma)
-
-    p = sub.add_parser("poincare", help="resolution dims against the Serre bound")
-    common(p)
-    p.add_argument("--order", type=_count_arg, default=6)
-    p.set_defaults(func=cmd_poincare)
-
-    p = sub.add_parser("generate", help="built-in complexes and rings")
-    p.add_argument("--out", default=None)
-    p.add_argument("--in", dest="infile", default=None,
-                   help="multiwedge only: base complex (default: stdin)")
-    p.add_argument("kind", choices=tuple(GENERATORS))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--j", default=None, help="copy counts for multiwedge")
-    p.set_defaults(func=cmd_generate)
-
+    one = command in COMMANDS
+    sub = top.add_subparsers(dest="command", required=True, metavar=(
+        "{%s}" % ",".join(COMMANDS) if one else None))
+    for name in (command,) if one else COMMANDS:
+        text, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -84,7 +84,7 @@ class DGAlgebra:
     ``degree_of_mono`` return, filled on a miss by ``d``, ``wedge`` and
     the degree readers.  Exact: the hooks are pure functions of data the
     window fixes when made, and a hook that raises stores nothing, so it
-    raises again.  ``d_images`` calls ``d_mono`` itself (matrix assembly
+    raises again.  ``image_rows`` calls ``d_mono`` itself (matrix assembly
     visits each source once)."""
 
     def __init__(self, field: Field):
@@ -216,13 +216,16 @@ class DGAlgebra:
                 for i, c in self.cohomology_basis(deg).reduce(
                     self.to_vector(comp, deg)).items()}
 
-    def d_images(self, deg: MultiDegree, skip=()):
-        """Yield d of each basis element of deg whose index is not in skip,
-        in basis order, as a sparse vector keyed by the index of the target
-        basis element; d_mono is not called on a skipped element."""
-        idx = self.index(deg.d_target())
+    def d_images(self, deg: MultiDegree):
+        """d of each basis element of deg (``image_rows``)."""
+        return self.image_rows(self.basis(deg), self.index(deg.d_target()))
+
+    def image_rows(self, basis: list, idx: dict, skip=()):
+        """Yield d of each element of basis whose position is not in skip,
+        in basis order, as a sparse vector keyed by idx, the index of the
+        target basis; d_mono is not called on a skipped element."""
         return (axpy({}, 1, ((idx[m2], c) for m2, c in self.d_mono(mono)))
-                for j, mono in enumerate(self.basis(deg)) if j not in skip)
+                for j, mono in enumerate(basis) if j not in skip)
 
     def d_solver(self, deg: MultiDegree) -> EchelonSolver:
         """Elimination of the images d b_j of deg's basis, keyed by target
@@ -235,10 +238,11 @@ class DGAlgebra:
                                  list(self.d_images(deg)))
         return cached(self._dsolve, deg, build)
 
-    def run_dims(self, run) -> list:
-        """dim H at each degree of run: consecutive degrees of one aux,
-        lowest first, the first with no boundaries (its source outside the
-        window or without a basis) and each with its target in the window.
+    def run_dims(self, bases) -> list:
+        """dim H at each degree of a run, given by the bases of its
+        consecutive degrees of one aux, lowest first, and then the basis of
+        the top degree's target, which gets no dim.  The first degree has
+        no boundaries (its source is outside the window or has no basis).
 
         One upward sweep with clearing (Chen and Kerber's twist): the rows
         are the images d b_j of the basis elements of a degree, keyed by
@@ -251,9 +255,10 @@ class DGAlgebra:
         its lead set are those of all of im d_q, and the degree above clears
         exactly with them; dim = n - rank d_q - rank d_(q-1)."""
         dims, leads = [], ()
-        for deg in run:
-            new = lead_columns(self.d_images(deg, leads), self.field)
-            dims.append(len(self.basis(deg)) - len(new) - len(leads))
+        for src, tgt in zip(bases, bases[1:]):
+            idx = {m: i for i, m in enumerate(tgt)}
+            new = lead_columns(self.image_rows(src, idx, leads), self.field)
+            dims.append(len(src) - len(new) - len(leads))
             leads = new
         return dims
 
@@ -288,8 +293,9 @@ class DGAlgebra:
                 lo = lo.d_source()
             while self.in_window(hi.shift(2)) and self.basis(hi.d_target()):
                 hi = hi.d_target()
-            run = [lo.shift(k) for k in range(hi.q - lo.q + 1)]
-            self._hdim.update(zip(run, self.run_dims(run)))
+            run = [lo.shift(k) for k in range(hi.q - lo.q + 2)]
+            self._hdim.update(zip(run, self.run_dims(
+                [self.basis(d) for d in run])))
         return self._hdim[deg]
 
     def class_of(self, cochain: dict, deg: MultiDegree | None = None) -> "CohomologyClass":

@@ -65,8 +65,7 @@ class RKAlgebra(DGAlgebra):
             if any(v >= 2 for v in deg.aux):
                 return []
             S = sum(1 << i for i, v in enumerate(deg.aux) if v)
-            return [(sigma, _unmask(S ^ f)) for sigma, f in faces_within(
-                self._levels, deg.q - S.bit_count(), S)]
+            return rk_basis(self._levels, S, deg.q - S.bit_count())
         return cached(self._bases, deg, build)
 
     def degree_of_mono(self, mono) -> MultiDegree:
@@ -132,6 +131,13 @@ class RKAlgebra(DGAlgebra):
                       (c.I, c.q, frozenset(c.cochain.items())), build)
 
 
+def rk_basis(levels: list, S: int, k: int) -> list:
+    """The basis of R(K) in degree (|S| + k, S), S a vertex mask: the
+    monomials (sigma, S minus sigma) for the k-vertex faces sigma inside S,
+    in the order of K's face table (``levels``)."""
+    return [(sigma, _unmask(S ^ f)) for sigma, f in faces_within(levels, k, S)]
+
+
 def rk_window(K: SimplicialComplex, field: Field = QQ) -> RKAlgebra:
     """The R(K) window of K over the field, built once and cached on K
     (``K._rk_cache``).
@@ -159,20 +165,22 @@ class ZkClass:
 def rk_cohomology(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     """BettiTable computed from the R(K) model, by ranks of its own
     differential; dims must agree with the Hochster route per multidegree.
-    d keeps the support S, so S is one run q = |S|..2|S|, swept once by
-    ``DGAlgebra.run_dims``.  No cache is read and no elimination state
-    passes from one support to the next."""
+    d keeps the support S (a vertex mask), so S is one run q = |S|..2|S|.
+    Its bases are built by face size (``rk_basis``), one pass over K's
+    face table that stops at the first empty size (faces are closed under
+    subsets), and swept once by ``DGAlgebra.run_dims`` with
+    ``RKAlgebra.d_mono``.  No cache is read and no elimination state passes
+    from one support to the next."""
     check_cap(K.m)
-    alg = RKAlgebra(K, field)
+    alg, levels = RKAlgebra(K, field), K.face_table()
     table = BettiTable(field.tag)
-    for r in range(K.m + 1):
-        for S in itertools.combinations(range(1, K.m + 1), r):
-            aux = alg._aux_of(S)
-            dims = alg.run_dims([MultiDegree(q, aux)
-                                 for q in range(r, 2 * r + 1)])
-            for q, dim in enumerate(dims, r):
-                if dim:
-                    table.entries[(2 * r - q, S)] = dim
+    for S in range(1 << K.m):
+        bases = [rk_basis(levels, S, 0)]
+        while bases[-1]:
+            bases.append(rk_basis(levels, S, len(bases)))
+        for k, dim in enumerate(alg.run_dims(bases)):
+            if dim:
+                table.entries[(S.bit_count() - k, _unmask(S))] = dim
     return table
 
 
@@ -184,7 +192,8 @@ def zk_classes(K: SimplicialComplex, field: Field = QQ) -> list:
         for I in itertools.combinations(range(1, K.m + 1), r):
             rc = reduced_cache(K, I, field)
             for q in range(-1, r):
-                out.extend(ZkClass(I, q, c) for c in rc.classes(q))
+                if rc.dim(q):  # quotient(q).dim is dim(q)
+                    out.extend(ZkClass(I, q, c) for c in rc.classes(q))
     return out
 
 

@@ -155,10 +155,14 @@ class Field:
     def of(self, x):
         """Coerce an int, Fraction, Fp or 'p/q' string into this field.
         Over Q the result is an ``int`` when the value is integral (``3``,
-        ``Fraction(6, 2)``, ``"4/2"``) and a ``Fraction`` otherwise."""
+        ``Fraction(6, 2)``, ``"4/2"``) and a ``Fraction`` otherwise.  A
+        float or a bool is not an exact scalar: ``InvalidInput``."""
+        if type(x) is int:
+            return x if self.p is None else Fp(x, self.p)
+        if isinstance(x, (bool, float)):
+            raise InvalidInput(f"scalar {x!r} is not exact (give an int, a "
+                               'Fraction or a string such as "1/10")')
         if self.p is None:
-            if type(x) is int:
-                return x
             if isinstance(x, Fp):
                 raise InvalidInput("cannot lift a residue to the rationals")
             return _integral(Fraction(x))

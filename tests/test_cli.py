@@ -349,6 +349,65 @@ def test_support_vertex_out_of_range_exit_2(command, vertex):
     assert not res.stdout
 
 
+@pytest.mark.parametrize("command", ["massey", "mainlemma"])
+@pytest.mark.parametrize("args,message", [
+    (["--supports", "1,x;2,5"], "support vertex 'x' is not an integer"),
+    (["--supports", "1,3;2,5.0"], "support vertex '5.0' is not an integer"),
+    (["--supports", "1,3;2,5", "--dims", "a;0"],
+     "degree 'a' is not an integer"),
+    (["--supports", "1,3;2,5", "--dims", "0.5;0"],
+     "degree '0.5' is not an integer")],
+    ids=["vertex", "float-vertex", "degree", "float-degree"])
+def test_support_and_degree_entries_are_integers_exit_2(command, args,
+                                                         message):
+    gen = run_cli(["generate", "polygon", "--m", "6"]).stdout
+    res = run_cli([command] + args, stdin=gen)
+    assert res.returncode == 2
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr and not res.stdout
+
+
+def _parse_outcome(call, capsys):
+    """(stdout, stderr, exit code) of a call that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+def test_one_command_parser_matches_the_full_parser(monkeypatch, capsys):
+    """``main`` builds the parser of the invoked command alone; its help,
+    its error on a missing required argument, a missing option value and
+    an unrecognized argument are the full parser's, byte for byte.  With
+    no command (help, no arguments, an unknown one) all are built."""
+    from masseykit import cli
+
+    built = []
+    real = cli.build_parser
+
+    def recording(command=None):
+        parser = real(command)
+        built.append(parser._subparsers._group_actions[0].choices)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    cases = [["--help"], [], ["nope"], ["-h", "betti"]]
+    for name, (_help, _func, arguments) in cli.COMMANDS.items():
+        cases += [[name, "-h"], [name, "--out"], [name, "--bogus", "1"]]
+        if any(kw.get("required") or not flag.startswith("-")
+               for flag, kw in arguments):
+            cases.append([name])
+    for argv in cases:
+        built.clear()
+        got = _parse_outcome(lambda: cli.main(list(argv)), capsys)
+        want = _parse_outcome(lambda: real().parse_args(argv), capsys)
+        assert got == want, argv
+        assert got[1] or got[0].startswith("usage: masseykit"), argv
+        expect = [argv[0]] if argv and argv[0] in cli.COMMANDS \
+            else list(cli.COMMANDS)
+        assert [list(choices) for choices in built] == [expect], argv
+
+
 def test_closed_stdout_exits_0_silently(tmp_path):
     """A reader that stops early, as ``triple-scan ... | head -1`` does,
     ends the scan with exit 0 and nothing on stderr."""

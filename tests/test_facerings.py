@@ -16,7 +16,8 @@ from masseykit.fields import GF, QQ
 from masseykit.facerings import (RK_CAP, RKAlgebra, cup_length,
                                  generator_class, golod_test,
                                  iter_triple_massey_scan, mainlemma_check,
-                                 rk_cohomology, rk_window, triple_massey_scan,
+                                 rk_basis, rk_cohomology, rk_window,
+                                 triple_massey_scan,
                                  zk_classes, zk_cup,
                                  zk_massey, ZkClass)
 from masseykit.generators import cube, polygon, qn
@@ -67,10 +68,12 @@ def test_rk_matches_hochster_small_examples():
 
 
 def test_rk_matches_hochster_random():
+    """Up to m = 7, the range in which ``betti`` runs the comparison."""
     rng = random.Random(123)
-    for _ in range(25):
-        K = random_complex(rng.randint(3, 6), rng)
-        for field in (QQ, GF(2)):
+    sizes = [rng.randint(3, 6) for _ in range(25)] + [7] * 6
+    for m in sizes:
+        K = random_complex(m, rng)
+        for field in (QQ, GF(2), GF(3)):
             t1 = hochster_table(K, field)
             t2 = rk_cohomology(K, field)
             assert t1.entries == t2.entries, K.minimal_nonfaces
@@ -78,7 +81,8 @@ def test_rk_matches_hochster_random():
 
 def test_rk_basis_and_d_mono_match_their_plain_definitions():
     """Per degree (q, S): the sorted pairs (sigma, S minus sigma) over the
-    faces sigma of q - |S| vertices inside S, and d (sigma, J) as the
+    faces sigma of q - |S| vertices inside S, from the window and from the
+    per-support builder ``rk_basis`` alike, and d (sigma, J) as the
     signed sum over j in J of (sigma + j sorted, J minus j) for each face
     sigma + j; on every window degree, one degree above, and degrees with
     an aux entry 2 (the zero space) or a negative one (outside)."""
@@ -97,6 +101,8 @@ def test_rk_basis_and_d_mono_match_their_plain_definitions():
                     if K.is_face(sigma))
                 got = alg.basis(MultiDegree(q, deg.aux))
                 assert got == want, (K.minimal_nonfaces, q, S)
+                assert rk_basis(K.face_table(), sum(1 << v - 1 for v in S),
+                                q - len(S)) == want
                 seen += len(got)
                 for sigma, J in got:
                     assert alg.d_mono((sigma, J)) == [
@@ -142,6 +148,29 @@ def _delta(K, I, cochain):
             sgn = 1 if t % 2 == 0 else -1
             out[new] = out.get(new, Fraction(0)) + sgn * c
     return {f: c for f, c in out.items() if c != 0}
+
+
+def test_zk_classes_build_quotients_only_where_there_are_classes():
+    """``zk_classes`` builds a quotient basis only for the (I, q) with a
+    nonzero rank-only dim; the class list is that of every degree's
+    ``classes(q)``.  On the 7-gon: 85 builds of 575 degrees."""
+    def builds(K):
+        return sum(len(rc._qb) for rc in K.__dict__["_rc_cache"].values())
+
+    for K in (polygon(7), random_complex(6, random.Random(5)), qn(3)):
+        got = zk_classes(K, QQ)
+        K2 = SimplicialComplex(K.m, K.minimal_nonfaces)
+        want = [ZkClass(I, q, c) for r in range(1, K.m + 1)
+                for I in itertools.combinations(range(1, K.m + 1), r)
+                for q in range(-1, r)
+                for c in reduced_cache(K2, I, QQ).classes(q)]
+        assert got == want
+        assert builds(K) == sum(reduced_cache(K, I, QQ).dim(q) > 0
+                                for I, _field in K._rc_cache
+                                for q in range(-1, len(I)))
+        assert builds(K2) == 2 ** K.m * K.m // 2 + 2 ** K.m - 1
+        if K.m == 7:
+            assert (builds(K), builds(K2)) == (85, 575)
 
 
 def test_zk_cup_overlap_is_zero():

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from masseykit import cli
+from masseykit.errors import InvalidInput
 from masseykit.fields import GF, QQ, Fp
 from masseykit.lie import ce_window, m0
 from masseykit.linalg import EchelonSolver, QuotientBasis
@@ -56,7 +57,7 @@ def _random_rows(rng, n_rows, n_cols, entry):
 
 
 def test_field_of_returns_int_when_integral():
-    for x in (3, Fraction(6, 2), "4/2", "-3", True):
+    for x in (3, Fraction(6, 2), "4/2", "-3"):
         assert type(QQ.of(x)) is int
     assert QQ.of("4/2") == 2 and QQ.of(Fraction(6, 2)) == 3
     assert type(QQ.of("1/2")) is Fraction and QQ.of("1/2") == Fraction(1, 2)
@@ -64,6 +65,18 @@ def test_field_of_returns_int_when_integral():
     for x in (3, Fraction(6, 2), "4/2", "1/2"):
         assert type(GF(5).of(x)) is Fp
     assert GF(5).of("1/2") == 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QQ.of(0.1), lambda: QQ.of(True), lambda: GF(5).of(2.7),
+    lambda: GF(5).of(True),
+    lambda: ce_window(m0(6), 2, 6, QQ).one_form((1, 0.1))],
+    ids=["QQ-float", "QQ-bool", "GF5-float", "GF5-bool", "one-form"])
+def test_field_of_rejects_floats_and_bools(make):
+    """A float is not taken as its binary value or cut to an int, and a
+    bool is not 1."""
+    with pytest.raises(InvalidInput, match="is not exact"):
+        make()
 
 
 def test_field_div():
