@@ -98,25 +98,28 @@ def _outcome_json(outcome) -> dict:
 
 # ---- subcommand implementations ---------------------------------------------
 
+def _report(args, **data) -> int:
+    """Emit the schema-1 report of the command ``args`` ran: ``data`` and
+    the envelope every report carries (schema, command, field)."""
+    _emit({"schema": SCHEMA, "command": args.command,
+           "field": args.field.tag, **data}, args.out)
+    return 0
+
+
 def _table_entries(table: dict) -> list:
     return [{"q": q, "w": w, "dim": d} for (q, w), d in table.items() if d]
 
 
 def cmd_goncharova(args) -> int:
     table = goncharova_table(args.qmax, args.wmax, args.field)
-    _emit({"schema": SCHEMA, "command": "goncharova", "qmax": args.qmax,
-           "wmax": args.wmax, "field": args.field.tag,
-           "entries": _table_entries(table)}, args.out)
-    return 0
+    return _report(args, qmax=args.qmax, wmax=args.wmax,
+                   entries=_table_entries(table))
 
 
 def cmd_cohomology(args) -> int:
-    lie = GradedLie.from_json(_read_input(getattr(args, "infile", None)))
+    lie = GradedLie.from_json(_read_input(args.infile))
     table = cohomology_table(lie, args.qmax, args.wmax, args.field)
-    _emit({"schema": SCHEMA, "command": "cohomology", "name": lie.name,
-           "field": args.field.tag, "entries": _table_entries(table)},
-          args.out)
-    return 0
+    return _report(args, name=lie.name, entries=_table_entries(table))
 
 
 def cmd_betti(args) -> int:
@@ -130,13 +133,9 @@ def cmd_betti(args) -> int:
             f"dim {hoch.get((i, I), 0)}, R(K) dim {rk.get((i, I), 0)}")
     if args.format == "csv":
         _emit(table.to_csv().rstrip("\n"), args.out)
-    else:
-        payload = table.to_json()
-        payload.update({"schema": SCHEMA, "command": "betti",
-                        "m": K.m, "total": {str(k): v for k, v in
-                                            sorted(table.total().items())}})
-        _emit(payload, args.out)
-    return 0
+        return 0
+    return _report(args, **table.to_json(), m=K.m, total={
+        str(k): v for k, v in sorted(table.total().items())})
 
 
 def cmd_massey(args) -> int:
@@ -145,18 +144,13 @@ def cmd_massey(args) -> int:
     classes = [generator_class(K, I, args.field, q=q)
                for I, q in zip(supports, dims)]
     outcome = zk_massey(K, classes, args.field, budget=args.budget)
-    payload = _outcome_json(outcome)
-    payload.update({"schema": SCHEMA, "command": "massey",
-                    "supports": [list(I) for I in supports],
-                    "field": args.field.tag, "seed": args.seed})
-    _emit(payload, args.out)
-    return 0
+    return _report(args, **_outcome_json(outcome), seed=args.seed,
+                   supports=[list(I) for I in supports])
 
 
 def cmd_kstep(args) -> int:
-    lie_data = json.loads(_read_input(getattr(args, "infile", None))) \
-        if args.lie is None else json.loads(args.lie)
-    lie = GradedLie.from_json(lie_data)
+    lie = GradedLie.from_json(_read_input(args.infile) if args.lie is None
+                              else args.lie)
     scalars = []
     for part in args.classes.split(";"):
         if not part.strip():
@@ -176,43 +170,29 @@ def cmd_kstep(args) -> int:
         dga, [(args.field.of(a), args.field.of(b)) for a, b in scalars])
     engine = MasseyEngine(dga, budget=args.budget, homogeneous_aux=False)
     out = engine.k_step(classes, args.k)
-    payload = {
-        "schema": SCHEMA, "command": "kstep", "k": args.k, "n": n,
-        "defined": out.defined, "triviality": out.triviality,
-        "complete": out.complete, "inconclusive": out.inconclusive,
-        "field": args.field.tag, "seed": args.seed,
-        "classes": [[_scalar_str(a), _scalar_str(b)] for a, b in scalars],
-    }
-    if out.defined:
-        payload["tuple"] = [
-            [{"mono": list(m), "c": _scalar_str(c)}
-             for m, c in sorted(cls.rep.items())] for cls in out.classes]
-    _emit(payload, args.out)
-    return 0
+    values = {"tuple": [[{"mono": list(m), "c": _scalar_str(c)}
+                         for m, c in sorted(cls.rep.items())]
+                        for cls in out.classes]} if out.defined else {}
+    return _report(
+        args, k=args.k, n=n, defined=out.defined, triviality=out.triviality,
+        complete=out.complete, inconclusive=out.inconclusive, seed=args.seed,
+        classes=[[_scalar_str(a), _scalar_str(b)] for a, b in scalars],
+        **values)
 
 
 def cmd_golod(args) -> int:
     K = SimplicialComplex.from_json(_read_input(args.infile))
     verdict = golod_test(K, args.field, order_cap=args.order_cap,
                          budget=args.budget)
-    payload = {
-        "schema": SCHEMA, "command": "golod", "m": K.m,
-        "field": args.field.tag, "status": verdict.status,
-        "order_cap": verdict.order_cap,
-        "multiplication_trivial": verdict.multiplication_trivial,
-        "massey_trivial_up_to_cap": verdict.massey_trivial_up_to_cap,
-    }
+    witness = {}
     if verdict.witness is not None:
-        kind = verdict.witness[0]
-        payload["witness_kind"] = kind
-        if kind == "product":
-            payload["witness_supports"] = [list(verdict.witness[1].I),
-                                           list(verdict.witness[2].I)]
-        else:
-            payload["witness_supports"] = [list(c.I)
-                                           for c in verdict.witness[1]]
-    _emit(payload, args.out)
-    return 0
+        kind, *rest = verdict.witness  # ("product", x, y), ("massey", cs, _)
+        witness = {"witness_kind": kind, "witness_supports": [
+            list(c.I) for c in (rest if kind == "product" else rest[0])]}
+    return _report(
+        args, m=K.m, status=verdict.status, order_cap=verdict.order_cap,
+        multiplication_trivial=verdict.multiplication_trivial,
+        massey_trivial_up_to_cap=verdict.massey_trivial_up_to_cap, **witness)
 
 
 def cmd_triple_scan(args) -> int:
@@ -237,12 +217,8 @@ def cmd_mainlemma(args) -> int:
     K = SimplicialComplex.from_json(_read_input(args.infile))
     supports, dims = _supports_and_dims(args, K.m, 0)
     res = mainlemma_check(K, supports, dims, args.field)
-    payload = {"schema": SCHEMA, "command": "mainlemma",
-               "supports": [list(I) for I in supports], "dims": dims,
-               "field": args.field.tag,
-               "cond1": res["cond1"], "cond2": res["cond2"]}
-    _emit(payload, args.out)
-    return 0
+    return _report(args, supports=[list(I) for I in supports], dims=dims,
+                   cond1=res["cond1"], cond2=res["cond2"])
 
 
 def cmd_poincare(args) -> int:
@@ -250,22 +226,16 @@ def cmd_poincare(args) -> int:
     _alg, betti = koszul_homology(ring, args.field)
     tor = minimal_resolution_betti(ring, args.order, args.field)
     bound = serre_bound(ring.n_vars, betti, args.order)
-    payload = {
-        "schema": SCHEMA, "command": "poincare", "n": ring.n_vars,
-        "field": args.field.tag, "order": args.order,
-        "koszul_betti": {str(i): b for i, b in sorted(betti.items())},
-        "tor_dims": tor,
-        "serre_bound": [str(c) for c in bound],
-        "golod_equality": serre_equality(tor, bound),
-    }
-    _emit(payload, args.out)
-    return 0
+    return _report(
+        args, n=ring.n_vars, order=args.order,
+        koszul_betti={str(i): b for i, b in sorted(betti.items())},
+        tor_dims=tor, serre_bound=[str(c) for c in bound],
+        golod_equality=serre_equality(tor, bound))
 
 
 def _multiwedge(args) -> SimplicialComplex:
     base = SimplicialComplex.from_json(_read_input(args.infile))
-    J = [int(v) for v in args.j.replace(",", " ").split()]
-    return multiwedge(base, J)
+    return multiwedge(base, args.j.replace(",", " ").split())
 
 
 # kind -> (the size options it needs, its builder); multiwedge also reads

@@ -12,6 +12,7 @@ them from text, and serialize them back.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .errors import InvalidInput
@@ -49,6 +50,19 @@ def integer(n, what: str) -> int:
     except ValueError:
         pass
     raise InvalidInput(f"{what} {n!r} is not an integer")
+
+
+def json_object(data, what: str, *keys: str) -> dict:
+    """data, a JSON text or its parse, as an object that has every one of
+    ``keys``; anything else is bad input that names what is wrong."""
+    if isinstance(data, str):
+        data = json.loads(data)
+    if not isinstance(data, dict):
+        raise InvalidInput(f"{what} JSON must be an object, not "
+                           f"{type(data).__name__}")
+    if missing := [k for k in keys if k not in data]:
+        raise InvalidInput(f"{what} JSON needs the key {missing[0]!r}")
+    return data
 
 
 def _integral(q: Fraction):
@@ -201,7 +215,7 @@ class Field:
         if tag == "q":
             return Field()
         if tag.startswith("fp:"):
-            return Field(int(tag[3:]))
+            return Field(integer(tag[3:], "field modulus"))
         raise InvalidInput(f"unknown field tag {tag!r}")
 
     def __eq__(self, other):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 
 from .errors import InvalidInput
+from .fields import integer
 from .monomial import MonomialQuotient, anr
 from .simplicial import SimplicialComplex, graph_complex
 
@@ -74,7 +75,7 @@ def qn(n: int) -> SimplicialComplex:
 def multiwedge(K: SimplicialComplex, J) -> SimplicialComplex:
     """Replace vertex i by J[i-1] copies; each minimal non-face expands to
     the union of all copies of its vertices."""
-    J = [int(j) for j in J]
+    J = [integer(j, "copy count") for j in J]
     if len(J) != K.m or any(j < 1 for j in J):
         raise InvalidInput("J must list a positive copy count per vertex")
     index = {}

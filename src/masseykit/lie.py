@@ -11,12 +11,11 @@ of a window agrees with the full algebra whenever the weight fits.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field as dc_field
 
 from .dga import CohomologyClass, DGAlgebra, MultiDegree, merge_sorted
 from .errors import DomainError, InvalidInput, MixedDegree, WindowTooSmall
-from .fields import QQ, Field, integer, rational
+from .fields import QQ, Field, integer, json_object, rational
 from .linalg import axpy, cached
 
 
@@ -80,16 +79,17 @@ class GradedLie:
 
     @staticmethod
     def from_json(data) -> "GradedLie":
-        if isinstance(data, str):
-            data = json.loads(data)
+        data = json_object(data, "Lie presentation")
         if "name" in data:
             name = data["name"]
+            json_object(data, f"Lie presentation {name!r}", "W")
             W = integer(data["W"], "W")
             if name == "m0":
                 return m0(W)
             if name == "witt_plus":
                 return witt_plus(W)
             raise InvalidInput(f"unknown Lie presentation {name!r}")
+        json_object(data, "Lie presentation", "generators", "brackets")
         weights = {integer(g["i"], "generator index"):
                    integer(g["w"], "Lie weight") for g in data["generators"]}
         brackets = {}

@@ -235,10 +235,8 @@ class ParamInfo:
 
 
 @dataclass
-class ConnectionFamily:
-    dga: DGAlgebra
-    n: int
-    entries: dict            # (i, j) -> parametric cochain
+class ConnectionFamily(FormalConnection):
+    """A connection whose entries are parametric cochains."""
     params: list             # ParamInfo
     complete: bool
 
@@ -640,50 +638,34 @@ class MasseyEngine:
 
     def _triple_indeterminacy(self, classes, value_deg) -> list:
         """Basis of the direction space a1 . H + H . a3 of the affine value
-        set of a triple product.  Empty at once when H is zero in every
-        entry degree of the value: each product has q = value_deg.q, and a
+        set of a triple product: a1 . z over H at the degrees of slot
+        (2, 3), then z . a3 over those of slot (1, 2), each kept when it
+        raises the rank.  Empty at once when H is zero in every entry
+        degree of the value: each product has q = value_deg.q, and a
         component off those degrees is zero (empty basis) or raises
         ``WindowTooSmall`` (skipped), so the search would find nothing."""
         dga = self.dga
         if not any(dga.cohomology_dim(d)
                    for d in self._entry_aux_degrees(value_deg)):
             return []
-        a1, a3 = classes[0], classes[2]
-        dirs: list = []
+        prof = self._profile(classes)
+        left, right = dga.bar(classes[0].rep), classes[2].rep
         seen = EchelonSolver(dga.field, 0, [])  # width unread: add only
-        vdim_index: dict = {}
-
-        def flat(cochain):
-            return {vdim_index.setdefault(key, len(vdim_index)): c
-                    for key, c in dga.coords(cochain).items()}
-
-        def consider(prod_cochain):
-            if not prod_cochain:
-                return
-            vec = flat(prod_cochain)
-            if vec and seen.add(vec):
-                dirs.append(prod_cochain)
-
-        specs = (
-            (value_deg.q - classes[0].degree.q,
-             classes[1].degree + classes[2].degree,
-             lambda z: dga.wedge(dga.bar(a1.rep), z)),
-            (value_deg.q - classes[2].degree.q,
-             classes[0].degree + classes[1].degree,
-             lambda z: dga.wedge(dga.bar(z), a3.rep)),
-        )
-        for q, nominal, make in specs:
-            for deg in self._entry_aux_degrees(MultiDegree(q, nominal.aux)):
+        out = []
+        for slot, make in (((2, 3), lambda z: dga.wedge(left, z)),
+                           ((1, 2), lambda z: dga.wedge(dga.bar(z), right))):
+            for deg in self._entry_aux_degrees(prof[slot]):
                 for rep in dga.cohomology_basis(deg).representatives:
                     try:
-                        consider(make(dga.from_vector(rep, deg)))
+                        prod = make(dga.from_vector(rep, deg))
+                        raised = seen.add(dga.coords(prod))
                     except WindowTooSmall:
                         continue
-        out = []
-        for cochain in dirs:
-            comps = dga.components(cochain)
-            deg = next(iter(comps)) if len(comps) == 1 else value_deg
-            out.append(CohomologyClass(dga, deg, cochain))
+                    if raised:
+                        comps = dga.components(prod)
+                        out.append(CohomologyClass(dga, next(iter(comps)) if
+                                                   len(comps) == 1
+                                                   else value_deg, prod))
         return out
 
     def _triviality(self, coords: dict, fam: ConnectionFamily):
@@ -735,7 +717,7 @@ class MasseyEngine:
         defect computation in place of one per sample."""
         dga = self.dga
         field = dga.field
-        if not is_defining_system(FormalConnection(dga, fam.n, fam.entries)):
+        if not is_defining_system(fam):
             raise NotADefiningSystem("Maurer-Cartan defect escapes the corner")
         free = fam.free_vars()
         assigns = [dict()]

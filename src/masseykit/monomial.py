@@ -22,7 +22,7 @@ from math import comb
 
 from .dga import DGAlgebra, MultiDegree
 from .errors import CapExceeded, InvalidInput
-from .fields import QQ, Field, integer
+from .fields import QQ, Field, integer, json_object
 from .linalg import EchelonSolver, lead_columns
 
 BASIS_CAP = 20000
@@ -79,8 +79,7 @@ class MonomialQuotient:
 
     @staticmethod
     def from_json(data) -> "MonomialQuotient":
-        if isinstance(data, str):
-            data = json.loads(data)
+        data = json_object(data, "ring", "n", "gens")
         return MonomialQuotient(integer(data["n"], "variable count n"),
                                 [tuple(g) for g in data["gens"]])
 

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, InvalidInput
-from .fields import QQ, Field, integer
+from .fields import QQ, Field, integer, json_object
 from .linalg import EchelonSolver, QuotientBasis, cached, extend_pivots, rank
 
 HOCHSTER_CAP = 14
@@ -117,8 +117,7 @@ class SimplicialComplex:
 
     @staticmethod
     def from_json(data) -> "SimplicialComplex":
-        if isinstance(data, str):
-            data = json.loads(data)
+        data = json_object(data, "complex", "m")
         m = integer(data["m"], "vertex count m")
         for key, make in (("minimal_nonfaces", SimplicialComplex),
                           ("facets", from_facets)):

@@ -579,3 +579,71 @@ def test_json_integer_strings_and_fraction_strings_are_read():
     res = run_cli(["cohomology", "--qmax", "2", "--wmax", "4"],
                   stdin=_two_step([{"k": "3", "c": "1/2"}]))
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize("j", ["1,x", "1,2.0"])
+def test_generate_multiwedge_copy_count_not_an_integer_exit_2(j):
+    res = run_cli(["generate", "multiwedge", "--j", j],
+                  stdin=json.dumps({"m": 2, "minimal_nonfaces": []}))
+    assert res.returncode == 2
+    assert "copy count" in res.stderr and "is not an integer" in res.stderr
+    assert "Traceback" not in res.stderr and not res.stdout
+
+
+@pytest.mark.parametrize("tag", ["fp:2x", "fp:", "fp:2.0"])
+def test_field_modulus_not_an_integer_exit_2(tag):
+    res = run_cli(["goncharova", "--qmax", "1", "--wmax", "2",
+                   "--field", tag])
+    assert res.returncode == 2
+    assert "field modulus" in res.stderr and not res.stdout
+
+
+@pytest.mark.parametrize("args, stdin, message", [
+    (["betti"], "[1, 2]", "complex JSON must be an object, not list"),
+    (["betti"], '{"minimal_nonfaces": []}', "complex JSON needs the key 'm'"),
+    (["poincare"], '{"n": 2}', "ring JSON needs the key 'gens'"),
+    (["poincare"], '"ring"', "ring JSON must be an object, not str"),
+    (["kstep", "--lie", '{"name": "m0"}', "--classes", "1,0;0,1;1,0",
+      "--k", "2"], None, "Lie presentation 'm0' JSON needs the key 'W'"),
+    (["cohomology"], '{"generators": []}',
+     "Lie presentation JSON needs the key 'brackets'"),
+    (["cohomology"], "3", "Lie presentation JSON must be an object, not int"),
+], ids=["betti-list", "betti-m", "poincare-gens", "poincare-str", "kstep-W",
+        "cohomology-brackets", "cohomology-int"])
+def test_json_reader_names_what_is_wrong_exit_2(args, stdin, message):
+    """A JSON document that is not an object, or lacks a key its reader
+    needs, is bad input, and the message names the key."""
+    res = run_cli(args, stdin=stdin)
+    assert res.returncode == 2
+    assert f"error: {message}" in res.stderr
+    assert "Traceback" not in res.stderr and not res.stdout
+
+
+_QN3 = json.dumps({"m": 6, "minimal_nonfaces": [[1, 4], [2, 5], [3, 6]]})
+
+
+# command -> (its arguments, its stdin), one per command with a JSON report
+_REPORTS = {
+    "goncharova": (["--qmax", "1", "--wmax", "3"], None),
+    "cohomology": (["--qmax", "1", "--wmax", "3"], '{"name": "m0", "W": 4}'),
+    "betti": ([], _QN3),
+    "massey": (["--supports", "1,4;2,5;3,6"], _QN3),
+    "kstep": (["--lie", '{"name": "m0", "W": 8}', "--classes", "1,0;0,1",
+               "--k", "1"], None),
+    "golod": (["--order-cap", "3"], _QN3),
+    "mainlemma": (["--supports", "1,4;2,5;3,6"], _QN3),
+    "poincare": (["--order", "2"], '{"n": 1, "gens": [[2]]}'),
+}
+
+
+@pytest.mark.parametrize("command", _REPORTS)
+@pytest.mark.parametrize("tag", ["q", "fp:3"])
+def test_every_json_report_carries_the_envelope(command, tag):
+    """Every JSON report names its schema, the command that wrote it and
+    the field it was computed over."""
+    args, stdin = _REPORTS[command]
+    res = run_cli([command, *args, "--field", tag], stdin=stdin)
+    assert res.returncode == 0, res.stderr
+    data = json.loads(res.stdout)
+    assert (data["schema"], data["command"], data["field"]) == \
+        (1, command, tag)

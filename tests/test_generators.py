@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from masseykit.errors import InvalidInput
 from masseykit.fields import QQ
 from masseykit.generators import (anr, cube, dodecahedron_nerve, multiwedge,
                                   polygon, qn)
@@ -166,6 +167,16 @@ def test_multiwedge_composition():
 def test_multiwedge_vertex_count():
     K = polygon(4)
     assert multiwedge(K, (3, 1, 2, 1)).m == 7
+
+
+@pytest.mark.parametrize("J, bad", [([2.7, 1, 1, 1], "2.7"),
+                                    ([2, 1, 1, True], "True"),
+                                    (["1", "x", 1, 1], "'x'")])
+def test_multiwedge_copy_counts_are_integers(J, bad):
+    """A copy count is read exactly: 2.7 is not cut to 2, True is not 1."""
+    with pytest.raises(InvalidInput, match=f"copy count {bad} is not an"):
+        multiwedge(polygon(4), J)
+    assert multiwedge(polygon(4), ["2", 1, 1, 1]).m == 5
 
 
 def test_anr_generator_count():

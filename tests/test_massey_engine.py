@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from masseykit import facerings, lie
-from masseykit.dga import CohomologyClass, MultiDegree, cup
+from masseykit.dga import CohomologyClass, MultiDegree
 from masseykit.errors import (NotADefiningSystem, SingularMatrix, Undecided,
                               WindowTooSmall)
 from masseykit.facerings import (generator_class, iter_triple_massey_scan,
@@ -927,8 +927,10 @@ def test_triple_indeterminacy_is_the_span_of_the_products(monkeypatch, field,
                                                           make, want):
     """The indeterminacy of every defined product of an edge scan has the
     rank of the span of x1 . z and z . x3 over the cohomology bases of both
-    factor degrees.  Pinned: the products with a zero and a nonzero value
-    group, and those with a nonzero indeterminacy."""
+    factor degrees, and its representatives are those products, each kept
+    in that order when it raises the rank of the ones before it.  Pinned:
+    the products with a zero and a nonzero value group, and those with a
+    nonzero indeterminacy."""
     counts = [0, 0]
     spans = 0
     for engine, (x1, x2, x3), out in _scan_products(monkeypatch, make(),
@@ -938,18 +940,21 @@ def test_triple_indeterminacy_is_the_span_of_the_products(monkeypatch, field,
         dga = engine.dga
         value_deg = (x1.degree + x2.degree + x3.degree).shift(-1)
         counts[bool(dga.cohomology_dim(value_deg))] += 1
-        rows = []
+        prods = []
         for zdeg, make_prod in (((x2.degree + x3.degree).shift(-1),
-                                 lambda z: cup(x1, z)),
+                                 lambda z: dga.wedge(dga.bar(x1.rep), z)),
                                 ((x1.degree + x2.degree).shift(-1),
-                                 lambda z: cup(z, x3))):
+                                 lambda z: dga.wedge(dga.bar(z), x3.rep))):
             for rep in dga.cohomology_basis(zdeg).representatives:
-                z = CohomologyClass(dga, zdeg, dga.from_vector(rep, zdeg))
-                rows.append({i: c for (_d, i), c
-                             in make_prod(z).coords().items()})
+                prods.append(make_prod(dga.from_vector(rep, zdeg)))
+        rows = [{i: c for (_d, i), c in dga.coords(p).items()}
+                for p in prods]
         got = rank(rows, dga.field)
         assert len(out.indeterminacy) == got, (x1.degree, x2.degree,
                                               x3.degree)
+        kept = [p for k, p in enumerate(prods) if rank(rows[:k + 1], dga.field)
+                > rank(rows[:k], dga.field)]
+        assert [cls.rep for cls in out.indeterminacy] == kept
         spans += got > 0
     assert (*counts, spans) == want
 
