@@ -29,14 +29,6 @@ from .simplicial import SimplicialComplex, check_vertices, hochster_table
 SCHEMA = 1
 
 
-def _scalar_str(x) -> str:
-    from .fields import Fp
-
-    if isinstance(x, Fp):
-        return str(x.v)
-    return str(x)
-
-
 def _read_input(path: str | None):
     if path in (None, "-"):
         return sys.stdin.read()
@@ -83,16 +75,12 @@ def _outcome_json(outcome) -> dict:
     if outcome.status == "strict":
         data["strict"] = True
     rep = outcome.representative
-    if rep is not None:
-        terms = []
-        for mono, c in sorted(rep.rep.items(), key=lambda kv: repr(kv[0])):
-            if isinstance(mono, tuple) and len(mono) == 2 and \
-                    isinstance(mono[0], tuple):
-                terms.append({"v": list(mono[0]), "u": list(mono[1]),
-                              "c": _scalar_str(c)})
-            else:
-                terms.append({"mono": list(mono), "c": _scalar_str(c)})
-        data["representative"] = terms
+    if rep is not None:  # an R(K) monomial is a pair (v-face, u-support)
+        data["representative"] = [
+            {"c": str(c), **({"v": list(m[0]), "u": list(m[1])}
+                             if len(m) == 2 and isinstance(m[0], tuple)
+                             else {"mono": list(m)})}
+            for m, c in sorted(rep.rep.items(), key=lambda kv: repr(kv[0]))]
     return data
 
 
@@ -170,13 +158,13 @@ def cmd_kstep(args) -> int:
         dga, [(args.field.of(a), args.field.of(b)) for a, b in scalars])
     engine = MasseyEngine(dga, budget=args.budget, homogeneous_aux=False)
     out = engine.k_step(classes, args.k)
-    values = {"tuple": [[{"mono": list(m), "c": _scalar_str(c)}
+    values = {"tuple": [[{"mono": list(m), "c": str(c)}
                          for m, c in sorted(cls.rep.items())]
                         for cls in out.classes]} if out.defined else {}
     return _report(
         args, k=args.k, n=n, defined=out.defined, triviality=out.triviality,
         complete=out.complete, inconclusive=out.inconclusive, seed=args.seed,
-        classes=[[_scalar_str(a), _scalar_str(b)] for a, b in scalars],
+        classes=[[str(a), str(b)] for a, b in scalars],
         **values)
 
 

@@ -15,7 +15,7 @@ import itertools
 from bisect import bisect
 from dataclasses import dataclass, replace
 
-from .dga import CohomologyClass, DGAlgebra, MultiDegree
+from .dga import CohomologyClass, DGAlgebra, MultiDegree, merge_sorted
 from .errors import CapExceeded, InvalidInput, OverlappingSupports
 from .fields import QQ, Field
 from .linalg import EchelonSolver, axpy, cached
@@ -87,16 +87,13 @@ class RKAlgebra(DGAlgebra):
     def mul_mono(self, m1, m2) -> list:
         s1, J1 = m1
         s2, J2 = m2
-        sup1 = set(s1) | set(J1)
-        sup2 = set(s2) | set(J2)
-        if sup1 & sup2:
+        if (set(s1) | set(J1)) & (set(s2) | set(J2)):
             return []
         sigma = tuple(sorted(s1 + s2))
         if sigma not in self._faces:
             return []
-        one = self.field.one()
-        sign = one if _inv(J1, J2) % 2 == 0 else -one
-        return [((sigma, tuple(sorted(J1 + J2))), sign)]
+        J, sign = merge_sorted(J1, J2)
+        return [((sigma, J), self.field.of(sign))]
 
     # ---- transport between simplicial cochains and R(K) --------------------
     def from_simplicial(self, I, cochain: dict) -> dict:
@@ -110,10 +107,8 @@ class RKAlgebra(DGAlgebra):
             sigma = tuple(sorted(sigma))
             if not set(sigma) <= iset:
                 raise InvalidInput("cochain face escapes the support")
-            exp = sum(sum(1 for j in I if j < i) for i in sigma)
-            sign = 1 if exp % 2 == 0 else -1
             J = tuple(sorted(iset - set(sigma)))
-            out[(sigma, J)] = self.field.of(sign) * c
+            out[(sigma, J)] = self.field.of((-1) ** _inv(sigma, I)) * c
         return out
 
     def transport(self, c: "ZkClass") -> tuple:

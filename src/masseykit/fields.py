@@ -7,26 +7,18 @@ division: ``int / int`` is a ``float``, so every quotient of scalars goes
 through ``Field.div``.  Sums and products of ``Fraction`` values may be
 integral ``Fraction`` values; they compare and hash equal to the ``int``.
 A ``Field`` object is only needed to construct scalars, divide them, parse
-them from text, and serialize them back.
+them from text, and serialize them back.  Conversion into GF(p) lives here
+only (``residue``), and so does rendering: a report prints ``str`` of a
+scalar, the digits of a residue or of a rational.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InvalidInput
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def rational(c, what: str) -> Fraction:
@@ -57,12 +49,35 @@ def json_object(data, what: str, *keys: str) -> dict:
     ``keys``; anything else is bad input that names what is wrong."""
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict):
-        raise InvalidInput(f"{what} JSON must be an object, not "
-                           f"{type(data).__name__}")
-    if missing := [k for k in keys if k not in data]:
-        raise InvalidInput(f"{what} JSON needs the key {missing[0]!r}")
-    return data
+    return _json_is(data, dict, f"{what} JSON", keys)
+
+
+def json_entries(data: dict, key: str, what: str, kind: type,
+                 *keys: str) -> list:
+    """data[key], a list in the parsed JSON object ``what``, each entry a
+    ``kind``: a list, or an object that has every one of ``keys``.  An
+    entry is not parsed again; anything else is bad input naming it."""
+    where = f"{what} {key}"
+    items = _json_is(data, dict, what, (key,))[key]
+    return [_json_is(x, kind, f"{where}[{i}]", keys)
+            for i, x in enumerate(_json_is(items, list, where, ()))]
+
+
+def _json_is(x, kind: type, what: str, keys):
+    if not isinstance(x, kind):
+        a = "an object" if kind is dict else "a list"
+        raise InvalidInput(f"{what} must be {a}, not {type(x).__name__}")
+    if missing := [k for k in keys if k not in x]:
+        raise InvalidInput(f"{what} needs the key {missing[0]!r}")
+    return x
+
+
+def residue(x, p: int) -> int:
+    """The int or ``Fraction`` x mod the prime p, in 0..p-1; a denominator
+    divisible by p is bad input."""
+    if x.denominator % p == 0:
+        raise InvalidInput(f"denominator divisible by {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def _integral(q: Fraction):
@@ -88,12 +103,8 @@ class Fp:
             if other.p != self.p:
                 raise InvalidInput(f"mixed moduli {self.p} and {other.p}")
             return other
-        if isinstance(other, int):
-            return Fp(other, self.p)
-        if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise InvalidInput(f"denominator divisible by {self.p}")
-            return Fp(other.numerator * pow(other.denominator, -1, self.p), self.p)
+        if isinstance(other, (int, Fraction)):
+            return Fp(residue(other, self.p), self.p)
         return NotImplemented
 
     def __add__(self, other):
@@ -126,9 +137,7 @@ class Fp:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o.__truediv__(self)
+        return o if o is NotImplemented else o / self
 
     def __neg__(self):
         return Fp(-self.v, self.p)
@@ -146,6 +155,9 @@ class Fp:
     def __hash__(self):
         return hash((self.v, self.p))
 
+    def __str__(self):
+        return str(self.v)
+
     def __repr__(self):
         return f"{self.v}~{self.p}"
 
@@ -154,7 +166,8 @@ class Field:
     """Constructor/serializer for scalars of one ground field."""
 
     def __init__(self, p: int | None = None):
-        if p is not None and not _is_prime(p):
+        if p is not None and (p < 2 or not all(
+                p % d for d in range(2, isqrt(p) + 1))):
             raise InvalidInput(f"{p} is not prime")
         self.p = p
 
@@ -180,17 +193,8 @@ class Field:
             if isinstance(x, Fp):
                 raise InvalidInput("cannot lift a residue to the rationals")
             return _integral(Fraction(x))
-        if isinstance(x, str):
-            x = Fraction(x)
-        if isinstance(x, Fp):
-            if x.p != self.p:
-                raise InvalidInput(f"mixed moduli {self.p} and {x.p}")
-            return x
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise InvalidInput(f"denominator divisible by {self.p}")
-            return Fp(x.numerator * pow(x.denominator, -1, self.p), self.p)
-        return Fp(int(x), self.p)
+        got = self.zero()._coerce(Fraction(x) if isinstance(x, str) else x)
+        return Fp(int(x), self.p) if got is NotImplemented else got
 
     def div(self, a, b):
         """The scalar a / b.  Over Q it is an ``int`` when the quotient is

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .dga import CohomologyClass, DGAlgebra, MultiDegree, merge_sorted
 from .errors import DomainError, InvalidInput, MixedDegree, WindowTooSmall
-from .fields import QQ, Field, integer, json_object, rational
+from .fields import (QQ, Field, integer, json_entries, json_object,
+                     rational)
 from .linalg import axpy, cached
 
 
@@ -89,14 +90,17 @@ class GradedLie:
             if name == "witt_plus":
                 return witt_plus(W)
             raise InvalidInput(f"unknown Lie presentation {name!r}")
-        json_object(data, "Lie presentation", "generators", "brackets")
+        what = "Lie presentation JSON"
         weights = {integer(g["i"], "generator index"):
-                   integer(g["w"], "Lie weight") for g in data["generators"]}
+                   integer(g["w"], "Lie weight") for g in json_entries(
+                       data, "generators", what, dict, "i", "w")}
         brackets = {}
-        for b in data["brackets"]:
+        for n, b in enumerate(json_entries(data, "brackets", what, dict,
+                                           "i", "j", "terms")):
             i, j = (integer(b[k], "bracket index") for k in "ij")
             brackets[(i, j)] = [(integer(t["k"], "bracket index"), rational(
-                t["c"], "bracket coefficient")) for t in b["terms"]]
+                t["c"], "bracket coefficient")) for t in json_entries(
+                    b, "terms", f"{what} brackets[{n}]", dict, "k", "c")]
         W = integer(data.get("W", max(weights.values(), default=0)), "W")
         lie = GradedLie("custom", weights, brackets, W)
         # Jacobi is d d = 0 on a CE window; without it ranks of d mean nothing

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import InvalidInput
-from .fields import Field, Fp
+from .fields import Field, Fp, residue
 
 
 def axpy(out: dict, c, pairs) -> dict:
@@ -188,7 +188,7 @@ def extend_pivots(start: dict, rows, field: Field) -> dict:
         else:
             cur = {k: r for k, x in row.items() if (r := (
                 x % p if type(x) is int else x.v if isinstance(x, Fp)
-                else x.numerator * pow(x.denominator, -1, p) % p))}
+                else residue(x, p)))}
         while cur:
             lead = min(cur)
             piv = pivots.get(lead)

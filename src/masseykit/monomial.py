@@ -20,9 +20,9 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .dga import DGAlgebra, MultiDegree
+from .dga import DGAlgebra, MultiDegree, merge_sorted
 from .errors import CapExceeded, InvalidInput
-from .fields import QQ, Field, integer, json_object
+from .fields import QQ, Field, integer, json_entries, json_object
 from .linalg import EchelonSolver, lead_columns
 
 BASIS_CAP = 20000
@@ -80,8 +80,8 @@ class MonomialQuotient:
     @staticmethod
     def from_json(data) -> "MonomialQuotient":
         data = json_object(data, "ring", "n", "gens")
-        return MonomialQuotient(integer(data["n"], "variable count n"),
-                                [tuple(g) for g in data["gens"]])
+        return MonomialQuotient(integer(data["n"], "variable count n"), [
+            tuple(g) for g in json_entries(data, "gens", "ring JSON", list)])
 
 
 def anr(n: int, r: int) -> MonomialQuotient:
@@ -154,14 +154,11 @@ class KoszulAlgebra(DGAlgebra):
     def mul_mono(self, m1, m2) -> list:
         a1, S1 = m1
         a2, S2 = m2
-        if set(S1) & set(S2):
-            return []
+        merged = merge_sorted(S1, S2)  # None: a shared e
         prod = tuple(x + y for x, y in zip(a1, a2))
-        if prod not in self._aset:
+        if merged is None or prod not in self._aset:
             return []
-        inv = sum(1 for x in S1 for y in S2 if x > y)
-        sign = self.field.one() if inv % 2 == 0 else -self.field.one()
-        return [((prod, tuple(sorted(S1 + S2))), sign)]
+        return [((prod, merged[0]), self.field.of(merged[1]))]
 
     def homology_classes(self, i: int) -> list:
         """Representative cochains of H_i, grouped across multidegrees."""

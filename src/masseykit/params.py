@@ -10,7 +10,8 @@ nonzero field scalar (an ``Fp`` over GF(p), never an ``int``), and a
 ``Poly`` is never mutated, so a result may be one of its operands (``p * 1``
 is ``p``) and cochains may share values (``linalg.axpy``).  ``_poly``
 trusts its input: a fresh term dict keeping both, wrapped as it is.  A
-scalar added to a nonzero ``Poly`` is taken into its coefficients' field.
+``Poly`` does not know its field, so it adds ``Poly``s and 0 only: a
+constant enters as ``Poly.const`` of a field scalar, made by the field.
 """
 
 from __future__ import annotations
@@ -77,10 +78,7 @@ class Poly:
                 else:
                     out[m] = s
             return _poly(out)
-        if other == 0:
-            return self
-        zero = next(iter(self.terms.values()), 0) * 0  # of the field
-        return self + Poly.const(zero + other)
+        return self if other == 0 else NotImplemented
 
     __radd__ = __add__
 

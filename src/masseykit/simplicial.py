@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, InvalidInput
-from .fields import QQ, Field, integer, json_object
+from .fields import QQ, Field, integer, json_entries, json_object
 from .linalg import EchelonSolver, QuotientBasis, cached, extend_pivots, rank
 
 HOCHSTER_CAP = 14
@@ -123,7 +123,8 @@ class SimplicialComplex:
                           ("facets", from_facets)):
             if key in data:
                 return make(m, [tuple(integer(v, "vertex") for v in s)
-                                for s in data[key]])
+                                for s in json_entries(data, key,
+                                                      "complex JSON", list)])
         raise InvalidInput("complex JSON needs minimal_nonfaces or facets")
 
 

@@ -608,11 +608,41 @@ def test_field_modulus_not_an_integer_exit_2(tag):
     (["cohomology"], '{"generators": []}',
      "Lie presentation JSON needs the key 'brackets'"),
     (["cohomology"], "3", "Lie presentation JSON must be an object, not int"),
+    (["poincare"], '{"n": 2, "gens": [3]}',
+     "ring JSON gens[0] must be a list, not int"),
+    (["poincare"], '{"n": 2, "gens": 3}', "ring JSON gens must be a list, "
+     "not int"),
+    (["betti"], '{"m": 3, "facets": [1]}',
+     "complex JSON facets[0] must be a list, not int"),
+    (["betti"], '{"m": 3, "minimal_nonfaces": "[[1, 2]]"}',
+     "complex JSON minimal_nonfaces must be a list, not str"),
+    (["cohomology"], '{"generators": [{"i": 1}], "brackets": []}',
+     "Lie presentation JSON generators[0] needs the key 'w'"),
+    (["cohomology"], '{"generators": ["x"], "brackets": []}',
+     "Lie presentation JSON generators[0] must be an object, not str"),
+    (["cohomology"], '{"generators": [{"i": 1, "w": 1}], '
+     '"brackets": [{"i": 1, "j": 1}]}',
+     "Lie presentation JSON brackets[0] needs the key 'terms'"),
+    (["cohomology"], '{"generators": [], "brackets": [[1, 1]]}',
+     "Lie presentation JSON brackets[0] must be an object, not list"),
+    (["cohomology"], '{"generators": [], "brackets": [{"i": 1, "j": 1, '
+     '"terms": [{"k": 1}]}]}',
+     "Lie presentation JSON brackets[0] terms[0] needs the key 'c'"),
+    (["cohomology"], '{"generators": [], "brackets": [{"i": 1, "j": 1, '
+     '"terms": ["{\\"k\\": 1, \\"c\\": 1}"]}]}',
+     "Lie presentation JSON brackets[0] terms[0] must be an object, not str"),
 ], ids=["betti-list", "betti-m", "poincare-gens", "poincare-str", "kstep-W",
-        "cohomology-brackets", "cohomology-int"])
+        "cohomology-brackets", "cohomology-int", "poincare-gen-int",
+        "poincare-gens-int", "betti-facet-int", "betti-nonfaces-str",
+        "cohomology-gen-w", "cohomology-gen-str", "cohomology-terms",
+        "cohomology-bracket-list", "cohomology-term-c",
+        "cohomology-term-json-str"])
 def test_json_reader_names_what_is_wrong_exit_2(args, stdin, message):
     """A JSON document that is not an object, or lacks a key its reader
-    needs, is bad input, and the message names the key."""
+    needs, is bad input, and the message names the key; so is a nested
+    entry (a generator, a bracket, a bracket term, a ring generator, a
+    face) of the wrong type or without a key, and the message names the
+    entry.  A nested entry given as a JSON string is not parsed again."""
     res = run_cli(args, stdin=stdin)
     assert res.returncode == 2
     assert f"error: {message}" in res.stderr

@@ -12,7 +12,7 @@ from masseykit.cli import _outcome_json
 from masseykit.dga import MultiDegree
 from masseykit.errors import (CapExceeded, InvalidInput, OverlappingSupports,
                                WindowTooSmall)
-from masseykit.fields import GF, QQ
+from masseykit.fields import GF, QQ, Fp
 from masseykit.facerings import (RK_CAP, RKAlgebra, cup_length,
                                  generator_class, golod_test,
                                  iter_triple_massey_scan, mainlemma_check,
@@ -79,14 +79,29 @@ def test_rk_matches_hochster_random():
             assert t1.entries == t2.entries, K.minimal_nonfaces
 
 
+def _rk_product(K, m1, m2):
+    """(sigma1, J1) * (sigma2, J2): zero unless the supports are disjoint
+    and sigma1 + sigma2 is a face, else (sigma1 + sigma2, J1 + J2), both
+    sorted, with sign (-1)^#{(a, b) : a in J1, b in J2, a > b}."""
+    (s1, J1), (s2, J2) = m1, m2
+    sigma = tuple(sorted(s1 + s2))
+    if set(s1 + J1) & set(s2 + J2) or not K.is_face(sigma):
+        return []
+    inv = sum(1 for a in J1 for b in J2 if a > b)
+    return [((sigma, tuple(sorted(J1 + J2))), (-1) ** inv)]
+
+
 def test_rk_basis_and_d_mono_match_their_plain_definitions():
     """Per degree (q, S): the sorted pairs (sigma, S minus sigma) over the
     faces sigma of q - |S| vertices inside S, from the window and from the
     per-support builder ``rk_basis`` alike, and d (sigma, J) as the
     signed sum over j in J of (sigma + j sorted, J minus j) for each face
     sigma + j; on every window degree, one degree above, and degrees with
-    an aux entry 2 (the zero space) or a negative one (outside)."""
+    an aux entry 2 (the zero space) or a negative one (outside).  The
+    product of every pair of basis monomials of two window degrees is the
+    signed product of ``_rk_product``, its sign a residue of the field."""
     rng = random.Random(2300)
+    products = 0
     for _ in range(12):
         m = rng.randint(0, 6)
         K = random_complex(m, rng)
@@ -116,6 +131,15 @@ def test_rk_basis_and_d_mono_match_their_plain_definitions():
                 with pytest.raises(WindowTooSmall):
                     alg.basis(MultiDegree(deg.q, (-1,) + deg.aux[1:]))
         assert seen >= 2 ** m
+        degs = alg.window_degrees()
+        for _ in range(40):
+            for m1, m2 in itertools.product(alg.basis(rng.choice(degs)),
+                                            alg.basis(rng.choice(degs))):
+                got = alg.mul_mono(m1, m2)
+                assert got == _rk_product(K, m1, m2), (m1, m2)
+                assert all(type(c) is Fp for _m, c in got)
+                products += len(got)
+    assert products >= 100
 
 
 def test_transport_is_chain_map():

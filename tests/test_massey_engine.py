@@ -622,10 +622,12 @@ def test_resolve_constraints_proof_only_before_a_pin():
     assert engine._resolve_constraints([t0t1, Poly.const(one)]) == \
         (None, False)
     # inconsistent only after pinning t0 and t1: not a proof
-    assert engine._resolve_constraints([t0t1 - one]) == (None, True)
+    assert engine._resolve_constraints([t0t1 - Poly.const(one)]) == \
+        (None, True)
     # affine and inconsistent: a proof
     t0 = Poly.var(0, one)
-    assert engine._resolve_constraints([t0, t0 - one]) == (None, False)
+    assert engine._resolve_constraints([t0, t0 - Poly.const(one)]) == \
+        (None, False)
     assert engine._resolve_constraints([]) == ({}, False)
 
 

@@ -231,6 +231,29 @@ CUBE = MonomialQuotient(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
 FIELDS = (QQ, GF(2), GF(3))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=("q", "fp3"))
+@pytest.mark.parametrize("ring", [CUBE, anr(2, 3)], ids=("cube", "a23"))
+def test_koszul_mul_mono_matches_its_plain_definition(ring, field):
+    """(a1, S1) * (a2, S2) on every pair of basis monomials: zero when
+    S1 and S2 share an e or x^(a1 + a2) lies in the ideal, else
+    (a1 + a2, S1 + S2 sorted) with sign (-1)^#{(s, t) : s in S1, t in S2,
+    s > t}, a scalar of the field."""
+    alg = KoszulAlgebra(ring, field)
+    monos = [m for deg in alg.window_degrees() for m in alg.basis(deg)]
+    signs = {1: 0, -1: 0}
+    for (a1, S1), (a2, S2) in itertools.product(monos, repeat=2):
+        prod = tuple(x + y for x, y in zip(a1, a2))
+        got = alg.mul_mono((a1, S1), (a2, S2))
+        if set(S1) & set(S2) or ring.in_ideal(prod):
+            assert got == []
+            continue
+        sign = (-1) ** sum(1 for s in S1 for t in S2 if s > t)
+        assert got == [((prod, tuple(sorted(S1 + S2))), field.of(sign))]
+        assert type(got[0][1]) is type(field.one())
+        signs[sign] += 1
+    assert min(signs.values()) >= 10, signs
+
+
 def sweep_rings(count=24, seed=9):
     """Seeded finite-dimensional monomial rings, n <= 3, exponents <= 3:
     a pure power of every variable plus up to three mixed monomials."""

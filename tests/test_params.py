@@ -122,31 +122,32 @@ def test_substitution_that_cancels_over_gf2_is_zero():
     assert got.terms == {(0,): one} and type(got.terms[(0,)]) is Fp
 
 
+def _residues(p):
+    """Every stored coefficient is a nonzero residue."""
+    return all(type(c) is Fp and c != 0 for c in p.terms.values())
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=["GF2", "GF3"])
-def test_adding_a_bare_int_keeps_residue_coefficients(field):
-    """p + n, n + p and p - n with an int n and a nonzero p take n into
-    the field of p's coefficients: over GF(2), (t0 + 1) + 1 is t0, with no
-    int 2 stored."""
-    one = field.one()
-    t0 = Poly.var(0, one)
-    assert (t0 + 1) + 1 - field.p == t0 + 1 + (1 - field.p)
-    for n in range(-2 * field.p, 2 * field.p + 1):
-        for got, want in [(t0 + n, n), (n + t0, n), (t0 - n, -n),
-                          ((t0 + 1) + n, 1 + n), ((t0 - 1) - n, -1 - n)]:
-            const = field.of(want)
-            assert got.terms == ({(0,): one, (): const} if const
-                                 else {(0,): one})
-            assert _no_zero(got, field)
-        assert (Poly.const(one) + n).is_zero() == (field.of(1 + n) == 0)
-    got = (t0 + 1) + (field.p - 1)
-    assert got == t0 and hash(got) == hash(t0) and _no_zero(got, field)
-    rng = random.Random(23 + field.p)
-    for _ in range(100):
-        p, n = _poly(field, rng), rng.randint(-5, 5)
-        if p.is_zero():
-            continue
-        at = {v: _scalar(field, rng) for v in range(N_VARS)}
-        for got, want in [(p + n, p.evaluate(at, field) + n),
-                          (p - n, p.evaluate(at, field) - n)]:
-            assert _no_zero(got, field)
-            assert got.evaluate(at, field) == want
+def test_poly_coefficients_stay_nonzero_residues(field):
+    """Over GF(p) a ``Poly`` stores nonzero residues only: after + and -
+    between Polys, * with Polys and with ints (also ints that vanish in the
+    field) and substitution of int values.  A ``Poly`` adds Polys and 0
+    only, so a nonzero scalar on either side of + or - is a TypeError,
+    and p + 0, 0 + p and p - 0 are p."""
+    rng = random.Random(30 + field.p)
+    for _ in range(200):
+        p, q = _poly(field, rng), _poly(field, rng)
+        n = rng.randint(-2 * field.p, 2 * field.p)
+        ints = {v: rng.randint(-3, 3) for v in rng.sample(
+            range(N_VARS), rng.randint(1, N_VARS))}
+        for got in (p + q, p - q, q - p, p - p, p * q, p * n, n * p,
+                    p * field.p, (p + q) * (p - q), p.substitute(ints)):
+            assert _residues(got)
+        assert p + 0 is p and 0 + p is p and (p - 0).terms == p.terms
+        assert p + field.zero() is p
+        assert sum([p, q]) == p + q
+        for c in (1, -1, field.p + 1, field.one(), Fraction(1, 2)):
+            for bad in (lambda: p + c, lambda: c + p, lambda: p - c,
+                        lambda: c - p):
+                with pytest.raises(TypeError):
+                    bad()

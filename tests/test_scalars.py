@@ -15,7 +15,8 @@ from masseykit import cli
 from masseykit.errors import InvalidInput
 from masseykit.fields import GF, QQ, Fp
 from masseykit.lie import ce_window, m0
-from masseykit.linalg import EchelonSolver, QuotientBasis
+from masseykit.linalg import (EchelonSolver, QuotientBasis,
+                              lead_columns, rank)
 from masseykit.massey import MasseyEngine, conjugate
 
 from oracles import sparse_mul, transpose
@@ -77,6 +78,39 @@ def test_field_of_rejects_floats_and_bools(make):
     bool is not 1."""
     with pytest.raises(InvalidInput, match="is not exact"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rank([{0: Fraction(1, 3)}], GF(3)),
+    lambda: lead_columns([{0: 1, 1: Fraction(1, 3)}], GF(3)),
+    lambda: GF(3).of(Fraction(1, 3)),
+    lambda: GF(3).of("2/6"),
+    lambda: Fp(1, 3) + Fraction(1, 3),
+    lambda: Fraction(1, 3) * Fp(1, 3)],
+    ids=["rank", "lead_columns", "of", "of-str", "Fp-add", "Fp-rmul"])
+def test_a_denominator_divisible_by_p_is_bad_input_everywhere(make):
+    """One residue rule: every way a rational enters GF(p) rejects a
+    denominator that p divides with the same ``InvalidInput``."""
+    with pytest.raises(InvalidInput, match="denominator divisible by 3"):
+        make()
+
+
+def test_residues_agree_on_every_entry_route():
+    """A rational taken into GF(p) by ``Field.of``, by ``Fp`` arithmetic
+    and by the rank loop is the same residue, and a residue prints as its
+    digits while its ``repr`` keeps the modulus."""
+    for p in (2, 3, 5, 7):
+        F = GF(p)
+        for x in (Fraction(n, d) for n in range(-6, 7) for d in range(1, 9)
+                  if d % p):
+            r = F.of(x)
+            assert r == F.zero() + x == x * F.one() == F.of(str(x))
+            assert rank([{0: x, 1: 1}, {0: r, 1: 1}], F) == 1
+            assert r * x.denominator == F.of(x.numerator)
+    assert str(Fp(2, 5)) == "2" and repr(Fp(2, 5)) == "2~5"
+    assert str(Fp(-1, 5)) == "4" and f"{Fp(3, 7)}" == "3"
+    with pytest.raises(InvalidInput, match="mixed moduli"):
+        GF(3).of(Fp(1, 5))
 
 
 def test_field_div():
