@@ -366,8 +366,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInput, json.JSONDecodeError, KeyError, TypeError,
-            ValueError, FileNotFoundError) as exc:
+    except (InvalidInput, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MasseyKitError, AssertionError) as exc:

@@ -12,7 +12,10 @@ contained in I.  Dimensions of reduced cohomology are rank-only: no
 kernel or quotient basis is built for them (``ReducedCohomology.dim``).
 For the whole table the rank path is resumed (``linalg.extend_pivots``):
 ``hochster_table`` walks the subsets once, each extending its parent's
-elimination.
+elimination of the faces with 3 or more vertices.  The vertex and edge
+rows need no elimination over any field: the vertex rows of a nonempty K_I
+have rank 1, and the edge rows rank |I| - c(I), c(I) the number of
+components of the 1-skeleton of K_I (proof at ``hochster_table``).
 ``ReducedCohomology.classes`` and ``reduce`` are the one transport between
 face-keyed cochains and quotient coordinates.
 """
@@ -60,8 +63,7 @@ class SimplicialComplex:
         for nf in nfs:
             if len(nf) < 2:
                 raise InvalidInput("singleton non-face: every i must be a vertex")
-            if any(v < 1 or v > self.m for v in nf):
-                raise InvalidInput("non-face vertex out of range")
+            check_vertices(self.m, nf, "non-face")
         masks = [_mask(nf) for nf in nfs]
         for i, a in enumerate(masks):
             for j, b in enumerate(masks):
@@ -138,6 +140,7 @@ def faces_within(levels: list, size: int, mask: int) -> list:
 
 def from_facets(m: int, facets: list) -> SimplicialComplex:
     """Complex generated by the given facets (all of [m] must appear)."""
+    check_vertices(m, itertools.chain(*facets), "facet")
     fmasks = [_mask(f) for f in facets]
     covered = 0
     for fm in fmasks:
@@ -314,11 +317,11 @@ def check_cap(m: int) -> None:
         raise CapExceeded(f"m = {m} exceeds the cap {HOCHSTER_CAP}")
 
 
-def check_vertices(m: int, vertices) -> None:
-    """``InvalidInput`` unless every support vertex lies in 1..m."""
+def check_vertices(m: int, vertices, kind: str = "support") -> None:
+    """``InvalidInput`` unless every ``kind`` vertex lies in 1..m."""
     bad = [v for v in vertices if not 1 <= v <= m]
     if bad:
-        raise InvalidInput(f"support vertex {bad[0]} is not in 1..{m}")
+        raise InvalidInput(f"{kind} vertex {bad[0]} is not in 1..{m}")
 
 
 def reduced_cache(K: SimplicialComplex, within, field: Field = QQ) -> ReducedCohomology:
@@ -372,27 +375,45 @@ def hochster_table(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
 
     One depth-first walk over the subsets: I grows to I + v for each v
     above its top vertex, so every subset is reached once.  Per face size
-    the walk carries the face count of K_I and the pivot dict of the rank
-    loop over the coboundary rows of those faces (``extend_pivots``), whose
-    size is the rank.  A child extends these by the faces of K_(I+v) topped
-    by v alone and leaves its parent's state as it was.  This is exact: a
-    face inside I has all its facets inside I, so the rows of K_I are rows
-    of K_(I+v) unchanged, and the lead set of the combined rows is that of
-    their span, whatever the order the rows came in."""
+    the walk carries the face count of K_I and, for faces of 3 or more
+    vertices, the pivot dict of the rank loop over their coboundary rows
+    (``extend_pivots``), whose size is the rank.  A child extends these by
+    the faces of K_(I+v) topped by v alone and leaves its parent's state as
+    it was.  This is exact: a face inside I has all its facets inside I, so
+    the rows of K_I are rows of K_(I+v) unchanged, and the lead set of the
+    combined rows is that of their span, whatever the order the rows came
+    in.
+
+    The rows of faces with 1 and 2 vertices are not eliminated, since
+    their ranks are known over every field.  Each vertex row is the
+    augmentation {empty face: 1}, so these rows have rank 1 when I is
+    nonempty.  The row of an edge uv is e_v - e_u: every edge row sums to
+    0 over each connected component of the 1-skeleton of K_I, and the
+    edges of a spanning forest give |I| - c(I) independent rows (a leaf's
+    edge is the only row with a nonzero entry at the leaf), where c(I)
+    counts the components.  So the edge rows have rank |I| - c(I).  The
+    walk carries the components as vertex masks; I + v merges v with the
+    components that meet its neighbours below v."""
     check_cap(K.m)
     levels = K.face_table()
-    # topped[v][size]: (mask, coboundary row) of the faces topped by v
+    # topped[v][size]: (mask, coboundary row) of the faces topped by v;
+    # below[v]: the neighbours of v below v
     topped = [[[] for _ in levels] for _ in range(K.m + 1)]
     for size, level in enumerate(levels):
         masks = [f for _t, f in level]
         for f, row in zip(masks, _coboundary_rows(masks)):
             topped[f.bit_length()][size].append((f, row))
+    below = [0] * (K.m + 1)
+    for (u, v), f in faces_within(levels, 2, -1):
+        below[v] |= 1 << (u - 1)
     entries: dict = {}
 
-    def visit(I: tuple, mask: int, counts: list, pivots: list):
+    def visit(I: tuple, mask: int, comps: list, counts: list, pivots: list):
         r = len(I)
+        # row ranks per face size: the empty face's row is empty
+        ranks = [0, min(r, 1), r - len(comps)] + [len(p) for p in pivots[3:]]
         for q in range(-1, min(r, len(levels) - 1)):
-            d = counts[q + 1] - len(pivots[q + 2]) - len(pivots[q + 1])
+            d = counts[q + 1] - ranks[q + 2] - ranks[q + 1]
             if d:
                 entries[(r - q - 1, I)] = d
         for v in range(I[-1] + 1 if I else 1, K.m + 1):
@@ -402,9 +423,13 @@ def hochster_table(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
                 new = [row for f, row in faces if f & child == f]
                 if new:
                     counts_v[size] += len(new)
-                    pivots_v[size] = extend_pivots(pivots[size], new, field)
-            visit(I + (v,), child, counts_v, pivots_v)
+                    if size > 2:
+                        pivots_v[size] = extend_pivots(pivots[size], new,
+                                                       field)
+            joined = sum((c for c in comps if c & below[v]), 1 << (v - 1))
+            visit(I + (v,), child, [c for c in comps if not c & joined]
+                  + [joined], counts_v, pivots_v)
 
     # the empty face is the one face of K_(), and its row is empty
-    visit((), 0, [1] + [0] * len(levels), [{}] * (len(levels) + 1))
+    visit((), 0, [], [1] + [0] * len(levels), [{}] * (len(levels) + 1))
     return BettiTable(field.tag, entries)

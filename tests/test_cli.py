@@ -1,15 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import masseykit
+
 CLI = [sys.executable, "-m", "masseykit.cli"]
+# the child imports the same masseykit as the tests, wherever it came from
+SRC = str(Path(masseykit.__file__).resolve().parent.parent)
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args, stdin=None):
     return subprocess.run(CLI + args, input=stdin, capture_output=True,
-                          text=True)
+                          text=True, env=ENV)
 
 
 def test_goncharova_cli():
@@ -415,7 +423,7 @@ def test_closed_stdout_exits_0_silently(tmp_path):
     octagon.write_text(run_cli(["generate", "polygon", "--m", "8"]).stdout)
     with subprocess.Popen(CLI + ["triple-scan", "--in", str(octagon)],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True) as proc:
+                          text=True, env=ENV) as proc:
         assert json.loads(proc.stdout.readline())["supports"]
         proc.stdout.close()
         assert proc.wait(timeout=120) == 0
@@ -616,6 +624,10 @@ def test_field_modulus_not_an_integer_exit_2(tag):
      "complex JSON facets[0] must be a list, not int"),
     (["betti"], '{"m": 3, "minimal_nonfaces": "[[1, 2]]"}',
      "complex JSON minimal_nonfaces must be a list, not str"),
+    (["betti"], '{"m": 3, "facets": [[0, 1]]}',
+     "facet vertex 0 is not in 1..3"),
+    (["golod"], '{"m": 3, "facets": [[1, 7]]}',
+     "facet vertex 7 is not in 1..3"),
     (["cohomology"], '{"generators": [{"i": 1}], "brackets": []}',
      "Lie presentation JSON generators[0] needs the key 'w'"),
     (["cohomology"], '{"generators": ["x"], "brackets": []}',
@@ -634,6 +646,7 @@ def test_field_modulus_not_an_integer_exit_2(tag):
 ], ids=["betti-list", "betti-m", "poincare-gens", "poincare-str", "kstep-W",
         "cohomology-brackets", "cohomology-int", "poincare-gen-int",
         "poincare-gens-int", "betti-facet-int", "betti-nonfaces-str",
+        "betti-facet-vertex-0", "golod-facet-vertex-above-m",
         "cohomology-gen-w", "cohomology-gen-str", "cohomology-terms",
         "cohomology-bracket-list", "cohomology-term-c",
         "cohomology-term-json-str"])
@@ -642,7 +655,8 @@ def test_json_reader_names_what_is_wrong_exit_2(args, stdin, message):
     needs, is bad input, and the message names the key; so is a nested
     entry (a generator, a bracket, a bracket term, a ring generator, a
     face) of the wrong type or without a key, and the message names the
-    entry.  A nested entry given as a JSON string is not parsed again."""
+    entry, as it names a facet vertex outside 1..m.  A nested entry given
+    as a JSON string is not parsed again."""
     res = run_cli(args, stdin=stdin)
     assert res.returncode == 2
     assert f"error: {message}" in res.stderr

@@ -107,10 +107,10 @@ def test_value_independence_spot_check_n4():
 
 
 def test_betti_cli_product_of_four_3_spheres():
-    import subprocess, sys, json
+    import json
+    from test_cli import run_cli
     K = SimplicialComplex(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
-    res = subprocess.run([sys.executable, "-m", "masseykit.cli", "betti"],
-                         input=K.to_json(), capture_output=True, text=True)
+    res = run_cli(["betti"], stdin=K.to_json())
     assert res.returncode == 0
     data = json.loads(res.stdout)
     # (S^3)^4 pattern

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import masseykit.simplicial as simplicial_module
 from masseykit.errors import InvalidInput
 from masseykit.fields import GF, QQ
 from masseykit.generators import cube, dodecahedron_nerve, polygon, qn
@@ -28,6 +29,9 @@ def boundary_of_triangle():
 def test_antichain_validation():
     with pytest.raises(InvalidInput):
         SimplicialComplex(3, [(1,)])
+    with pytest.raises(InvalidInput,
+                       match=r"non-face vertex 4 is not in 1\.\.3"):
+        SimplicialComplex(3, [(1, 4)])
     with pytest.raises(InvalidInput):
         SimplicialComplex(4, [(1, 2), (1, 2, 3)])
 
@@ -43,6 +47,14 @@ def test_faces_and_facets():
 def test_from_facets_roundtrip():
     K = from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     assert K.minimal_nonfaces == [(1, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("facets, vertex", [([(0, 1)], 0), ([(1, 7)], 7),
+                                            ([(1, 2), (3, -1)], -1)])
+def test_from_facets_names_a_vertex_outside_1_to_m(facets, vertex):
+    with pytest.raises(InvalidInput, match=f"facet vertex {vertex} is not "
+                       r"in 1\.\.3"):
+        from_facets(3, facets)
 
 
 def test_induced_of_cycle_is_path():
@@ -258,6 +270,85 @@ def test_hochster_walk_matches_per_subset_route():
     rp2 = complexes[2]
     assert hochster_table(rp2, GF(2)).entries != \
         hochster_table(rp2, QQ).entries
+
+
+def late_connected_complexes():
+    """Complexes whose 1-skeleton has many components or isolated
+    vertices, or connects only at a high vertex (on 9 and 10 vertices), and
+    random sparse graphs, so that the walk's component merging does the
+    work."""
+    rng = random.Random(3131)
+    star = [(i, 10) for i in range(1, 10)]
+    complexes = [
+        SimplicialComplex(6, list(itertools.combinations(range(1, 7), 2))),
+        from_facets(8, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5),
+                        (6,), (7,), (8,)]),
+        graph_complex(10, star),
+        # three blocks, bridged only through vertex 9
+        from_facets(9, [(1, 2, 3), (4, 5, 6), (7, 8), (3, 9), (6, 9),
+                        (8, 9)]),
+        # a cone with apex 10 over a complex with four components
+        from_facets(10, [(1, 2, 3, 10), (4, 5, 10), (6, 7, 8, 10),
+                         (9, 10)]),
+        # two disjoint 2-spheres, joined by the edge 5 10 at the end
+        from_facets(10, [f for off in (0, 5) for f in
+                         itertools.combinations(range(1 + off, 5 + off), 3)]
+                    + [(5, 10)]),
+    ]
+    for m in (7, 9, 10):
+        edges = [e for e in itertools.combinations(range(1, m + 1), 2)
+                 if rng.random() < 0.15]
+        complexes.append(graph_complex(m, edges))
+    return complexes
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF2", "GF3"])
+def test_hochster_walk_counts_components(field):
+    """The walk takes the vertex and edge ranks of K_I from the components
+    of its 1-skeleton; on complexes where the components merge late, the
+    table still equals fresh per-subset eliminations."""
+    for K in late_connected_complexes():
+        assert hochster_table(K, field).entries == \
+            per_subset_table(K, field), (K.m, K.minimal_nonfaces)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF2", "GF3"])
+def test_hochster_walk_follows_relabelings(field):
+    """Relabeling the vertices of the dodecahedron nerve and of Q^3 by a
+    seeded permutation relabels the table's subsets, and changes nothing
+    else: the walk meets the components in a new order each time."""
+    rng = random.Random(4242)
+    for K in (dodecahedron_nerve(), qn(3)):
+        table = hochster_table(K, field).entries
+        for _ in range(3):
+            perm = list(range(1, K.m + 1))
+            rng.shuffle(perm)
+            L = SimplicialComplex(K.m, [tuple(perm[v - 1] for v in nf)
+                                        for nf in K.minimal_nonfaces])
+            assert hochster_table(L, field).entries == {
+                (i, tuple(sorted(perm[v - 1] for v in I))): d
+                for (i, I), d in table.items()}
+
+
+def test_hochster_walk_eliminates_no_vertex_or_edge_rows(monkeypatch):
+    """``hochster_table`` hands ``extend_pivots`` only the rows of faces
+    with 3 or more vertices, whose entries sit at faces of 2 or more; the
+    vertex and edge ranks come from the components."""
+    real = simplicial_module.extend_pivots
+    rows_seen = []
+
+    def guarded(pivots, rows, field):
+        for row in rows:
+            assert row and all(bin(g).count("1") >= 2 for g in row), row
+        rows_seen.extend(rows)
+        return real(pivots, rows, field)
+
+    monkeypatch.setattr(simplicial_module, "extend_pivots", guarded)
+    for K in (dodecahedron_nerve(), from_facets(6, RP2_FACETS),
+              *late_connected_complexes()[3:5]):
+        for field in (QQ, GF(2)):
+            hochster_table(K, field)
+    assert rows_seen
 
 
 def test_q4_hochster_fields_agree_and_duality():
