@@ -25,9 +25,10 @@ exponent vectors for Koszul complexes of monomial quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple
 
-from .errors import MixedDegree, WindowTooSmall
+from .errors import InvalidInput, MixedDegree, WindowTooSmall
 from .fields import Field
 from .linalg import EchelonSolver, QuotientBasis, axpy, cached, lead_columns
 
@@ -39,7 +40,7 @@ class MultiDegree(NamedTuple):
 
     def __add__(self, other: "MultiDegree") -> "MultiDegree":
         return MultiDegree(self.q + other.q,
-                           tuple(a + b for a, b in zip(self.aux, other.aux)))
+                           tuple(map(add, self.aux, other.aux)))
 
     def shift(self, dq: int) -> "MultiDegree":
         return MultiDegree(self.q + dq, self.aux)
@@ -211,10 +212,17 @@ class DGAlgebra:
         """Class coordinates {(degree, index): c} of a closed cochain, one
         block per component degree, in the representatives of
         ``cohomology_basis``.  Entries may be scalars or ``Poly``; a
-        component off the cycles raises ``InvalidInput``."""
-        return {(deg, i): c for deg, comp in self.components(cochain).items()
-                for i, c in self.cohomology_basis(deg).reduce(
-                    self.to_vector(comp, deg)).items()}
+        component off the cycles raises ``InvalidInput``.  Where
+        ``cohomology_dim`` is 0 a cycle is a boundary, so d(comp) alone
+        decides, and no d-solver or quotient basis is built there."""
+        out: dict = {}
+        for deg, comp in self.components(cochain).items():
+            if self.cohomology_dim(deg):
+                out.update(((deg, i), c) for i, c in self.cohomology_basis(
+                    deg).reduce(self.to_vector(comp, deg)).items())
+            elif self.d(comp):
+                raise InvalidInput("vector is not in the cycle space")
+        return out
 
     def d_images(self, deg: MultiDegree):
         """d of each basis element of deg (``image_rows``)."""

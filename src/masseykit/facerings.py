@@ -22,7 +22,8 @@ from .linalg import EchelonSolver, axpy, cached
 from .massey import MasseyEngine, MasseyOutcome
 from .simplicial import (HOCHSTER_CAP as RK_CAP, BettiTable,
                          SimplicialComplex, _mask, _unmask, check_cap,
-                         check_vertices, faces_within, reduced_cache)
+                         check_vertices, components, faces_within,
+                         reduced_cache)
 
 MAX_SUPPORT = 4  # vertices of a support in the "h0" triple scan
 
@@ -372,9 +373,9 @@ def _disjoint_products(K: SimplicialComplex, by_support: dict,
     With ``screen``, a choice is skipped when its value group, the reduced
     cohomology of the union in the stacked degree, is zero."""
     for sups in _disjoint_tuples(supports, n, K.m):
-        rc = reduced_cache(K, [v for I in sups for v in I], field)
+        rc = screen and reduced_cache(K, [v for I in sups for v in I], field)
         for classes in itertools.product(*(by_support[I] for I in sups)):
-            if screen and not rc.dim(sum(c.q for c in classes) + 1):
+            if rc and not rc.dim(sum(c.q for c in classes) + 1):
                 continue
             yield sups, classes, zk_massey(K, list(classes), field,
                                            budget=budget)
@@ -392,7 +393,9 @@ def iter_triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
     be trivial throughout even when larger supports carry nontrivial
     products).  Each class is a degree-zero class of its K_I.  In "h0" a
     triple is skipped when its value group, the reduced H^1 of the union,
-    is zero.
+    is zero.  A support is kept when the 1-skeleton of K_I has two or more
+    components (``simplicial.components``): H~^0 is the locally constant
+    functions modulo the constants, of dimension c(I) - 1 over any field.
     """
     check_cap(K.m)
     if support_mode not in ("edges", "h0"):
@@ -400,7 +403,7 @@ def iter_triple_massey_scan(K: SimplicialComplex, field: Field = QQ,
     top = 2 if support_mode == "edges" else MAX_SUPPORT
     supports = [I for r in range(2, top + 1)
                 for I in itertools.combinations(range(1, K.m + 1), r)
-                if reduced_cache(K, I, field).dim(0)]
+                if len(components(K.face_table(), _mask(I))) > 1]
     by_support = {I: [ZkClass(I, 0, c)
                       for c in reduced_cache(K, I, field).classes(0)]
                   for I in supports}
@@ -428,8 +431,9 @@ class GolodVerdict:
     status: str  # "golod-up-to-cap" | "not-golod" | "unknown"
     order_cap: int
     witness: tuple | None = None  # ("product", x, y) | ("massey", classes, outcome)
-    multiplication_trivial: bool = True
-    massey_trivial_up_to_cap: bool = True
+    # None where no check decided: a nonzero product or an unknown return
+    multiplication_trivial: bool | None = None
+    massey_trivial_up_to_cap: bool | None = None
 
 
 def golod_test(K: SimplicialComplex, field: Field = QQ,
@@ -460,10 +464,10 @@ def golod_test(K: SimplicialComplex, field: Field = QQ,
                 continue
             if outcome.triviality == "nontrivial":
                 return GolodVerdict("not-golod", order_cap,
-                                    ("massey", list(combo), outcome),
-                                    massey_trivial_up_to_cap=False)
+                                    ("massey", list(combo), outcome), True,
+                                    False)
             if outcome.triviality == "unknown":
                 unknown = True
     if unknown:
-        return GolodVerdict("unknown", order_cap)
-    return GolodVerdict("golod-up-to-cap", order_cap)
+        return GolodVerdict("unknown", order_cap, None, True)
+    return GolodVerdict("golod-up-to-cap", order_cap, None, True, True)

@@ -12,10 +12,11 @@ contained in I.  Dimensions of reduced cohomology are rank-only: no
 kernel or quotient basis is built for them (``ReducedCohomology.dim``).
 For the whole table the rank path is resumed (``linalg.extend_pivots``):
 ``hochster_table`` walks the subsets once, each extending its parent's
-elimination of the faces with 3 or more vertices.  The vertex and edge
-rows need no elimination over any field: the vertex rows of a nonempty K_I
-have rank 1, and the edge rows rank |I| - c(I), c(I) the number of
-components of the 1-skeleton of K_I (proof at ``hochster_table``).
+elimination of the faces with 3 or more vertices.  Degree zero is read
+off the 1-skeleton, with no elimination: over every field the vertex rows
+of a nonempty K_I have rank 1, the edge rows rank |I| - c(I) for the c(I)
+``components`` (proof at ``hochster_table``), and the cycles of
+``quotient(0)`` are the components' indicators (proof there).
 ``ReducedCohomology.classes`` and ``reduce`` are the one transport between
 face-keyed cochains and quotient coordinates.
 """
@@ -57,8 +58,7 @@ class SimplicialComplex:
     minimal_nonfaces: list  # sorted tuples of vertices, an antichain
 
     def __post_init__(self):
-        if self.m < 0:
-            raise InvalidInput(f"need m >= 0 vertices, got {self.m}")
+        check_vertices(self.m, ())
         nfs = sorted({tuple(sorted(set(nf))) for nf in self.minimal_nonfaces})
         for nf in nfs:
             if len(nf) < 2:
@@ -138,14 +138,27 @@ def faces_within(levels: list, size: int, mask: int) -> list:
     return [tf for tf in levels[size] if tf[1] & mask == tf[1]]
 
 
+def _join(comps: list, bit: int, nbrs: int) -> list:
+    """Merge ``bit`` with the components meeting ``nbrs``; it goes last."""
+    joined = sum((c for c in comps if c & nbrs), bit)
+    return [c for c in comps if not c & joined] + [joined]
+
+
+def components(levels: list, mask: int) -> list:
+    """The components of the 1-skeleton of K_I as vertex masks, ordered by
+    largest vertex (a mask's bit length); ``levels`` is K's face table and
+    ``mask`` is I.  Each edge merges the components of its two ends."""
+    comps = [f for _t, f in faces_within(levels, 1, mask)]
+    for _t, e in faces_within(levels, 2, mask):
+        comps = _join(comps, 0, e)
+    return sorted(comps, key=int.bit_length)
+
+
 def from_facets(m: int, facets: list) -> SimplicialComplex:
     """Complex generated by the given facets (all of [m] must appear)."""
     check_vertices(m, itertools.chain(*facets), "facet")
     fmasks = [_mask(f) for f in facets]
-    covered = 0
-    for fm in fmasks:
-        covered |= fm
-    if covered != (1 << max(m, 0)) - 1:  # m < 0 fails in the constructor
+    if _mask(itertools.chain(*facets)) != (1 << m) - 1:
         raise InvalidInput("every element of [m] must be a vertex")
     nonfaces = []
     # minimal non-faces: non-faces all of whose proper subsets are faces
@@ -258,14 +271,24 @@ class ReducedCohomology:
         self._ranks: dict | None = None
 
     def quotient(self, q: int) -> QuotientBasis:
+        """Cycles of C~^q(K_I) modulo boundaries.  In degree 0 the cycles
+        are the indicators of the ``components`` of the 1-skeleton, since
+        d x = 0 says x_u = x_v on each edge.  ``kernel_basis`` of the edge
+        rows gives the same list: the pivots are the leftmost independent
+        columns, so the free ones are the components' largest vertices, and
+        the vector 1 at one of them, 0 at the rest, is an indicator."""
         def build():
             one = self.field.one()
             below, faces, above = ([f for _t, f in faces_within(
                 self._levels, q + s, self._mask)] for s in range(3))
             src = {f: i for i, f in enumerate(faces)}
-            rows = [{src[g]: one * c for g, c in row.items()}
-                    for row in _coboundary_rows(above)]
-            cycles = EchelonSolver(self.field, len(src), rows).kernel_basis()
+            if q == 0:
+                cycles = [{i: one for f, i in src.items() if f & c}
+                          for c in components(self._levels, self._mask)]
+            else:
+                cycles = EchelonSolver(self.field, len(src), [
+                    {src[g]: one * c for g, c in row.items()}
+                    for row in _coboundary_rows(above)]).kernel_basis()
             images: dict = {f: {} for f in below}
             for i, row in enumerate(_coboundary_rows(faces)):
                 for g, c in row.items():
@@ -318,7 +341,9 @@ def check_cap(m: int) -> None:
 
 
 def check_vertices(m: int, vertices, kind: str = "support") -> None:
-    """``InvalidInput`` unless every ``kind`` vertex lies in 1..m."""
+    """``InvalidInput`` unless m >= 0, then every ``kind`` vertex in 1..m."""
+    if m < 0:
+        raise InvalidInput(f"need m >= 0 vertices, got {m}")
     bad = [v for v in vertices if not 1 <= v <= m]
     if bad:
         raise InvalidInput(f"{kind} vertex {bad[0]} is not in 1..{m}")
@@ -382,7 +407,10 @@ def hochster_table(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     it was.  This is exact: a face inside I has all its facets inside I, so
     the rows of K_I are rows of K_(I+v) unchanged, and the lead set of the
     combined rows is that of their span, whatever the order the rows came
-    in.
+    in.  The new faces of 1 and 2 vertices are v and its (below[v] &
+    I).bit_count() edges; from 3 vertices up the rows are filtered, and the
+    walk stops at the first size with no new face: a face with s + 1 >= 3
+    vertices topped by v has a facet with s vertices topped by v.
 
     The rows of faces with 1 and 2 vertices are not eliminated, since
     their ranks are known over every field.  Each vertex row is the
@@ -393,13 +421,13 @@ def hochster_table(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
     edge is the only row with a nonzero entry at the leaf), where c(I)
     counts the components.  So the edge rows have rank |I| - c(I).  The
     walk carries the components as vertex masks; I + v merges v with the
-    components that meet its neighbours below v."""
+    components that meet its neighbours below v (``_join``)."""
     check_cap(K.m)
     levels = K.face_table()
-    # topped[v][size]: (mask, coboundary row) of the faces topped by v;
-    # below[v]: the neighbours of v below v
+    # topped[v][size]: (mask, coboundary row) of the faces topped by v with
+    # size >= 3 vertices; below[v]: the neighbours of v below v
     topped = [[[] for _ in levels] for _ in range(K.m + 1)]
-    for size, level in enumerate(levels):
+    for size, level in enumerate(levels[3:], 3):
         masks = [f for _t, f in level]
         for f, row in zip(masks, _coboundary_rows(masks)):
             topped[f.bit_length()][size].append((f, row))
@@ -419,16 +447,16 @@ def hochster_table(K: SimplicialComplex, field: Field = QQ) -> BettiTable:
         for v in range(I[-1] + 1 if I else 1, K.m + 1):
             child = mask | 1 << (v - 1)
             counts_v, pivots_v = counts[:], pivots[:]
-            for size, faces in enumerate(topped[v]):
-                new = [row for f, row in faces if f & child == f]
-                if new:
-                    counts_v[size] += len(new)
-                    if size > 2:
-                        pivots_v[size] = extend_pivots(pivots[size], new,
-                                                       field)
-            joined = sum((c for c in comps if c & below[v]), 1 << (v - 1))
-            visit(I + (v,), child, [c for c in comps if not c & joined]
-                  + [joined], counts_v, pivots_v)
+            counts_v[1] += 1
+            counts_v[2] += (below[v] & mask).bit_count()
+            for size in range(3, len(levels)):
+                new = [row for f, row in topped[v][size] if f & child == f]
+                if not new:
+                    break
+                counts_v[size] += len(new)
+                pivots_v[size] = extend_pivots(pivots[size], new, field)
+            visit(I + (v,), child, _join(comps, 1 << (v - 1), below[v]),
+                  counts_v, pivots_v)
 
     # the empty face is the one face of K_(), and its row is empty
     visit((), 0, [], [1] + [0] * len(levels), [{}] * (len(levels) + 1))

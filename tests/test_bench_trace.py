@@ -98,3 +98,43 @@ def test_tracer_sees_the_solver_and_every_verdict_kind():
     assert got["resolve_in_search"] > 0
     assert layers["massey.outcomes.undefined"] == 1
     assert layers["massey.find_defining_system.calls"] == len(got["outcomes"])
+
+
+def test_bench_selfcheck_passes():
+    """The harness's own self-check: metric registry, span self times, the
+    host-speed sampler and an injected oracle failure."""
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selfcheck.py")],
+        capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
+SCAN = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+tracer = tracing.Tracer()
+tracer.install()
+from masseykit.facerings import triple_massey_scan
+from masseykit.generators import polygon
+K = polygon(6)
+tracer.active = True
+rows = triple_massey_scan(K, support_mode="edges")
+tracer.active = False
+layers = tracing.layer_metrics(tracer.self_times(), tracer.counts)
+print(json.dumps({"rows": len(rows), "layers": layers}))
+"""
+
+
+def test_tracer_sees_the_edge_scan():
+    """The spans on the scan path of the ``zk-scan`` workload: a renamed
+    ``zk_massey`` or ``ReducedCohomology.quotient`` would read 0 calls."""
+    res = subprocess.run(
+        [sys.executable, "-c", SCAN, str(ROOT / "bench"), str(ROOT / "src")],
+        capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout.splitlines()[-1])
+    layers = got["layers"]
+    assert got["rows"] > 0
+    assert layers["facerings.zk_massey.calls"] == got["rows"]
+    assert layers["simplicial.reduced_quotient.calls"] > 0

@@ -126,6 +126,9 @@ def test_golod_cli():
     assert res.returncode == 0
     data = json.loads(res.stdout)
     assert data["status"] == "not-golod"
+    # a nonzero product answers before any Massey product is looked at
+    assert data["multiplication_trivial"] is False
+    assert data["massey_trivial_up_to_cap"] is None
 
 
 def test_golod_bad_order_cap_exit_2():
@@ -137,7 +140,10 @@ def test_golod_bad_order_cap_exit_2():
         assert not res.stdout
     res = run_cli(["golod", "--order-cap", "3"], stdin=points)
     assert res.returncode == 0
-    assert json.loads(res.stdout)["status"] == "golod-up-to-cap"
+    data = json.loads(res.stdout)
+    assert data["status"] == "golod-up-to-cap"
+    assert data["multiplication_trivial"] is data[
+        "massey_trivial_up_to_cap"] is True
 
 
 def test_triple_scan_cli_streams_jsonl():
@@ -628,6 +634,7 @@ def test_field_modulus_not_an_integer_exit_2(tag):
      "facet vertex 0 is not in 1..3"),
     (["golod"], '{"m": 3, "facets": [[1, 7]]}',
      "facet vertex 7 is not in 1..3"),
+    (["betti"], '{"m": -1, "facets": [[1]]}', "need m >= 0 vertices, got -1"),
     (["cohomology"], '{"generators": [{"i": 1}], "brackets": []}',
      "Lie presentation JSON generators[0] needs the key 'w'"),
     (["cohomology"], '{"generators": ["x"], "brackets": []}',
@@ -647,6 +654,7 @@ def test_field_modulus_not_an_integer_exit_2(tag):
         "cohomology-brackets", "cohomology-int", "poincare-gen-int",
         "poincare-gens-int", "betti-facet-int", "betti-nonfaces-str",
         "betti-facet-vertex-0", "golod-facet-vertex-above-m",
+        "betti-negative-m-with-facets",
         "cohomology-gen-w", "cohomology-gen-str", "cohomology-terms",
         "cohomology-bracket-list", "cohomology-term-c",
         "cohomology-term-json-str"])
@@ -655,8 +663,9 @@ def test_json_reader_names_what_is_wrong_exit_2(args, stdin, message):
     needs, is bad input, and the message names the key; so is a nested
     entry (a generator, a bracket, a bracket term, a ring generator, a
     face) of the wrong type or without a key, and the message names the
-    entry, as it names a facet vertex outside 1..m.  A nested entry given
-    as a JSON string is not parsed again."""
+    entry, as it names a facet vertex outside 1..m.  A negative vertex
+    count is named before the facets are read.  A nested entry given as a
+    JSON string is not parsed again."""
     res = run_cli(args, stdin=stdin)
     assert res.returncode == 2
     assert f"error: {message}" in res.stderr

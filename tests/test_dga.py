@@ -375,6 +375,81 @@ def test_coords_rejects_a_cochain_off_the_cycles():
         dga.coords({m: Poly.var(0, c) for m, c in e3.items()})
 
 
+def reduce_route(dga, cochain):
+    """``coords`` as it read every component: through ``cohomology_basis``,
+    whose ``reduce`` raises off the cycles."""
+    return {(deg, i): c for deg, comp in dga.components(cochain).items()
+            for i, c in dga.cohomology_basis(deg).reduce(
+                dga.to_vector(comp, deg)).items()}
+
+
+COORDS_WINDOWS = {
+    "rk-q3": lambda field: RKAlgebra(qn(3), field),
+    "rk-hexagon": lambda field: RKAlgebra(polygon(6), field),
+    "ce-wplus": lambda field: ce_window(witt_plus(9), 3, 9, field),
+    "ce-m0": lambda field: ce_window(m0(9), 3, 9, field),
+    "koszul": lambda field: KoszulAlgebra(anr(3, 2), field),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("name", COORDS_WINDOWS)
+def test_coords_matches_the_reduce_route(name, field):
+    """``coords`` against the reduce route on R(K), CE and Koszul windows:
+    random cycles plus boundaries with scalar and ``Poly`` coefficients,
+    one degree at a time and summed over three degrees, are read the same,
+    and a cochain off the cycles raises the same error on both routes.  A
+    fresh window answers with a d-solver and a quotient basis built only
+    at degrees where H is nonzero."""
+    rng = random.Random(f"coords {name} {field.tag}")
+    ref, new = COORDS_WINDOWS[name](field), COORDS_WINDOWS[name](field)
+    degs = [deg for deg in ref.window_degrees() if ref.basis(deg)
+            and ref.in_window(deg.d_target())]
+    degs = rng.sample(degs, min(40, len(degs)))
+    one = field.one()
+
+    def combination(vectors, deg, coefficient):
+        out: dict = {}
+        for vec in vectors:
+            k = coefficient()
+            axpy(out, 1, ((m, k * c) for m, c
+                          in ref.from_vector(vec, deg).items()))
+        return out
+
+    def scalar():
+        return field.of(rng.randint(-3, 3))
+
+    def poly():
+        return Poly({(): scalar(), (0,): scalar(), (0, 1): scalar()})
+
+    closed, zero_h, raised = {scalar: [], poly: []}, 0, 0
+    for deg in degs:
+        vectors = ref.cycles(deg) + ref.boundaries(deg)
+        zero_h += not ref.cohomology_dim(deg)
+        for coefficient in (scalar, poly):
+            cochain = combination(vectors, deg, coefficient)
+            closed[coefficient].append(cochain)
+            assert new.coords(cochain) == reduce_route(ref, cochain), deg
+        off = [m for m in ref.basis(deg) if ref.d({m: one})]
+        if off:
+            for bad, part in zip(({off[0]: one}, {off[0]: Poly.var(0, one)}),
+                                 (closed[scalar][-1], closed[poly][-1])):
+                cochain = axpy(bad, 1, part.items())
+                for route in (new.coords, lambda c: reduce_route(ref, c)):
+                    with pytest.raises(InvalidInput,
+                                       match="not in the cycle space"):
+                        route(cochain)
+                    raised += 1
+    for _ in range(10):
+        cochain: dict = {}
+        for part in rng.sample(closed[rng.choice((scalar, poly))], 3):
+            axpy(cochain, 1, part.items())
+        assert new.coords(cochain) == reduce_route(ref, cochain)
+    assert zero_h and zero_h < len(degs) and raised
+    assert all(new.cohomology_dim(deg) for deg in new._coh)
+    assert all(new.cohomology_dim(deg) for deg in new._dsolve)
+
+
 # ---- tables of the monomial hooks -------------------------------------------
 
 TABLE_WINDOWS = {

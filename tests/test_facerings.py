@@ -20,10 +20,11 @@ from masseykit.facerings import (RK_CAP, RKAlgebra, cup_length,
                                  triple_massey_scan,
                                  zk_classes, zk_cup,
                                  zk_massey, ZkClass)
-from masseykit.generators import cube, polygon, qn
+from masseykit.generators import cube, dodecahedron_nerve, polygon, qn
 from masseykit.massey import MasseyOutcome
-from masseykit.simplicial import (SimplicialComplex, hochster_table,
-                                  flag_complex, reduced_cache)
+from masseykit.simplicial import (ReducedCohomology, SimplicialComplex,
+                                  hochster_table, flag_complex,
+                                  reduced_cache)
 
 
 def random_complex(m, rng):
@@ -269,17 +270,10 @@ def test_golod_chordal_flag():
     assert verdict.status == "golod-up-to-cap"
 
 
-@pytest.mark.parametrize("inconclusive,status", (
-    (True, "unknown"), (False, "golod-up-to-cap")))
-def test_golod_unproven_undefined_gives_unknown(monkeypatch, inconclusive,
-                                               status):
-    """An `undefined` that a larger budget might turn into a defined product
-    cannot support golod-up-to-cap.  Six disjoint points have trivial
-    products; the stubs make every value group nonzero and every triple
-    product undefined."""
-    K = SimplicialComplex(6, [(i, j) for i in range(1, 7)
-                              for j in range(i + 1, 7)])
-
+def six_points_with_nonzero_value_groups(monkeypatch):
+    """Six disjoint points, whose products are trivial, with a stub that
+    makes every value group nonzero, so ``golod_test`` reaches its triple
+    products."""
     real = facerings.reduced_cache
 
     class OneDim:
@@ -292,6 +286,20 @@ def test_golod_unproven_undefined_gives_unknown(monkeypatch, inconclusive,
         def dim(self, q):
             return 1
 
+    monkeypatch.setattr(facerings, "reduced_cache",
+                        lambda *a: OneDim(real(*a)))
+    return SimplicialComplex(6, list(itertools.combinations(range(1, 7), 2)))
+
+
+@pytest.mark.parametrize("inconclusive,status", (
+    (True, "unknown"), (False, "golod-up-to-cap")))
+def test_golod_unproven_undefined_gives_unknown(monkeypatch, inconclusive,
+                                               status):
+    """An `undefined` that a larger budget might turn into a defined product
+    cannot support golod-up-to-cap; the stub makes every triple product
+    undefined.  The products were checked either way, and the Massey field
+    is decided only by golod-up-to-cap."""
+    K = six_points_with_nonzero_value_groups(monkeypatch)
     calls = []
 
     def undefined(K, classes, field, budget):
@@ -299,12 +307,74 @@ def test_golod_unproven_undefined_gives_unknown(monkeypatch, inconclusive,
         return MasseyOutcome("undefined", len(classes), "unknown",
                              complete=False, inconclusive=inconclusive)
 
-    monkeypatch.setattr(facerings, "reduced_cache",
-                        lambda *a: OneDim(real(*a)))
     monkeypatch.setattr(facerings, "zk_massey", undefined)
     verdict = golod_test(K, QQ, order_cap=3)
     assert calls and set(calls) == {3}
     assert verdict.status == status
+    assert verdict.multiplication_trivial is True
+    assert verdict.massey_trivial_up_to_cap is (
+        None if status == "unknown" else True)
+
+
+def test_golod_fields_are_null_where_no_check_decided():
+    """On the dodecahedron nerve a nonzero product answers before any
+    Massey product is looked at, so the Massey field is undecided."""
+    verdict = golod_test(dodecahedron_nerve(), QQ)
+    assert (verdict.status, verdict.witness[0]) == ("not-golod", "product")
+    assert verdict.multiplication_trivial is False
+    assert verdict.massey_trivial_up_to_cap is None
+
+
+def test_golod_unknown_leaves_the_massey_field_undecided(monkeypatch):
+    """A defined triple product of unknown triviality gives ``unknown``,
+    which has checked the products (all zero) but decided no Massey
+    product."""
+    K = six_points_with_nonzero_value_groups(monkeypatch)
+    monkeypatch.setattr(facerings, "zk_massey", lambda K, classes, field,
+                        budget: MasseyOutcome("affine", len(classes),
+                                              "unknown"))
+    verdict = golod_test(K, QQ, order_cap=3)
+    assert verdict.status == "unknown"
+    assert verdict.multiplication_trivial is True
+    assert verdict.massey_trivial_up_to_cap is None
+
+
+def scan_supports(monkeypatch, K, field, mode):
+    """The supports and classes ``iter_triple_massey_scan`` hands on to its
+    products, read by a stub that forms none."""
+    seen = []
+
+    def capture(K, by_support, supports, n, field, budget, screen):
+        seen.append((supports, by_support))
+        return iter(())
+
+    monkeypatch.setattr(facerings, "_disjoint_products", capture)
+    assert triple_massey_scan(K, field, support_mode=mode) == []
+    return seen[0]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "GF2", "GF3"])
+def test_scan_supports_are_the_h0_filter(monkeypatch, field):
+    """The scan keeps a support when the 1-skeleton of K_I is disconnected;
+    on the dodecahedron nerve, Q^3, the 8-gon and seeded random 6- and
+    7-vertex complexes that is the support list of the rank filter
+    dim H~^0(K_I) != 0, in both modes, and each support carries the
+    classes of ``classes(0)``."""
+    rng = random.Random(3434)
+    complexes = [dodecahedron_nerve(), qn(3), polygon(8)] + [
+        random_complex(m, rng) for m in (6, 6, 7, 7)]
+    for K in complexes:
+        for mode, top in (("edges", 2), ("h0", facerings.MAX_SUPPORT)):
+            supports, by_support = scan_supports(monkeypatch, K, field, mode)
+            assert supports == [
+                I for r in range(2, top + 1)
+                for I in itertools.combinations(range(1, K.m + 1), r)
+                if ReducedCohomology(K, I, field).dim(0)], (mode, K.m)
+            assert by_support == {I: [
+                ZkClass(I, 0, c)
+                for c in ReducedCohomology(K, I, field).classes(0)]
+                for I in supports}
+    assert supports
 
 
 def test_mainlemma_rejects_overlap():

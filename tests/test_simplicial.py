@@ -7,9 +7,11 @@ import masseykit.simplicial as simplicial_module
 from masseykit.errors import InvalidInput
 from masseykit.fields import GF, QQ
 from masseykit.generators import cube, dodecahedron_nerve, polygon, qn
-from masseykit.linalg import rank
-from masseykit.simplicial import (SimplicialComplex, ReducedCohomology,
-                                  _coboundary_rows, from_facets,
+from masseykit.linalg import (EchelonSolver, QuotientBasis, extend_pivots,
+                              rank)
+from masseykit.simplicial import (BettiTable, SimplicialComplex,
+                                  ReducedCohomology, _coboundary_rows,
+                                  components, faces_within, from_facets,
                                   hochster_table, induced, is_chordal,
                                   is_flag, join, skeleton1, flag_complex,
                                   graph_complex)
@@ -398,3 +400,137 @@ def test_reduce_reads_classes_as_unit_vectors(field):
                                    for f in set(c) | set(b)}
                         assert rc.reduce(q, shifted) == {j: field.one()}
     assert seen
+
+
+# ---- degree-zero cohomology from the 1-skeleton -----------------------------
+
+def eliminated_quotient_0(rc):
+    """(``quotient(0)``, its cycles) by the elimination route: the cycles
+    are ``kernel_basis`` of the edge rows, as ``ReducedCohomology`` built
+    them before it read the components."""
+    one = rc.field.one()
+    below, faces, above = ([f for _t, f in faces_within(rc._levels, s,
+                                                         rc._mask)]
+                           for s in range(3))
+    src = {f: i for i, f in enumerate(faces)}
+    rows = [{src[g]: one * c for g, c in row.items()}
+            for row in _coboundary_rows(above)]
+    cycles = EchelonSolver(rc.field, len(src), rows).kernel_basis()
+    images: dict = {f: {} for f in below}
+    for i, row in enumerate(_coboundary_rows(faces)):
+        for g, c in row.items():
+            images[g][i] = one * c
+    boundaries = [img for img in images.values() if img]
+    return QuotientBasis(rc.field, len(src), cycles, boundaries), cycles
+
+
+def degree_zero_complexes():
+    rng = random.Random(3232)
+    return [dodecahedron_nerve(), qn(3), polygon(8)] + [
+        SimplicialComplex(m, random_complex(m, rng)) for m in (6, 6, 7, 7)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF2", "GF3"])
+def test_degree_zero_quotient_reads_the_components(field):
+    """On every subset I of the dodecahedron nerve, Q^3, the 8-gon and
+    seeded random 6- and 7-vertex complexes, the component indicators are
+    the vectors ``kernel_basis`` returns on the edge rows, in the same
+    order, and ``quotient(0)`` selects the same representatives and
+    boundaries as the elimination route."""
+    one = field.one()
+    for K in degree_zero_complexes():
+        levels = K.face_table()
+        for r in range(K.m + 1):
+            for I in itertools.combinations(range(1, K.m + 1), r):
+                rc = ReducedCohomology(K, I, field)
+                old, cycles = eliminated_quotient_0(rc)
+                vertices = [f for _t, f in faces_within(levels, 1, rc._mask)]
+                assert [{i: one for i, f in enumerate(vertices) if f & c}
+                        for c in components(levels, rc._mask)] == cycles
+                new = rc.quotient(0)
+                assert new.representatives == old.representatives, I
+                assert new.boundary_basis == old.boundary_basis, I
+                assert new.dim == rc.dim(0), I
+
+
+def test_components_are_ordered_by_largest_vertex():
+    K = from_facets(7, [(2, 7), (1, 3), (3, 5), (4,), (6,)])
+    assert components(K.face_table(), -1) == [0b1000, 0b10101, 0b100000,
+                                              0b1000010]
+    assert components(K.face_table(), 0b1100011) == [0b1, 0b100000,
+                                                     0b1000010]
+    assert components(K.face_table(), 0) == []
+
+
+def unfiltered_walk(K, field):
+    """``hochster_table`` as it walked before it counted the vertex and
+    edges of v directly: every face size is filtered for faces topped by v
+    inside I + v, with no stop at the first empty size."""
+    levels = K.face_table()
+    topped = [[[] for _ in levels] for _ in range(K.m + 1)]
+    for size, level in enumerate(levels):
+        masks = [f for _t, f in level]
+        for f, row in zip(masks, _coboundary_rows(masks)):
+            topped[f.bit_length()][size].append((f, row))
+    below = [0] * (K.m + 1)
+    for (u, v), _f in faces_within(levels, 2, -1):
+        below[v] |= 1 << (u - 1)
+    entries: dict = {}
+
+    def visit(I, mask, comps, counts, pivots):
+        r = len(I)
+        ranks = [0, min(r, 1), r - len(comps)] + [len(p) for p in pivots[3:]]
+        for q in range(-1, min(r, len(levels) - 1)):
+            d = counts[q + 1] - ranks[q + 2] - ranks[q + 1]
+            if d:
+                entries[(r - q - 1, I)] = d
+        for v in range(I[-1] + 1 if I else 1, K.m + 1):
+            child = mask | 1 << (v - 1)
+            counts_v, pivots_v = counts[:], pivots[:]
+            for size, faces in enumerate(topped[v]):
+                new = [row for f, row in faces if f & child == f]
+                if new:
+                    counts_v[size] += len(new)
+                    if size > 2:
+                        pivots_v[size] = extend_pivots(pivots[size], new,
+                                                       field)
+            joined = sum((c for c in comps if c & below[v]), 1 << (v - 1))
+            visit(I + (v,), child, [c for c in comps if not c & joined]
+                  + [joined], counts_v, pivots_v)
+
+    visit((), 0, [], [1] + [0] * len(levels), [{}] * (len(levels) + 1))
+    return BettiTable(field.tag, entries)
+
+
+def walk_edge_cases():
+    """Isolated vertices, no edges at all, and faces topped by a vertex
+    that stop below the largest face size of the complex (the walk's stop
+    at the first size with no new face)."""
+    rng = random.Random(3333)
+    out = [
+        from_facets(6, [(1, 2, 3), (2, 3, 4), (5,), (6,)]),
+        SimplicialComplex(5, list(itertools.combinations(range(1, 6), 2))),
+        # a tetrahedron and a triangle, with a late vertex 8 joined to both
+        # by edges only, and an isolated vertex 7
+        from_facets(8, [(1, 2, 3, 4), (4, 5, 6), (7,), (2, 8), (6, 8)]),
+        # a 2-sphere whose largest vertex tops only edges and one triangle
+        from_facets(7, [f for f in itertools.combinations(range(1, 5), 3)]
+                    + [(5, 6, 7), (1, 7), (4, 6)]),
+    ]
+    for m in (6, 7, 8):
+        K = SimplicialComplex(m, random_complex(m, rng))
+        # m + 1 becomes an isolated vertex: it tops no edge at all
+        out.append(SimplicialComplex(m + 1, K.minimal_nonfaces + [
+            (v, m + 1) for v in range(1, m + 1)]))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF2", "GF3"])
+def test_hochster_walk_counts_new_faces_and_stops_early(field):
+    """The walk's vertex and edge counts and its stop at the first face
+    size with no new face agree with the unfiltered walk and with fresh
+    per-subset eliminations."""
+    for K in walk_edge_cases():
+        got = hochster_table(K, field).entries
+        assert got == unfiltered_walk(K, field).entries, K.minimal_nonfaces
+        assert got == per_subset_table(K, field), K.minimal_nonfaces
